@@ -1,23 +1,24 @@
 """Decomposability machinery and bound-entanglement witnessing.
 
 A map is decomposable when it splits as ``Lambda_1 + Lambda_2 T`` with both
-blocks completely positive.  In Choi space this is a convex feasibility
-problem: find ``J2 >= 0`` with ``(T (x) id)[J2] <= J``; then
-``J1 = J - (T (x) id)[J2]`` completes a certificate.  The solver alternates
-exact projections between those two sets (both projections are
-eigendecomposition + spectral clipping, using that the partial transpose is
-a Frobenius-isometric involution).
+blocks completely positive.  In Choi space this asks for ``A, B >= 0`` with
+``J = A + (T (x) id)[B]``.  The solver finds the point of that cone nearest
+to ``J`` by block-coordinate projection: ``A <- P+(J - PT B)``, then
+``B <- P+(PT(J - A))``, where ``P+`` clips negative eigenvalues and the
+partial transpose ``PT`` is a Frobenius-isometric involution.
 
+The same iteration decides both outcomes.  When ``J - PT B`` becomes PSD,
+``J1 = J - PT B`` and ``J2 = B`` certify decomposability.  Otherwise the
+residual ``Z = A + PT B - J`` is the witness: after the B-step its partial
+transpose is PSD by construction, and shifting it by its smallest
+eigenvalue makes it PSD too, so its normalized transpose is a PPT state.
 Non-decomposability is certified through the duality pairing
 
     <Lambda, X> = Tr( (Lambda (x) id)[P+] X^T ):
 
 decomposable maps pair nonnegatively with every PPT state, so a PPT state
 with a negative pairing simultaneously proves the map non-decomposable and
-the state bound-entangled.  The witness search minimizes the pairing over
-convex combinations of a fixed family of maximally entangled basis
-projectors, subject to the PPT constraint, which for this family reduces to
-finitely many linear inequalities.
+the state bound-entangled.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import gksl, matcore, posmap
 from .gksl import (
@@ -45,9 +45,7 @@ from .matcore import (
     ShapeError,
     as_cmatrix,
     as_hermitian,
-    negative_part,
     partial_transpose,
-    psd_part,
 )
 from .posmap import choi
 
@@ -118,16 +116,6 @@ def pairing(s, x) -> float:
     return pairing_with_choi(choi(s), xm)
 
 
-def _qubit_factors(d: int) -> list[np.ndarray]:
-    """Unitaries sigma_mu (x) ... twisting the entangled projector: the 4
-    Paulis for d = 2, the 16 Pauli pairs for d = 4."""
-    if d == 2:
-        return list(SIGMA)
-    if d == 4:
-        return [np.kron(a, b) for a in SIGMA for b in SIGMA]
-    raise DomainError(f"no entangled witness family available for d = {d}")
-
-
 def bell_state_projector(mu: int, nu: int) -> WitnessState:
     """Maximally entangled basis projector of the 4 (x) 4 system obtained by
     twisting the entangled projector with ``sigma_mu (x) sigma_nu`` on the
@@ -138,16 +126,6 @@ def bell_state_projector(mu: int, nu: int) -> WitnessState:
     u = np.kron(np.eye(4, dtype=complex), np.kron(SIGMA[mu], SIGMA[nu]))
     p = posmap.maximally_entangled_projector(4)
     return WitnessState(u @ p @ u, ppt_checked=False)
-
-
-def bell_projector_family(d: int) -> list[WitnessState]:
-    """The twisted entangled-projector family for one factor of dimension d."""
-    p = posmap.maximally_entangled_projector(d)
-    out = []
-    for u in _qubit_factors(d):
-        ud = np.kron(np.eye(d, dtype=complex), u)
-        out.append(WitnessState(ud @ p @ ud.conj().T, ppt_checked=False))
-    return out
 
 
 def bound_entangled_state() -> WitnessState:
@@ -195,15 +173,18 @@ def explicit_decomposition(t: float) -> tuple[np.ndarray, np.ndarray]:
     return s1, s2
 
 
-def pairing_table(t: float) -> np.ndarray:
-    """Pairings of the flagship map with all 16 entangled basis projectors."""
-    s = witness_product_map(t)
-    j = choi(s)
+def _bell_pairings(j: np.ndarray) -> np.ndarray:
+    """Pairings of a 4 (x) 4 Choi matrix with the 16 entangled basis projectors."""
     table = np.zeros((4, 4))
     for mu in range(4):
         for nu in range(4):
             table[mu, nu] = pairing_with_choi(j, bell_state_projector(mu, nu).mat)
     return table
+
+
+def pairing_table(t: float) -> np.ndarray:
+    """Pairings of the flagship map with all 16 entangled basis projectors."""
+    return _bell_pairings(choi(witness_product_map(t)))
 
 
 def noise_pairing_table() -> tuple[np.ndarray, float]:
@@ -213,102 +194,41 @@ def noise_pairing_table() -> tuple[np.ndarray, float]:
     Only the row and column of index 0 are nonzero; within the support of
     the bound-entangled state the single contribution is the (0, 2) entry.
     """
-    noise = witness_product_generator().noise
-    j = choi(noise)
-    table = np.zeros((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            table[mu, nu] = pairing_with_choi(j, bell_state_projector(mu, nu).mat)
-    value = pairing_with_choi(j, bound_entangled_state().mat)
-    return table, value
+    j = choi(witness_product_generator().noise)
+    return _bell_pairings(j), pairing_with_choi(j, bound_entangled_state().mat)
 
 
-def _ppt_inequalities(family: list[WitnessState], d: int):
-    """The partial transposes of the family share one eigenbasis; in it the
-    PPT constraint on a mixture is a finite set of linear inequalities.
-
-    Returns the matrix M with ``M[e, k] = <v_e| PT[Z_k] |v_e>`` so that a
-    weight vector w yields a PPT state iff ``M w >= 0``.
-    """
-    n = len(family)
-    pts = [partial_transpose(z.mat, d, d, "A") for z in family]
-    probe = sum((k + 1) * pts[k] for k in range(n))
-    basis = np.linalg.eigh(probe)[1]
-    m = np.zeros((d * d, n))
-    for k, pt in enumerate(pts):
-        diag = basis.conj().T @ pt @ basis
-        off = np.abs(diag - np.diag(np.diag(diag))).max()
-        if off > 1e-10:
-            raise NumericalError(
-                f"family partial transposes are not simultaneously diagonal (off={off:.2e})"
-            )
-        m[:, k] = np.diag(diag).real
-    return m
-
-
-def _witness_search(j: np.ndarray, d: int, slack: float) -> tuple[WitnessState, float] | None:
-    """Minimize the pairing over PPT mixtures of the entangled basis family.
-
-    Candidates are validated by direct eigendecomposition before anything
-    is returned; ties within 1e-11 prefer the canonical bound-entangled
-    state so certificates are reproducible.
-    """
-    try:
-        family = bell_projector_family(d)
-    except DomainError:
-        return None
-    values = np.array([pairing_with_choi(j, z.mat) for z in family])
-    candidates: list[np.ndarray] = []
-    if d == 4:
-        candidates.append(bound_entangled_state().mat)
-    ineq = _ppt_inequalities(family, d)
-    n = len(family)
-    res = linprog(
-        values,
-        A_ub=-ineq,
-        b_ub=np.zeros(ineq.shape[0]),
-        A_eq=np.ones((1, n)),
-        b_eq=[1.0],
-        bounds=[(0.0, 1.0)] * n,
-        method="highs",
+def _spectral_parts(h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Smallest eigenvalue, PSD part and negative part of a Hermitian matrix,
+    from one eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (
+        float(w[0]),
+        (v * np.clip(w, 0.0, None)) @ v.conj().T,
+        (v * np.clip(w, None, 0.0)) @ v.conj().T,
     )
-    if res.status == 0:
-        w = np.clip(res.x, 0.0, None)
-        w /= w.sum()
-        candidates.append(sum(w[k] * family[k].mat for k in range(n)))
-    best = None
-    scored = []
-    for mat in candidates:
-        ppt_ok, _ = matcore.is_psd(partial_transpose(mat, d, d, "A"))
-        if not ppt_ok:
-            continue
-        val = pairing_with_choi(j, mat)
-        scored.append((val, mat))
-    if not scored:
-        return None
-    vmin = min(v for v, _ in scored)
-    if vmin >= -slack:
-        return None
-    for val, mat in scored:
-        if val <= vmin + 1e-11:
-            return WitnessState(mat, ppt_checked=True), val
-    return None
 
 
-def decomposability_feasibility(
-    j,
-    max_iter: int = 50000,
-    tol: float = FEASIBILITY_TOL,
-    stall_window: int = 200,
-) -> FeasibilityResult:
+def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
     """Decide whether a Choi matrix belongs to the decomposable cone.
 
-    Alternating exact projections search for ``J2 >= 0`` with
-    ``(T (x) id)[J2] <= J``.  On success the certificate blocks are returned
-    with their assembly residual (which is zero by construction, bounded by
-    ``tol``).  When the iteration stalls, a witness is extracted from the
-    PPT mixtures of the entangled basis family; if neither certificate can
-    be produced the result is an honest MaxIterations with the residual gap.
+    Block-coordinate projection alternates ``A <- P+(J - PT B)`` and
+    ``B <- P+(PT(J - A))``.  Each iteration ends in one of two tests:
+
+    * certificate: once ``J1 = J - PT B`` is PSD within the slack, a short
+      polish keeps the best iterate, and ``J1``, ``J2 = B`` are returned
+      with their assembly residual (zero by construction, bounded by
+      ``FEASIBILITY_TOL``);
+    * witness: the residual ``Z = A + PT B - J`` has a PSD partial
+      transpose after the B-step; shifted by ``max(0, -lmin Z)`` times the
+      identity and normalized, its transpose is a PPT state.  Once its
+      pairing with ``J`` is below the slack and has stopped improving, the
+      map is certified non-decomposable.  For d = 4 the canonical
+      bound-entangled state is also scored and wins ties within 1e-11, so
+      certificates are reproducible.
+
+    If the budget runs out first, the result is an honest MaxIterations
+    with the gap ``max(0, -lmin J1)``.
     """
     jm = as_hermitian(j)
     n = jm.shape[0]
@@ -317,58 +237,60 @@ def decomposability_feasibility(
         raise ShapeError(f"Choi matrix must be d^2 x d^2, got {jm.shape}")
     slack = PSD_SLACK * max(1.0, float(np.linalg.norm(jm, 2)))
 
-    ok, _ = matcore.is_psd(jm)
-    if ok:
+    lmin, a, _ = _spectral_parts(jm)
+    if lmin >= -slack:
         cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
         return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
 
     def pt(x):
         return partial_transpose(x, d, d, "A")
 
-    x = np.zeros_like(jm)
-    gap = np.inf
-    best_gap = np.inf
-    since_improvement = 0
-    best_lmin = -np.inf
-    best_x = None
-    polish_left = None
+    best_lmin, best_b = -np.inf, None
+    polish_left = 100
+    best_value, best_x = 0.0, None
     it = 0
     for it in range(1, max_iter + 1):
-        x = x + pt(negative_part(jm - pt(x)))
-        x = psd_part(x)
-        j1 = jm - pt(x)
-        lmin = float(np.linalg.eigvalsh(as_hermitian(j1))[0])
-        gap = max(0.0, -lmin)
+        _, b, neg = _spectral_parts(pt(jm - a))
+        # Z = A + PT B - J, built from the clipped spectrum so that PT(Z) is
+        # PSD up to roundoff on the scale of Z itself, not of J; the shift
+        # keeps PT(Z) PSD (PT(I) = I) and makes Z PSD.  tr Z = tr PT(Z) >= 0.
+        z = -pt(neg)
+        z += max(0.0, -float(np.linalg.eigvalsh(z)[0])) * np.eye(n)
+        tau = float(np.trace(z).real)
+        if tau > 0.0:
+            value = float(np.vdot(z, jm).real) / tau  # Tr(J X^T) with X = Z^T / tau
+            if value < -slack:
+                # stop once an iteration improves the pairing by less than 1e-6 relative
+                if best_x is not None and value >= best_value * (1.0 + 1e-6):
+                    break
+                if value < best_value:
+                    best_value, best_x = value, z.T / tau
+        lmin, a, _ = _spectral_parts(jm - pt(b))
         if lmin > best_lmin:
-            best_lmin = lmin
-            best_x = x
+            best_lmin, best_b = lmin, b
         if best_lmin >= -slack:
             # inside the slack zone; run a short polish phase, keep the best
-            if polish_left is None:
-                polish_left = 100
             polish_left -= 1
             if best_lmin >= -0.02 * slack or polish_left <= 0:
                 break
-        if gap < best_gap * (1.0 - 1e-12):
-            best_gap = gap
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= stall_window:
-                break
-    if best_lmin >= -slack and best_x is not None:
-        j1 = jm - pt(best_x)
-        residual = float(np.linalg.norm(jm - j1 - pt(best_x)))
-        if residual <= tol:
-            cert = DecompositionCertificate(j1=j1, j2=best_x, residual=residual)
+    gap = max(0.0, -lmin)
+    if best_lmin >= -slack:
+        j1 = jm - pt(best_b)
+        residual = float(np.linalg.norm(jm - j1 - pt(best_b)))
+        if residual <= FEASIBILITY_TOL:
+            cert = DecompositionCertificate(j1=j1, j2=best_b, residual=residual)
             return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=it)
 
-    found = _witness_search(jm, d, slack)
-    if found is not None:
-        witness, value = found
+    candidates = [bound_entangled_state().mat] if d == 4 else []
+    if best_x is not None:
+        candidates.append(best_x)
+    scored = [(pairing_with_choi(jm, mat), mat) for mat in candidates]
+    vmin = min((val for val, _ in scored), default=0.0)
+    if vmin < -slack:
+        value, mat = next((val, mat) for val, mat in scored if val <= vmin + 1e-11)
         return FeasibilityResult(
             status=INFEASIBLE_WITNESSED,
-            witness=witness,
+            witness=WitnessState(mat, ppt_checked=True),
             pairing=value,
             gap=gap,
             iterations=it,
@@ -378,7 +300,7 @@ def decomposability_feasibility(
 
 def choi_min_criterion(s) -> float:
     """Threshold criterion: smallest eigenvalue of the Choi matrix."""
-    return float(np.linalg.eigvalsh(as_hermitian(choi(s)))[0])
+    return matcore.min_eigenvalue(choi(s))
 
 
 def pairing_criterion(x):

@@ -5,7 +5,6 @@ from sgwl import decomp, gksl, matcore, posmap
 from sgwl.decomp import (
     FEASIBLE,
     INFEASIBLE_WITNESSED,
-    bell_projector_family,
     bell_state_projector,
     bound_entangled_state,
     decomposability_feasibility,
@@ -23,7 +22,7 @@ from sgwl.gksl import build_generator, evolve, kron_superop, qubit_spec
 from sgwl.matcore import DomainError, partial_transpose
 from sgwl.posmap import choi
 
-from helpers import random_complex, random_hermitian, random_psd
+from helpers import random_complex, random_hermitian, random_psd, random_unitary
 
 # nonzero entries of 24 * rho_be (reference data for the entrywise check)
 RHO_BE_24 = np.array([
@@ -55,6 +54,29 @@ def w_closed_form(t, mu, nu):
     return 0.25 * (a * (mu == 0) + (1 - a) / 4) * (
         2 * (1 + a) * (nu == 0) + (1 - a) * (1 - 2 * (nu == 2))
     )
+
+
+def choi_map(a, b, c):
+    """Superoperator of the generalized Choi map on M_3,
+    Phi[a,b,c](X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
+    b x11 + c x22 + a x33) - X."""
+    mix = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
+    s = -np.eye(9, dtype=complex)
+    for i in range(3):
+        for k in range(3):
+            s[4 * k, 4 * i] += mix[k, i]  # vec index of |k><k| is 4 k
+    return s
+
+
+def assert_witness(j, res):
+    d = int(round(np.sqrt(j.shape[0])))
+    w = res.witness.mat
+    assert res.witness.ppt_checked
+    assert abs(np.trace(w).real - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(w).min() >= -1e-10
+    assert np.linalg.eigvalsh(partial_transpose(w, d, d, "A")).min() >= -1e-10
+    assert np.trace(j @ w.T).real == pytest.approx(res.pairing, abs=1e-12)
+    assert res.pairing < -1e-10
 
 
 class TestPairing:
@@ -108,16 +130,6 @@ class TestBellProjectors:
                 vec[big * 4 + small] = 0.5 * u[small, big]
         by_hand = np.outer(vec, vec.conj())
         assert np.abs(bell_state_projector(0, 2).mat - by_hand).max() < 1e-14
-
-    def test_qubit_family(self):
-        fam = bell_projector_family(2)
-        assert len(fam) == 4
-        g = np.array([[np.trace(a.mat @ b.mat).real for b in fam] for a in fam])
-        assert np.abs(g - np.eye(4)).max() < 1e-13
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(DomainError):
-            bell_projector_family(3)
 
 
 class TestPairingTable:
@@ -312,6 +324,60 @@ class TestFeasibility:
         res = decomposability_feasibility(choi(evolve(gen, 0.3)))
         assert res.status == INFEASIBLE_WITNESSED
         assert res.pairing < -0.1
+
+    def test_qutrit_choi_map_witnessed(self):
+        # Choi's original positive, non-decomposable map Phi[2,0,1] on M_3
+        j = choi(choi_map(2.0, 0.0, 1.0))
+        res = decomposability_feasibility(j)
+        assert res.status == INFEASIBLE_WITNESSED
+        assert_witness(j, res)
+        assert res.pairing < -0.05
+        # local unitaries preserve the decomposable cone, so a rotated,
+        # complex copy of the map is witnessed with the same pairing
+        rng = np.random.default_rng(45)
+        w = np.kron(random_unitary(rng, 3), random_unitary(rng, 3))
+        jw = w @ j @ w.conj().T
+        rotated = decomposability_feasibility(jw)
+        assert rotated.status == INFEASIBLE_WITNESSED
+        assert_witness(jw, rotated)
+        assert rotated.pairing == pytest.approx(res.pairing, rel=1e-6)
+
+    def test_random_hermitian_witnessed(self):
+        # generic Hermitian matrices lie far outside the decomposable cone;
+        # their residuals are not PSD, so the witness needs its eigenvalue shift
+        rng = np.random.default_rng(46)
+        for d in (2, 3, 2, 3):
+            j = random_hermitian(rng, d * d)
+            res = decomposability_feasibility(j)
+            assert res.status == INFEASIBLE_WITNESSED
+            assert_witness(j, res)
+
+    @pytest.mark.parametrize("a", [1.25, 1.5, 2.0, 2.5, 2.75])
+    @pytest.mark.parametrize("decomposable", [True, False])
+    def test_choi_map_grid(self, a, decomposable):
+        # Cho-Kye-Lee: for 1 <= a <= 3 a positive Phi[a,b,c] is decomposable
+        # iff bc >= (3 - a)^2 / 4; positivity needs a + b + c >= 3 and, for
+        # a < 2, bc >= (2 - a)^2
+        boundary = (3 - a) ** 2 / 4
+        floor = max(2 - a, 0.0) ** 2
+        p = 2 * boundary if decomposable else (floor + boundary) / 2
+        sigma = 1.25 * max(3 - a, 2 * np.sqrt(p))
+        b = (sigma + np.sqrt(sigma * sigma - 4 * p)) / 2
+        c = p / b
+        assert a + b + c >= 3 and b * c >= floor
+        j = choi(choi_map(a, b, c))
+        res = decomposability_feasibility(j)
+        if decomposable:
+            assert res.status == FEASIBLE
+            cert = res.certificate
+            slack = 1e-10 * max(1.0, np.linalg.norm(j, 2))
+            assert np.linalg.eigvalsh(cert.j1).min() >= -slack
+            assert np.linalg.eigvalsh(cert.j2).min() >= -slack
+            recon = cert.j1 + partial_transpose(cert.j2, 3, 3, "A")
+            assert np.abs(recon - j).max() < 1e-10
+        else:
+            assert res.status == INFEASIBLE_WITNESSED
+            assert_witness(j, res)
 
     def test_budget_exhaustion(self):
         # too few iterations to certify, and no witness exists in the
