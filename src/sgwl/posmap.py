@@ -7,20 +7,25 @@ generated semigroup is decided through the sign of the two-vector functional
 
 which is nonnegative for all orthonormal pairs exactly when every map of
 the semigroup is positive.  There is no closed-form test beyond d = 2, so
-the checker minimizes f by multistart projected gradient descent; violation
+the checker minimizes f by projected gradient descent from many starts run
+in lockstep, with the exact gradient taken from the same batched
+eigendecomposition that gives the inner minimum over phi.  Violation
 reports are always re-validated by direct evaluation before being returned,
 while a "positive" outcome is a statement about the search, not a proof
-(hence the Undetermined status when starts disagree).
+(hence the Undetermined status when starts disagree).  The exception is a
+PSD Kossakowski matrix C: then f = w C w^dag >= 0 proves complete
+positivity, and a single start runs only to report the minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import gksl, matcore
-from .gksl import Generator, HermitianBasis, apply_superop
+from .gksl import Generator, HermitianBasis
 from .matcore import PSD_SLACK, PreconditionError, ShapeError, as_cmatrix, as_hermitian
 
 STATUS_CP = "CompletelyPositive"
@@ -101,34 +106,6 @@ def is_completely_positive(s, slack: float = PSD_SLACK) -> PositivityVerdict:
     )
 
 
-def _normalize_params(x: np.ndarray, d: int) -> np.ndarray:
-    psi = x[:d] + 1j * x[d:]
-    n = np.linalg.norm(psi)
-    if n < 1e-14:
-        psi = np.zeros(d, dtype=complex)
-        psi[0] = 1.0
-        return np.concatenate([psi.real, psi.imag])
-    return x / n
-
-
-def _params_to_state(x: np.ndarray, d: int) -> np.ndarray:
-    psi = x[:d] + 1j * x[d:]
-    return psi / np.linalg.norm(psi)
-
-
-def _orthogonal_complement(psi: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to psi, as columns."""
-    d = psi.size
-    a = np.column_stack([psi, np.eye(d, dtype=complex)])
-    q = np.linalg.qr(a)[0]
-    return q[:, 1:d]
-
-
-def _batch_states(xs: np.ndarray, d: int) -> np.ndarray:
-    psi = xs[:, :d] + 1j * xs[:, d:]
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
 def _batch_images(l_mat: np.ndarray, psi: np.ndarray, d: int) -> np.ndarray:
     """Hermitian matrices L[|psi><psi|] for a batch of unit vectors."""
     proj = psi[:, :, None] * psi[:, None, :].conj()
@@ -137,77 +114,108 @@ def _batch_images(l_mat: np.ndarray, psi: np.ndarray, d: int) -> np.ndarray:
     return (imgs + imgs.conj().transpose(0, 2, 1)) / 2
 
 
-def _restricted_min_values(l_mat: np.ndarray, xs: np.ndarray, d: int) -> np.ndarray:
-    """min over unit phi orthogonal to psi of <phi| L[|psi><psi|] |phi>."""
-    psi = _batch_states(xs, d)
+def _evaluate(l_mat: np.ndarray, xs: np.ndarray, restricted: bool):
+    """Inner minimum over phi at a batch of rows x, psi = (x[:d] + i x[d:]) / |x|.
+
+    One batched eigh of M = herm L[|psi><psi|] gives the value and the
+    minimizing phi; when restricted, M is compressed to the complement of
+    psi and psi is shifted above the spectrum instead of building a basis.
+    By the envelope theorem the gradient is L^dag[|phi><phi|] psi, less
+    phi <phi|M|psi> for the constraint <phi|psi> = 0 when restricted; it is
+    returned in x coordinates.  Returns (values, gradients, phi).
+    """
+    d = xs.shape[1] // 2
+    raw = xs[:, :d] + 1j * xs[:, d:]
+    r = np.linalg.norm(raw, axis=1, keepdims=True)
+    psi = raw / r
     m = _batch_images(l_mat, psi, d)
-    if d == 2:
-        q = np.stack([-psi[:, 1].conj(), psi[:, 0].conj()], axis=1)
-        return np.einsum("mi,mij,mj->m", q.conj(), m, q).real
-    a = np.concatenate(
-        [psi[:, :, None], np.broadcast_to(np.eye(d, dtype=complex), (psi.shape[0], d, d))],
-        axis=2,
-    )
-    q = np.linalg.qr(a)[0][:, :, 1:d]
-    mc = q.conj().transpose(0, 2, 1) @ m @ q
-    return np.linalg.eigvalsh(mc)[:, 0].real
-
-
-def _free_min_values(l_mat: np.ndarray, xs: np.ndarray, d: int) -> np.ndarray:
-    """min over all unit phi of <phi| S[|psi><psi|] |phi> (map positivity)."""
-    psi = _batch_states(xs, d)
-    m = _batch_images(l_mat, psi, d)
-    return np.linalg.eigvalsh(m)[:, 0].real
-
-
-def _descend(value_fn, d: int, rng: np.random.Generator, max_iter: int):
-    """Projected gradient descent on the unit sphere with step halving."""
-    x = _normalize_params(rng.normal(size=2 * d), d)
-    val = float(value_fn(x[None, :])[0])
-    step = 0.25
-    h = 1e-6
-    eye = np.eye(2 * d) * h
-    for _ in range(max_iter):
-        pts = np.concatenate([x + eye, x - eye])
-        vs = value_fn(pts)
-        grad = (vs[: 2 * d] - vs[2 * d :]) / (2 * h)
-        if np.linalg.norm(grad) < 1e-12:
-            break
-        accepted = False
-        while step >= 1e-12:
-            xn = _normalize_params(x - step * grad, d)
-            vn = float(value_fn(xn[None, :])[0])
-            if vn < val - 1e-15:
-                x, val = xn, vn
-                step = min(step * 1.5, 1.0)
-                accepted = True
-                break
-            step /= 2
-        if not accepted:
-            break
-    return val, x
-
-
-def _multistart(value_fn, d: int, budget: int, seed: int, max_iter: int,
-                stop_below: float):
-    """Independent descents with per-start derived seeds; min over starts."""
-    best_val = np.inf
-    best_x = None
-    start_values = []
-    for s in range(budget):
-        rng = np.random.default_rng(seed + s)
-        val, x = _descend(value_fn, d, rng, max_iter)
-        start_values.append(val)
-        if val < best_val:
-            best_val, best_x = val, x
-        if best_val < stop_below:
-            break
-    return best_val, best_x, np.array(start_values)
+    if restricted:
+        proj = psi[:, :, None] * psi[:, None, :].conj()
+        comp = np.eye(d) - proj
+        shift = 1.0 + 2.0 * np.linalg.norm(m, axis=(1, 2))
+        w, v = np.linalg.eigh(comp @ m @ comp + shift[:, None, None] * proj)
+    else:
+        w, v = np.linalg.eigh(m)
+    phi = v[:, :, 0]
+    g = np.einsum("nij,nj->ni", _batch_images(l_mat.conj().T, phi, d), psi)
+    if restricted:
+        g -= phi * np.einsum("ni,nij,nj->n", phi.conj(), m, psi)[:, None]
+    g = 2.0 * (g - psi * np.einsum("ni,ni->n", psi.conj(), g).real[:, None]) / r
+    return w[:, 0], np.concatenate([g.real, g.imag], axis=1), phi
 
 
 def _spread(start_values: np.ndarray, k: int = 5) -> float:
     top = np.sort(start_values)[: min(k, start_values.size)]
     return float(top[-1] - top[0])
+
+
+def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: int,
+            max_iter: int, proved_cp: bool = False,
+            choi_min_eig: float | None = None) -> PositivityVerdict:
+    """Minimize the inner minimum over psi on the unit sphere and decide.
+
+    All starts (start s drawn with seed + s) descend in lockstep, one
+    batched evaluation per stage.  A start grows its step by 1.5 (at most
+    1) on an accepted trial and halves it on a rejected one; it stops when
+    the step falls below 1e-12, the gradient vanishes or it has taken
+    max_iter steps.  Once any start falls below -1e-8 only the lowest one
+    goes on.  A violation is re-validated by ``functional``.  With
+    ``proved_cp`` the verdict is already proved and one start fills in the
+    minimum; otherwise the spread of the best starts decides.
+    """
+    if budget < 1:
+        raise PreconditionError(f"budget must be >= 1, got {budget}")
+    n = 1 if proved_cp else budget
+    d = int(round(np.sqrt(l_mat.shape[0])))
+    x = np.array([np.random.default_rng(seed + s).normal(size=2 * d) for s in range(n)])
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    val, grad, phi = _evaluate(l_mat, x, restricted)
+    step = np.full(n, 0.25)
+    taken = np.zeros(n, dtype=int)
+    live = (np.linalg.norm(grad, axis=1) >= 1e-12) & (max_iter > 0)
+    while True:
+        if np.any(val < -1e-8):
+            live &= np.arange(n) == np.argmin(val)
+        if not live.any():
+            break
+        idx = np.flatnonzero(live)
+        # the gradient is orthogonal to x, so the trial row never vanishes
+        xn = x[idx] - step[idx, None] * grad[idx]
+        xn /= np.linalg.norm(xn, axis=1, keepdims=True)
+        vn, gn, pn = _evaluate(l_mat, xn, restricted)
+        ok = vn < val[idx] - 1e-15
+        acc, rej = idx[ok], idx[~ok]
+        x[acc], val[acc], grad[acc], phi[acc] = xn[ok], vn[ok], gn[ok], pn[ok]
+        step[acc] = np.minimum(step[acc] * 1.5, 1.0)
+        taken[acc] += 1
+        live[acc] = (taken[acc] < max_iter) & (np.linalg.norm(gn[ok], axis=1) >= 1e-12)
+        step[rej] /= 2
+        live[rej] = step[rej] >= 1e-12
+
+    best = int(np.argmin(val))
+    if val[best] < -PSD_SLACK:
+        psi = x[best, :d] + 1j * x[best, d:]
+        value = functional(psi, phi[best])
+        if value < -PSD_SLACK:
+            return PositivityVerdict(
+                status=STATUS_NOT_POSITIVE,
+                min_value=value,
+                pair=(psi, phi[best]),
+                start_values=val,
+                choi_min_eig=choi_min_eig,
+            )
+    spread = _spread(val)
+    if proved_cp:
+        status = STATUS_CP
+    else:
+        status = STATUS_POSITIVE_NOT_CP if spread <= SPREAD_TOL else STATUS_UNDETERMINED
+    return PositivityVerdict(
+        status=status,
+        min_value=float(val[best]),
+        start_values=val,
+        spread=spread,
+        choi_min_eig=choi_min_eig,
+    )
 
 
 def kossakowski_positivity_check(
@@ -221,52 +229,18 @@ def kossakowski_positivity_check(
 
     For each start psi is drawn uniformly on the unit sphere; the inner
     problem over phi is solved exactly as the minimal eigenvalue of
-    L[|psi><psi|] compressed to the orthogonal complement of psi, and the
-    outer problem runs projected gradient descent with a numerical
-    gradient.  A NotPositive verdict always carries a re-validated pair;
-    otherwise the verdict is CompletelyPositive (when the Kossakowski
-    matrix itself is PSD), PositiveNotCP, or Undetermined when the best
-    starts disagree by more than the spread tolerance.
+    L[|psi><psi|] compressed to the orthogonal complement of psi, and all
+    starts run projected gradient descent in lockstep on the outer problem
+    with the exact (envelope) gradient.  A NotPositive verdict always
+    carries a re-validated pair.  When the Kossakowski matrix C is PSD the
+    verdict CompletelyPositive is proved (f = w C w^dag >= 0), so a single
+    start runs, only to report the minimum; otherwise the verdict is
+    PositiveNotCP, or Undetermined when the best starts disagree by more
+    than the spread tolerance.
     """
-    if budget < 1:
-        raise PreconditionError(f"budget must be >= 1, got {budget}")
-    d = gen.dim
-    l_mat = gen.full
-
-    def values(xs):
-        return _restricted_min_values(l_mat, xs, d)
-
-    best_val, best_x, start_values = _multistart(
-        values, d, budget, seed, max_iter, stop_below=-1e-8
-    )
-
-    if best_val < -PSD_SLACK:
-        psi = _params_to_state(best_x, d)
-        m = as_hermitian(apply_superop(l_mat, np.outer(psi, psi.conj())))
-        comp = _orthogonal_complement(psi)
-        sub = matcore.hermitian_eig(comp.conj().T @ m @ comp, check=False)
-        phi = comp @ sub.vectors[:, 0]
-        value = gksl.positivity_functional(gen, psi, phi)
-        if value < -PSD_SLACK:
-            return PositivityVerdict(
-                status=STATUS_NOT_POSITIVE,
-                min_value=value,
-                pair=(psi, phi),
-                start_values=start_values,
-            )
-
-    spread = _spread(start_values)
-    status = STATUS_POSITIVE_NOT_CP if spread <= SPREAD_TOL else STATUS_UNDETERMINED
-    if gen.spec is not None:
-        c_psd, _ = matcore.is_psd(gen.spec.c_matrix)
-        if c_psd:
-            status = STATUS_CP
-    return PositivityVerdict(
-        status=status,
-        min_value=float(best_val),
-        start_values=start_values,
-        spread=spread,
-    )
+    proved_cp = gen.spec is not None and matcore.is_psd(gen.spec.c_matrix)[0]
+    return _search(gen.full, partial(gksl.positivity_functional, gen), True,
+                   budget, seed, max_iter, proved_cp=proved_cp)
 
 
 def map_positivity_check(
@@ -282,40 +256,11 @@ def map_positivity_check(
     CP maps short-circuit through the Choi check.
     """
     sm = as_cmatrix(s)
-    d = int(round(np.sqrt(sm.shape[0])))
     cp = is_completely_positive(sm)
     if cp.is_cp:
         return cp
-
-    def values(xs):
-        return _free_min_values(sm, xs, d)
-
-    best_val, best_x, start_values = _multistart(
-        values, d, budget, seed, max_iter, stop_below=-1e-8
-    )
-    if best_val < -PSD_SLACK:
-        psi = _params_to_state(best_x, d)
-        m = as_hermitian(apply_superop(sm, np.outer(psi, psi.conj())))
-        sub = matcore.hermitian_eig(m, check=False)
-        phi = sub.vectors[:, 0]
-        value = gksl.map_functional(sm, psi, phi)
-        if value < -PSD_SLACK:
-            return PositivityVerdict(
-                status=STATUS_NOT_POSITIVE,
-                min_value=value,
-                pair=(psi, phi),
-                start_values=start_values,
-                choi_min_eig=cp.choi_min_eig,
-            )
-    spread = _spread(start_values)
-    status = STATUS_POSITIVE_NOT_CP if spread <= SPREAD_TOL else STATUS_UNDETERMINED
-    return PositivityVerdict(
-        status=status,
-        min_value=float(best_val),
-        start_values=start_values,
-        spread=spread,
-        choi_min_eig=cp.choi_min_eig,
-    )
+    return _search(sm, partial(gksl.map_functional, sm), False, budget, seed, max_iter,
+                   choi_min_eig=cp.choi_min_eig)
 
 
 def qubit_positivity_conditions(c1: float, c2: float, c3: float) -> bool:

@@ -19,7 +19,7 @@ from sgwl.decomp import (
     witness_product_map,
 )
 from sgwl.gksl import build_generator, evolve, kron_superop, qubit_spec
-from sgwl.matcore import DomainError, partial_transpose
+from sgwl.matcore import DomainError, PreconditionError, partial_transpose
 from sgwl.posmap import choi
 
 from helpers import random_complex, random_hermitian, random_psd, random_unitary
@@ -428,6 +428,11 @@ class TestPropagation:
         assert not rep.holds
         assert rep.noise_positivity.status == posmap.STATUS_NOT_POSITIVE
         assert rep.noise_positivity.min_value == pytest.approx(-0.5, abs=1e-9)
+
+    def test_zero_budget_rejected(self):
+        gen = build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))
+        with pytest.raises(PreconditionError):
+            decomposability_propagation_check(gen, budget=0)
 
     def test_cp_noise_holds(self):
         rng = np.random.default_rng(41)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgwl import decomp, gksl, matcore, posmap
 from sgwl.gksl import SIGMA, build_generator, evolve, gell_mann_basis, pauli_basis, qubit_spec
@@ -18,7 +20,7 @@ from sgwl.posmap import (
     qubit_product_positivity,
 )
 
-from helpers import random_hermitian, random_psd
+from helpers import random_hermitian, random_psd, random_unitary
 
 
 def choi_by_matrix_units(s, d):
@@ -158,11 +160,47 @@ class TestKossakowskiCheck:
         # checker must refuse to certify rather than pick one; the natural
         # qubit landscape funnels to a single value, so force disagreement
         gen = build_generator(qubit_spec(np.diag([1.0, 0.6, -0.2])))
-        canned = iter([(0.3, np.zeros(4)), (0.7, np.zeros(4))])
-        monkeypatch.setattr(posmap, "_descend", lambda *args: next(canned))
+
+        def canned(l_mat, xs, restricted):
+            # both starts settle at once: zero gradient
+            return np.array([0.3, 0.7]), np.zeros_like(xs), np.zeros((2, 2), dtype=complex)
+
+        monkeypatch.setattr(posmap, "_evaluate", canned)
         verdict = kossakowski_positivity_check(gen, budget=2)
         assert verdict.status == posmap.STATUS_UNDETERMINED
         assert verdict.spread == pytest.approx(0.4)
+
+    def test_rank_one_cp_single_start(self):
+        # C = a a^dag proves CP; one start only reports the minimum
+        rng = np.random.default_rng(35)
+        d = 5
+        a = rng.normal(size=d * d - 1) + 1j * rng.normal(size=d * d - 1)
+        spec = gksl.KossakowskiSpec(
+            d, random_hermitian(rng, d), np.outer(a, a.conj()), gell_mann_basis(d)
+        )
+        verdict = kossakowski_positivity_check(build_generator(spec))
+        assert verdict.status == STATUS_CP
+        assert verdict.min_value >= -1e-12
+        assert verdict.start_values.shape == (1,)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        c=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda c: min(abs(c[0] + c[1]), abs(c[1] + c[2]), abs(c[0] + c[2])) >= 0.05
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rotated_qubit_matches_closed_form(self, c, seed):
+        # positivity is invariant under unitary conjugation (C -> R^T C R)
+        # and blind to H on orthogonal pairs, so the diagonal closed form is
+        # the truth for every rotated qubit generator
+        rng = np.random.default_rng(seed)
+        r = gksl.basis_rotation_matrix(random_unitary(rng, 2), pauli_basis())
+        gen = build_generator(qubit_spec(r.T @ np.diag(c) @ r, random_hermitian(rng, 2)))
+        verdict = kossakowski_positivity_check(gen)
+        assert verdict.is_positive == qubit_positivity_conditions(*c)
+        if verdict.status == STATUS_NOT_POSITIVE:
+            assert gksl.positivity_functional(gen, *verdict.pair) < -1e-10
 
     def test_funnel_landscape_single_minimum(self):
         # all 64 starts reach the same value: half the best pairwise sum
@@ -188,6 +226,34 @@ class TestMapPositivity:
     def test_cp_shortcircuit(self):
         verdict = map_positivity_check(gksl.trace_to_identity_superop(2))
         assert verdict.status == STATUS_CP
+
+    @pytest.mark.parametrize("check,arg", [
+        (map_positivity_check, gksl.transpose_superop(2)),
+        (kossakowski_positivity_check, build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))),
+    ])
+    def test_zero_budget_rejected(self, check, arg):
+        with pytest.raises(PreconditionError):
+            check(arg, budget=0)
+
+
+class TestExactGradient:
+    @pytest.mark.parametrize("restricted", [True, False])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_central_differences(self, d, restricted):
+        rng = np.random.default_rng(36 + d)
+        n = d * d - 1
+        basis = pauli_basis() if d == 2 else gell_mann_basis(d)
+        spec = gksl.KossakowskiSpec(d, random_hermitian(rng, d), random_hermitian(rng, n), basis)
+        l_mat = build_generator(spec).full
+        xs = rng.normal(size=(4, 2 * d))
+        _, grad, _ = posmap._evaluate(l_mat, xs, restricted)
+        h = 1e-6
+        for k in range(2 * d):
+            e = np.zeros(2 * d)
+            e[k] = h
+            hi = posmap._evaluate(l_mat, xs + e, restricted)[0]
+            lo = posmap._evaluate(l_mat, xs - e, restricted)[0]
+            assert np.abs((hi - lo) / (2 * h) - grad[:, k]).max() <= 1e-6
 
 
 class TestQubitConditions:
