@@ -10,12 +10,14 @@ orthonormal Hermitian basis ``{F_0 = 1/sqrt(d), F_1, ..., F_{d^2-1}}`` as
 with the double-operator sum running over the traceless elements only.  The
 noise part ``N[rho] = sum_ab C[a,b] F_a rho F_b`` and the remaining
 pseudo-Hamiltonian part are kept separately; they always recompose to the
-full generator exactly.
+full generator exactly.  A product generator ``L1 (x) id + id (x) L2`` keeps
+its two factors and is evolved factor by factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -54,14 +56,20 @@ class HermitianBasis:
 
 
 def pauli_basis() -> HermitianBasis:
-    """The qubit basis (1, sigma_1, sigma_2, sigma_3)/sqrt(2)."""
-    return HermitianBasis(2, tuple(s / np.sqrt(2) for s in SIGMA))
+    """The qubit basis (1, sigma_1, sigma_2, sigma_3)/sqrt(2).
+
+    This is ``gell_mann_basis(2)``: the same shared, read-only object.
+    """
+    return gell_mann_basis(2)
 
 
+@cache
 def gell_mann_basis(d: int) -> HermitianBasis:
     """Generalized Gell-Mann basis in (symmetric, antisymmetric, diagonal) order.
 
-    For d = 2 this coincides with :func:`pauli_basis`.
+    For d = 2 this is the Pauli basis.  Built once per dimension: every call
+    with the same ``d`` returns the same object, and its element arrays are
+    read-only, so a caller that needs to modify one must copy it first.
     """
     if d < 2:
         raise DomainError(f"basis dimension must be >= 2, got {d}")
@@ -84,11 +92,13 @@ def gell_mann_basis(d: int) -> HermitianBasis:
             m[i, i] = 1.0
         m[l, l] = -l
         elems.append(m / np.sqrt(l * (l + 1)))
+    for m in elems:
+        m.setflags(write=False)
     return HermitianBasis(d, tuple(elems))
 
 
 def standard_basis(d: int) -> HermitianBasis:
-    return pauli_basis() if d == 2 else gell_mann_basis(d)
+    return gell_mann_basis(d)
 
 
 @dataclass(frozen=True)
@@ -129,7 +139,13 @@ def qubit_spec(c_matrix, hamiltonian=None, label: str = "") -> KossakowskiSpec:
 
 @dataclass(frozen=True)
 class Generator:
-    """Assembled generator: full = noise + pseudo_h, all d^2 x d^2 matrices."""
+    """Assembled generator: full = noise + pseudo_h, all d^2 x d^2 matrices.
+
+    ``k_matrix`` is the d x d matrix ``K = sum_ab C[a,b] F_b^dag F_a`` of the
+    anticommutator term.  ``spec`` is the data a generator was built from.
+    ``factors`` is set on a product generator ``L1 (x) id + id (x) L2`` and
+    holds ``(L1, L2)``; :func:`evolve` then works factor by factor.
+    """
 
     dim: int
     full: np.ndarray
@@ -137,6 +153,7 @@ class Generator:
     pseudo_h: np.ndarray
     k_matrix: np.ndarray
     spec: KossakowskiSpec | None = field(default=None, compare=False)
+    factors: tuple[Generator, Generator] | None = field(default=None, compare=False)
 
 
 def superop_from_action(action, d: int) -> np.ndarray:
@@ -196,52 +213,70 @@ def kron_superop(sa, sb, da: int, db: int) -> np.ndarray:
     sbm = as_cmatrix(sb)
     if sam.shape != (da * da, da * da) or sbm.shape != (db * db, db * db):
         raise ShapeError("factor superoperators do not match the stated dimensions")
+    return _kron_superop(sam, sbm, da, db)
+
+
+def _kron_superop(sa: np.ndarray, sb: np.ndarray, da: int, db: int) -> np.ndarray:
+    """:func:`kron_superop` on trusted arrays of the stated shapes."""
     dd = da * db
-    # vec index of the composite (row=(a,i), col=(b,j)) regrouped into
-    # (vec index on factor A) x (vec index on factor B)
-    big = np.kron(sam, sbm).reshape(da, da, db, db, da, da, db, db)
-    out = big.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(dd * dd, dd * dd)
-    return out
+    # A vec index on a factor is (column, row); the composite's is
+    # (column on A, column on B, row on A, row on B), for outputs and inputs.
+    a = sa.reshape(da, 1, da, 1, da, 1, da, 1)
+    b = sb.reshape(1, db, 1, db, 1, db, 1, db)
+    return (a * b).reshape(dd * dd, dd * dd)
 
 
 def build_generator(spec: KossakowskiSpec) -> Generator:
-    """Assemble full, noise and pseudo-Hamiltonian superoperators from a spec."""
+    """Assemble full, noise and pseudo-Hamiltonian superoperators from a spec.
+
+    One contraction over the stacked traceless basis F: with
+    ``X_b = sum_a C[a,b] F_a``, the noise part is
+    ``sum_b kron(conj(F_b), X_b)`` (the superoperator of
+    ``rho -> sum_b X_b rho F_b^dag``) and ``K = sum_b F_b^dag X_b``.  The
+    spec's H and C were validated when it was made, so nothing is checked
+    again here.
+    """
     d = spec.dim
-    fs = spec.basis.traceless()
-    c = spec.c_matrix
-    n = len(fs)
-    noise = np.zeros((d * d, d * d), dtype=complex)
-    k = np.zeros((d, d), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            cab = c[a, b]
-            if cab != 0:
-                noise += cab * conjugation_superop(fs[a], fs[b].conj().T)
-                k += cab * (fs[b].conj().T @ fs[a])
-    ident = np.eye(d, dtype=complex)
+    fs = np.asarray(spec.basis.traceless())
+    x = np.tensordot(spec.c_matrix, fs, axes=(0, 0))
+    noise = np.einsum("bij,bkl->ikjl", fs.conj(), x).reshape(d * d, d * d)
+    k = np.einsum("bji,bjk->ik", fs.conj(), x)
+    # -i[H, rho] - {K, rho}/2 = G rho + rho G' with G = -iH - K/2, G' = iH - K/2
+    ident = np.eye(d)
     h = spec.hamiltonian
-    pseudo = -1j * (conjugation_superop(h, ident) - conjugation_superop(ident, h))
-    pseudo += -0.5 * (conjugation_superop(k, ident) + conjugation_superop(ident, k))
+    pseudo = np.kron(ident, -1j * h - 0.5 * k) + np.kron((1j * h - 0.5 * k).T, ident)
     return Generator(d, noise + pseudo, noise, pseudo, k, spec)
 
 
 def product_generator(g1: Generator, g2: Generator) -> Generator:
-    """Generator of the product semigroup, ``L1 (x) id + id (x) L2``."""
+    """Generator of the product semigroup, ``L1 (x) id + id (x) L2``.
+
+    The dense d^4 x d^4 parts are assembled, and the two factors are kept in
+    ``factors`` so that :func:`evolve` can use
+    ``exp(t (L1 (x) id + id (x) L2)) = exp(t L1) (x) exp(t L2)``.
+    """
     if g1.dim != g2.dim:
         raise ShapeError(f"factor dimensions differ: {g1.dim} vs {g2.dim}")
     d = g1.dim
     ident = identity_superop(d)
-    full = kron_superop(g1.full, ident, d, d) + kron_superop(ident, g2.full, d, d)
-    noise = kron_superop(g1.noise, ident, d, d) + kron_superop(ident, g2.noise, d, d)
-    pseudo = kron_superop(g1.pseudo_h, ident, d, d) + kron_superop(ident, g2.pseudo_h, d, d)
+    noise = _kron_superop(g1.noise, ident, d, d) + _kron_superop(ident, g2.noise, d, d)
+    pseudo = _kron_superop(g1.pseudo_h, ident, d, d) + _kron_superop(ident, g2.pseudo_h, d, d)
     k = np.kron(g1.k_matrix, np.eye(d)) + np.kron(np.eye(d), g2.k_matrix)
-    return Generator(d * d, full, noise, pseudo, k, None)
+    return Generator(d * d, noise + pseudo, noise, pseudo, k, None, (g1, g2))
 
 
 def evolve(gen: Generator, t: float) -> np.ndarray:
-    """Semigroup element exp(t L) as a superoperator matrix."""
-    if t < 0:
-        raise DomainError(f"evolution time must be nonnegative, got {t}")
+    """Semigroup element exp(t L) as a superoperator matrix.
+
+    ``t`` must be finite and nonnegative.  A product generator is evolved
+    factor by factor, ``exp(t L1) (x) exp(t L2)``; any other generator by one
+    dense matrix exponential.
+    """
+    if not 0.0 <= t < np.inf:
+        raise DomainError(f"evolution time t must be finite and nonnegative, got {t}")
+    if gen.factors is not None:
+        g1, g2 = gen.factors
+        return _kron_superop(evolve(g1, t), evolve(g2, t), g1.dim, g2.dim)
     return matcore.expm(t * gen.full)
 
 
@@ -308,12 +343,7 @@ def basis_rotation_matrix(v, basis: HermitianBasis, tol: float = 1e-10) -> np.nd
         raise ShapeError(f"V must be {d}x{d}, got {vm.shape}")
     if np.abs(vm @ vm.conj().T - np.eye(d)).max() > tol:
         raise PreconditionError("V must be unitary to tolerance 1e-10")
-    fs = basis.traceless()
-    n = len(fs)
-    r = np.zeros((n, n))
-    for a in range(n):
-        rot = vm @ fs[a] @ vm.conj().T
-        for b in range(n):
-            coeff = np.trace(fs[b].conj().T @ rot)
-            r[a, b] = coeff.real
-    return r
+    fs = np.asarray(basis.traceless())
+    rot = vm @ fs @ vm.conj().T
+    # R[a,b] = Tr(F_b^dag V F_a V^dag)
+    return np.einsum("aji,bji->ab", rot, fs.conj()).real

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgwl import gksl, matcore
 from sgwl.gksl import (
@@ -33,6 +35,33 @@ def gram(elems):
         for j, b in enumerate(elems):
             g[i, j] = np.trace(a.conj().T @ b)
     return g
+
+
+def reference_generator(spec):
+    """The double loop over basis pairs that assembled generators before the
+    single contraction; returns (full, noise, pseudo_h, k_matrix)."""
+    d = spec.dim
+    fs = spec.basis.traceless()
+    c = spec.c_matrix
+    n = len(fs)
+    noise = np.zeros((d * d, d * d), dtype=complex)
+    k = np.zeros((d, d), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            noise += c[a, b] * gksl.conjugation_superop(fs[a], fs[b].conj().T)
+            k += c[a, b] * (fs[b].conj().T @ fs[a])
+    ident = np.eye(d, dtype=complex)
+    h = spec.hamiltonian
+    pseudo = -1j * (gksl.conjugation_superop(h, ident) - gksl.conjugation_superop(ident, h))
+    pseudo += -0.5 * (gksl.conjugation_superop(k, ident) + gksl.conjugation_superop(ident, k))
+    return noise + pseudo, noise, pseudo, k
+
+
+def random_generator(rng, d, c_scale=1.0):
+    spec = gksl.KossakowskiSpec(
+        d, random_hermitian(rng, d), c_scale * random_hermitian(rng, d * d - 1), gell_mann_basis(d)
+    )
+    return build_generator(spec)
 
 
 class TestBases:
@@ -70,6 +99,15 @@ class TestBases:
         with pytest.raises(DomainError):
             gell_mann_basis(1)
 
+    def test_shared_and_read_only(self):
+        assert pauli_basis() is gell_mann_basis(2)
+        for d in (2, 3, 4):
+            b = gell_mann_basis(d)
+            assert gell_mann_basis(d) is b
+            assert not any(f.flags.writeable for f in b.elements)
+            with pytest.raises(ValueError):
+                b.elements[1][0, 0] = 5.0
+
 
 class TestBuildGenerator:
     def test_depolarizing_closed_form(self):
@@ -97,6 +135,19 @@ class TestBuildGenerator:
         rho = random_density(rng, 2)
         expect = -1j * (h @ rho - rho @ h)
         assert np.abs(apply_superop(gen.full, rho) - expect).max() < 1e-13
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_loop_reference(self, d):
+        rng = np.random.default_rng(100 + d)
+        c = random_hermitian(rng, d * d - 1)
+        assert np.abs(np.linalg.eigvalsh(c)).min() > 1e-6  # full rank
+        spec = gksl.KossakowskiSpec(d, random_hermitian(rng, d), c, gell_mann_basis(d))
+        gen = build_generator(spec)
+        tol = 1e-12 * max(1.0, np.linalg.norm(c, 2))
+        for got, want in zip(
+            (gen.full, gen.noise, gen.pseudo_h, gen.k_matrix), reference_generator(spec)
+        ):
+            assert np.abs(got - want).max() < tol
 
     def test_parts_recompose(self):
         rng = np.random.default_rng(14)
@@ -164,6 +215,28 @@ class TestProductGenerator:
         x = random_complex(rng, 4)
         assert abs(np.trace(apply_superop(s, x)) - np.trace(x)) < 1e-12
 
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_evolve_matches_dense_expm(self, d):
+        rng = np.random.default_rng(200 + d)
+        g1 = random_generator(rng, d, 1.0 / d)
+        g2 = random_generator(rng, d, 1.0 / d)
+        gp = product_generator(g1, g2)
+        assert gp.factors[0] is g1 and gp.factors[1] is g2
+        for t in (0.0, 0.1, 0.7, 2.0):
+            assert np.abs(evolve(gp, t) - matcore.expm(t * gp.full)).max() < 1e-12
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.sampled_from((2, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        t=st.floats(0.0, 2.0),
+    )
+    def test_evolve_matches_dense_expm_property(self, d, seed, t):
+        rng = np.random.default_rng(seed)
+        gp = product_generator(random_generator(rng, d, 0.5), random_generator(rng, d, 0.5))
+        dense = matcore.expm(t * gp.full)
+        assert np.abs(evolve(gp, t) - dense).max() < 1e-12 * max(1.0, np.abs(dense).max())
+
     def test_dim_mismatch(self):
         g2 = build_generator(qubit_spec(np.diag([1.0, 1.0, 1.0])))
         g3 = build_generator(
@@ -195,6 +268,13 @@ class TestEvolve:
         with pytest.raises(DomainError):
             evolve(gen, -0.1)
 
+    @pytest.mark.parametrize("t", (np.nan, np.inf, -np.inf))
+    def test_non_finite_time_rejected(self, t):
+        gen = build_generator(qubit_spec(np.eye(3)))
+        for g in (gen, product_generator(gen, gen)):
+            with pytest.raises(DomainError, match="evolution time t"):
+                evolve(g, t)
+
     def test_hermiticity_preserved(self):
         rng = np.random.default_rng(21)
         gen = build_generator(qubit_spec(random_hermitian(rng, 3), random_hermitian(rng, 2)))
@@ -219,6 +299,22 @@ class TestKronSuperop:
                     blk = x[a * db:(a + 1) * db, b * db:(b + 1) * db]
                     direct += np.kron(apply_superop(sa, ea), apply_superop(sb, blk))
             assert np.abs(apply_superop(s, x) - direct).max() < 1e-12
+
+
+class TestBasisRotation:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(25)
+        for d in (2, 3, 4):
+            basis = gell_mann_basis(d)
+            v = random_unitary(rng, d)
+            fs = basis.traceless()
+            ref = np.array(
+                [[np.trace(fb.conj().T @ v @ fa @ v.conj().T).real for fb in fs] for fa in fs]
+            )
+            r = gksl.basis_rotation_matrix(v, basis)
+            assert r.dtype == np.float64
+            assert np.abs(r - ref).max() < 1e-13
+            assert np.abs(r @ r.T - np.eye(d * d - 1)).max() < 1e-12
 
 
 class TestPositivityFunctional:
