@@ -5,7 +5,7 @@ complete positivity and decomposability, and certify bound entanglement
 through the duality pairing.
 """
 
-from . import cli, decomp, gksl, matcore, posmap, scenarios
+from . import decomp, gksl, matcore, posmap
 
-__all__ = ["cli", "decomp", "gksl", "matcore", "posmap", "scenarios"]
+__all__ = ["decomp", "gksl", "matcore", "posmap"]
 __version__ = "0.1.0"

@@ -135,6 +135,7 @@ def cmd_check(args) -> int:
         "cp": bool(cp),
         "positivity": verdict.status,
         "kossakowski_min_eig": k_min,
+        "proof": verdict.proof,
     }
     if spec.label:
         out["label"] = spec.label

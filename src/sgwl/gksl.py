@@ -156,17 +156,6 @@ class Generator:
     factors: tuple[Generator, Generator] | None = field(default=None, compare=False)
 
 
-def superop_from_action(action, d: int) -> np.ndarray:
-    """Matrix of a linear map on M_d from its action on matrix units."""
-    s = np.zeros((d * d, d * d), dtype=complex)
-    basis_vec = np.zeros(d * d)
-    for col in range(d * d):
-        basis_vec[:] = 0.0
-        basis_vec[col] = 1.0
-        s[:, col] = vectorize(action(devectorize(basis_vec, d)))
-    return s
-
-
 def apply_superop(s, x) -> np.ndarray:
     """Action of a vectorized-operator matrix on an operator."""
     sm = as_cmatrix(s)

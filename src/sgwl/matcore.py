@@ -57,7 +57,7 @@ def as_cmatrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=complex)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite (no NaN/Inf)")
     if max(a.shape) > MAX_DIM:
         raise SizeError(f"dimension {max(a.shape)} exceeds maximum {MAX_DIM}")

@@ -6,15 +6,22 @@ generated semigroup is decided through the sign of the two-vector functional
     f(psi, phi) = Re <phi| L[|psi><psi|] |phi>,   <phi|psi> = 0,
 
 which is nonnegative for all orthonormal pairs exactly when every map of
-the semigroup is positive.  There is no closed-form test beyond d = 2, so
-the checker minimizes f by projected gradient descent from many starts run
-in lockstep, with the exact gradient taken from the same batched
-eigendecomposition that gives the inner minimum over phi.  Violation
-reports are always re-validated by direct evaluation before being returned,
-while a "positive" outcome is a statement about the search, not a proof
-(hence the Undetermined status when starts disagree).  The exception is a
-PSD Kossakowski matrix C: then f = w C w^dag >= 0 proves complete
-positivity, and a single start runs only to report the minimum.
+the semigroup is positive.  A PSD Kossakowski matrix C proves complete
+positivity (f = w C w^dag >= 0).  For a qubit generator phi is fixed by psi
+and f is a quadratic plus a linear term in the Bloch vector n of psi, so its
+minimum on |n| = 1 is a trust-region subproblem, solved exactly and
+certified by its Lagrangian dual bound.  A qubit map is positive exactly
+when it is decomposable, so a decomposition certificate of its Choi matrix
+decides it.  Everywhere else the checker minimizes f by projected gradient
+descent from many starts run in lockstep, with the exact gradient taken
+from the same batched eigendecomposition that gives the inner minimum over
+phi.
+
+Every verdict names its ``proof``.  Violation reports are always
+re-validated by direct evaluation before being returned, while a
+"positive" outcome of the search (proof ``search``) is a statement about
+the search, not a proof (hence the Undetermined status when starts
+disagree).
 """
 
 from __future__ import annotations
@@ -25,13 +32,26 @@ from functools import partial
 import numpy as np
 
 from . import gksl, matcore
-from .gksl import Generator, HermitianBasis
-from .matcore import PSD_SLACK, PreconditionError, ShapeError, as_cmatrix, as_hermitian
+from .gksl import SIGMA, Generator, HermitianBasis
+from .matcore import (
+    FEASIBILITY_TOL,
+    PSD_SLACK,
+    PreconditionError,
+    ShapeError,
+    as_cmatrix,
+    as_hermitian,
+)
 
 STATUS_CP = "CompletelyPositive"
 STATUS_POSITIVE_NOT_CP = "PositiveNotCP"
 STATUS_NOT_POSITIVE = "NotPositive"
 STATUS_UNDETERMINED = "Undetermined"
+
+PROOF_CHOI = "choi"
+PROOF_KOSSAKOWSKI_PSD = "kossakowski-psd"
+PROOF_TRUST_REGION = "trust-region"
+PROOF_DECOMPOSITION = "decomposition"
+PROOF_SEARCH = "search"
 
 DEFAULT_BUDGET = 64
 DEFAULT_SEED = 0x5EED
@@ -44,8 +64,16 @@ class PositivityVerdict:
 
     Exactly one kind of certificate is populated, depending on how the
     verdict was reached: the minimal Choi eigenpair, a violating vector
-    pair with its functional value, or the best minimum found by the
-    optimizer together with its per-start statistics.
+    pair with its functional value, the exact qubit minimum, or the best
+    minimum found by the optimizer together with its per-start statistics.
+    A verdict proved by a decomposition certificate reports ``min_value``
+    0, the lower bound the certificate gives, not an attained minimum.
+
+    ``proof`` names how the status was reached: ``choi`` (Choi spectrum),
+    ``kossakowski-psd`` (C >= 0), ``trust-region`` (exact qubit minimum),
+    ``decomposition`` (PSD certificate blocks) or ``search``.  A search
+    verdict is a proof only when it is NotPositive, with its re-validated
+    pair; ``reason`` says why a verdict is Undetermined.
     """
 
     status: str
@@ -55,6 +83,8 @@ class PositivityVerdict:
     choi_min_vector: np.ndarray | None = None
     start_values: np.ndarray | None = field(default=None, repr=False)
     spread: float | None = None
+    proof: str = PROOF_SEARCH
+    reason: str | None = None
 
     @property
     def is_cp(self) -> bool:
@@ -103,6 +133,7 @@ def is_completely_positive(s, slack: float = PSD_SLACK) -> PositivityVerdict:
         status=status,
         choi_min_eig=lmin,
         choi_min_vector=eig.vectors[:, 0],
+        proof=PROOF_CHOI,
     )
 
 
@@ -163,8 +194,6 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: 
     ``proved_cp`` the verdict is already proved and one start fills in the
     minimum; otherwise the spread of the best starts decides.
     """
-    if budget < 1:
-        raise PreconditionError(f"budget must be >= 1, got {budget}")
     n = 1 if proved_cp else budget
     d = int(round(np.sqrt(l_mat.shape[0])))
     x = np.array([np.random.default_rng(seed + s).normal(size=2 * d) for s in range(n)])
@@ -205,17 +234,109 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: 
                 choi_min_eig=choi_min_eig,
             )
     spread = _spread(val)
+    proof, reason = PROOF_SEARCH, None
     if proved_cp:
-        status = STATUS_CP
+        status, proof = STATUS_CP, PROOF_KOSSAKOWSKI_PSD
+    elif spread <= SPREAD_TOL:
+        status = STATUS_POSITIVE_NOT_CP
     else:
-        status = STATUS_POSITIVE_NOT_CP if spread <= SPREAD_TOL else STATUS_UNDETERMINED
+        status = STATUS_UNDETERMINED
+        reason = f"the best starts disagree by {spread:.3e} > {SPREAD_TOL:.0e}"
     return PositivityVerdict(
         status=status,
         min_value=float(val[best]),
         start_values=val,
         spread=spread,
         choi_min_eig=choi_min_eig,
+        proof=proof,
+        reason=reason,
     )
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise PreconditionError(f"budget must be >= 1, got {budget}")
+
+
+# Column-stacked Pauli matrices: Tr(sigma_j X) = vec(sigma_j)^dag vec(X).
+_PAULI_VECS = np.stack([s.T.reshape(-1) for s in SIGMA], axis=1)
+
+
+def _sphere_minimum(q: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Global minimizer of n^T q n + g^T n over |n| = 1, with a lower bound.
+
+    In the eigenbasis q = U diag(lam) U^T, with b = U^T g / 2, w = lam - lam[0]
+    and s = lam[0] - mu >= 0 for the multiplier mu, a minimizer has
+    y_i = -b_i / (w_i + s) where |y(s)| = 1 (More & Sorensen, SIAM J. Sci.
+    Stat. Comput. 1983).  1/|y(s)| is concave and increasing in s, so Newton's
+    method from the lower bound s >= max_i (|b_i| - w_i) converges
+    monotonically.  In the hard case |y(0)| < 1 and s = 0; the remaining norm
+    goes along the lowest eigenvector.  The Lagrangian dual value
+    lam[0] - s - sum_i b_i^2 / (w_i + s) bounds the minimum from below and
+    is returned with the minimizer.
+    """
+    lam, u = np.linalg.eigh(q)
+    b = u.T @ g / 2
+    w = lam - lam[0]
+    s = max(0.0, float(np.max(np.abs(b) - w)))
+
+    def solve(s):
+        den = w + s
+        return np.divide(-b, den, out=np.zeros_like(b), where=den > 0), den
+
+    y, den = solve(s)
+    r = float(np.linalg.norm(y))
+    for _ in range(100):
+        if r <= 1.0 + 1e-15:
+            break
+        curve = float(np.sum(np.divide(b * b, den**3, out=np.zeros_like(b), where=den > 0)))
+        step = (r - 1.0) * r * r / curve
+        s += step
+        y, den = solve(s)
+        r = float(np.linalg.norm(y))
+        if step <= 1e-15 * s:
+            break
+    if s == 0.0 and r < 1.0:
+        y[0] = np.sqrt(1.0 - r * r)
+    bound = lam[0] - s - float(np.sum(np.divide(b * b, den, out=np.zeros_like(b), where=den > 0)))
+    n = u @ y
+    return n / np.linalg.norm(n), bound
+
+
+def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
+    """Exact verdict for a qubit generator, or None if the bound fails.
+
+    With P = (1 + n.sigma)/2, psi spans the range of P and phi that of
+    1 - P, so f = Tr((1 - P) L(P)) = n^T Q n + g^T n for M_jk = Tr(sigma_j L(sigma_k)),
+    Q = -sym(M[1:, 1:]) / 4 and g = -M[1:, 0] / 4 (row 0 of M vanishes by
+    trace preservation).  The value at the minimizer is re-validated by
+    ``gksl.positivity_functional``; a positive verdict also needs the dual
+    lower bound within the slack.
+    """
+    m = (_PAULI_VECS.conj().T @ gen.full @ _PAULI_VECS).real
+    q = -(m[1:, 1:] + m[1:, 1:].T) / 8
+    n, bound = _sphere_minimum(q, -m[1:, 0] / 4)
+    _, v = np.linalg.eigh(np.tensordot(n, np.array(SIGMA[1:]), axes=1))
+    psi, phi = v[:, 1], v[:, 0]
+    value = gksl.positivity_functional(gen, psi, phi)
+    if value < -PSD_SLACK:
+        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=(psi, phi),
+                                 proof=PROOF_TRUST_REGION)
+    if bound < -PSD_SLACK * max(1.0, float(np.abs(m).max())):
+        return None
+    if proved_cp:
+        return PositivityVerdict(status=STATUS_CP, min_value=value, spread=0.0,
+                                 proof=PROOF_KOSSAKOWSKI_PSD)
+    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value, spread=0.0,
+                             proof=PROOF_TRUST_REGION)
+
+
+def _certifies(j: np.ndarray, cert) -> bool:
+    """Re-verify a decomposition certificate: PSD blocks that reassemble J."""
+    d = int(round(np.sqrt(j.shape[0])))
+    residual = float(np.linalg.norm(j - cert.j1 - matcore.partial_transpose(cert.j2, d, d, "A")))
+    return (matcore.is_psd(cert.j1)[0] and matcore.is_psd(cert.j2)[0]
+            and residual <= FEASIBILITY_TOL)
 
 
 def kossakowski_positivity_check(
@@ -224,21 +345,31 @@ def kossakowski_positivity_check(
     seed: int = DEFAULT_SEED,
     max_iter: int = 200,
 ) -> PositivityVerdict:
-    """Decide positivity of the generated semigroup by minimizing the
-    orthogonal-pair functional of the generator.
+    """Decide positivity of the generated semigroup from the orthogonal-pair
+    functional of the generator.
 
-    For each start psi is drawn uniformly on the unit sphere; the inner
+    When the Kossakowski matrix C is PSD the verdict CompletelyPositive is
+    proved (f = w C w^dag >= 0).  A qubit generator that is not a product is
+    decided exactly: the minimum of f over the Bloch sphere is a
+    trust-region subproblem, its minimizer gives the pair, and the verdict
+    is NotPositive (re-validated pair) or positive, proved by the dual bound.
+
+    Otherwise each start draws psi uniformly on the unit sphere; the inner
     problem over phi is solved exactly as the minimal eigenvalue of
     L[|psi><psi|] compressed to the orthogonal complement of psi, and all
     starts run projected gradient descent in lockstep on the outer problem
     with the exact (envelope) gradient.  A NotPositive verdict always
-    carries a re-validated pair.  When the Kossakowski matrix C is PSD the
-    verdict CompletelyPositive is proved (f = w C w^dag >= 0), so a single
-    start runs, only to report the minimum; otherwise the verdict is
-    PositiveNotCP, or Undetermined when the best starts disagree by more
-    than the spread tolerance.
+    carries a re-validated pair.  With C PSD a single start runs, only to
+    report the minimum; otherwise the verdict is PositiveNotCP, or
+    Undetermined when the best starts disagree by more than the spread
+    tolerance.
     """
+    _check_budget(budget)
     proved_cp = gen.spec is not None and matcore.is_psd(gen.spec.c_matrix)[0]
+    if gen.dim == 2 and gen.factors is None:
+        verdict = _qubit_check(gen, proved_cp)
+        if verdict is not None:
+            return verdict
     return _search(gen.full, partial(gksl.positivity_functional, gen), True,
                    budget, seed, max_iter, proved_cp=proved_cp)
 
@@ -253,14 +384,35 @@ def map_positivity_check(
     eigenvalue of S[|psi><psi|] over pure states (no orthogonality here:
     a map is positive iff these images are all PSD).
 
-    CP maps short-circuit through the Choi check.
+    CP maps short-circuit through the Choi check.  On M_2 every positive map
+    is decomposable (Woronowicz, Rep. Math. Phys. 1976), so the
+    decomposability solver decides: a re-verified certificate proves
+    positivity, and a witness proves the map is not positive, after which
+    the search must supply a violating pair or the verdict is Undetermined.
     """
+    _check_budget(budget)
     sm = as_cmatrix(s)
     cp = is_completely_positive(sm)
     if cp.is_cp:
         return cp
-    return _search(sm, partial(gksl.map_functional, sm), False, budget, seed, max_iter,
-                   choi_min_eig=cp.choi_min_eig)
+    witnessed = None
+    if sm.shape == (4, 4):
+        from . import decomp  # decomp imports this module
+
+        j = as_hermitian(choi(sm))
+        result = decomp.decomposability_feasibility(j)
+        if result.status == decomp.FEASIBLE and _certifies(j, result.certificate):
+            return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=0.0,
+                                     choi_min_eig=cp.choi_min_eig, proof=PROOF_DECOMPOSITION)
+        if result.status == decomp.INFEASIBLE_WITNESSED:
+            witnessed = result.pairing
+    verdict = _search(sm, partial(gksl.map_functional, sm), False, budget, seed, max_iter,
+                      choi_min_eig=cp.choi_min_eig)
+    if witnessed is not None and verdict.status != STATUS_NOT_POSITIVE:
+        verdict.status = STATUS_UNDETERMINED
+        verdict.reason = (f"a PPT witness (pairing {witnessed:.3e}) proves the qubit map is not "
+                          "positive, but the search found no violating pair")
+    return verdict
 
 
 def qubit_positivity_conditions(c1: float, c2: float, c3: float) -> bool:

@@ -1,5 +1,9 @@
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,7 @@ class TestCheck:
         assert out["cp"] is False
         assert out["positivity"] == "PositiveNotCP"
         assert out["kossakowski_min_eig"] == pytest.approx(-1.0)
+        assert out["proof"] == "trust-region"
 
     def test_cp_spec(self, spec_files, capsys):
         depol, _ = spec_files
@@ -53,6 +58,7 @@ class TestCheck:
         assert rc == 0
         assert out["cp"] is True
         assert out["positivity"] == "CompletelyPositive"
+        assert out["proof"] == "kossakowski-psd"
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -187,6 +193,19 @@ class TestReproduce:
         blocker.write_text("")
         rc = cli.main(["reproduce-paper", "--out-dir", str(blocker / "sub")])
         assert rc == 3
+
+
+class TestModuleEntry:
+    def test_help_is_silent_on_stderr(self):
+        # runpy warns when the package has already imported the module it runs
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run([sys.executable, "-m", "sgwl.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert "reproduce-paper" in proc.stdout
+        assert proc.stderr == ""
 
 
 class TestSeedOverride:

@@ -81,6 +81,16 @@ class TestHermitianEig:
             hermitian_eig(bad)
 
 
+class TestAsCmatrix:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_nonfinite_rejected(self, bad, part):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        with pytest.raises(DomainError):
+            matcore.as_cmatrix(m)
+
+
 class TestPartialTranspose:
     def test_involution_exact(self):
         rng = np.random.default_rng(2)

@@ -1,6 +1,8 @@
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgwl import decomp, gksl, matcore, posmap
@@ -157,18 +159,23 @@ class TestKossakowskiCheck:
 
     def test_undetermined_when_starts_disagree(self, monkeypatch):
         # if the best starts settle on different nonnegative minima the
-        # checker must refuse to certify rather than pick one; the natural
-        # qubit landscape funnels to a single value, so force disagreement
-        gen = build_generator(qubit_spec(np.diag([1.0, 0.6, -0.2])))
+        # checker must refuse to certify rather than pick one; force the
+        # disagreement on a d = 3 generator, which takes the search
+        d = 3
+        spec = gksl.KossakowskiSpec(d, np.zeros((d, d)), np.diag([1.0] * 7 + [-0.2]),
+                                    gell_mann_basis(d))
+        gen = build_generator(spec)
 
         def canned(l_mat, xs, restricted):
             # both starts settle at once: zero gradient
-            return np.array([0.3, 0.7]), np.zeros_like(xs), np.zeros((2, 2), dtype=complex)
+            return np.array([0.3, 0.7]), np.zeros_like(xs), np.zeros((2, d), dtype=complex)
 
         monkeypatch.setattr(posmap, "_evaluate", canned)
         verdict = kossakowski_positivity_check(gen, budget=2)
         assert verdict.status == posmap.STATUS_UNDETERMINED
         assert verdict.spread == pytest.approx(0.4)
+        assert verdict.proof == posmap.PROOF_SEARCH
+        assert "disagree" in verdict.reason
 
     def test_rank_one_cp_single_start(self):
         # C = a a^dag proves CP; one start only reports the minimum
@@ -211,6 +218,106 @@ class TestKossakowskiCheck:
         assert verdict.spread < 1e-12
 
 
+def random_qubit_generator(rng, shift):
+    # complex C = A A^dag / 3 - shift: CP, positive not CP or not positive
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return build_generator(qubit_spec(a @ a.conj().T / 3 - shift * np.eye(3),
+                                      random_hermitian(rng, 2)))
+
+
+class TestQubitExact:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(0.0, 1.5))
+    def test_matches_search(self, seed, shift):
+        gen = random_qubit_generator(np.random.default_rng(seed), shift)
+        exact = kossakowski_positivity_check(gen)
+        assert exact.proof in (posmap.PROOF_TRUST_REGION, posmap.PROOF_KOSSAKOWSKI_PSD)
+        # too close to the boundary for the search's stopping rule to resolve
+        assume(not -1e-6 < exact.min_value < -posmap.PSD_SLACK)
+        search = posmap._search(gen.full, partial(gksl.positivity_functional, gen), True,
+                                posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED, 200)
+        assert (exact.status == STATUS_NOT_POSITIVE) == (search.status == STATUS_NOT_POSITIVE)
+        if exact.status == STATUS_NOT_POSITIVE:
+            psi, phi = exact.pair
+            assert abs(np.vdot(psi, phi)) < 1e-12
+            value = gksl.positivity_functional(gen, psi, phi)
+            assert value == pytest.approx(exact.min_value, abs=1e-12)
+            # the exact minimum is global: no start of the search goes lower
+            assert exact.min_value <= search.min_value + 1e-12
+        else:
+            assert exact.min_value == pytest.approx(search.min_value, abs=1e-7)
+
+    @pytest.mark.parametrize("q,g", [
+        (np.diag([1.0, 1.0, 2.0]), np.zeros(3)),  # hard case, degenerate
+        (np.diag([1.0, 2.0, 3.0]), np.array([0.0, 0.4, 0.0])),  # hard case with slack
+        (np.diag([1.0, 2.0, 3.0]), np.array([1e-13, 0.4, 0.0])),  # next to the hard case
+        (np.diag([1.0, 2.0, 3.0]), np.array([0.0, 5.0, 0.0])),  # g past the hard case
+        (np.diag([-1.0, 0.5, 0.5]), np.array([3.0, -2.0, 1.0])),
+    ])
+    def test_sphere_minimum_brute_force(self, q, g):
+        rng = np.random.default_rng(37)
+        r = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        q, g = r @ q @ r.T, r @ g
+        n, bound = posmap._sphere_minimum(q, g)
+        value = n @ q @ n + g @ n
+        x = rng.normal(size=(20000, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        sampled = np.min(np.einsum("ni,ij,nj->n", x, q, x) + x @ g)
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
+        assert value <= sampled + 1e-12
+        assert bound <= value + 1e-14
+        assert value - bound <= 1e-12
+
+    def test_failed_bound_falls_back_to_search(self, monkeypatch):
+        gen = build_generator(qubit_spec(np.diag([1.0, -0.5, 1.0])))
+        monkeypatch.setattr(posmap, "_sphere_minimum", lambda q, g: (np.array([0, 0, 1.0]), -1.0))
+        verdict = kossakowski_positivity_check(gen, budget=8)
+        assert verdict.status == STATUS_POSITIVE_NOT_CP
+        assert verdict.proof == posmap.PROOF_SEARCH
+
+
+def flagship_product_generator():
+    g1 = build_generator(qubit_spec(np.eye(3)))
+    g2 = build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))
+    return gksl.product_generator(g1, g2)
+
+
+def qubit_check(rates):
+    return kossakowski_positivity_check(build_generator(qubit_spec(np.diag(rates))))
+
+
+class TestProofLabels:
+    @pytest.mark.parametrize("verdict,status,proof", [
+        (lambda: map_positivity_check(gksl.trace_to_identity_superop(2)),
+         STATUS_CP, posmap.PROOF_CHOI),
+        (lambda: map_positivity_check(gksl.transpose_superop(2)),
+         STATUS_POSITIVE_NOT_CP, posmap.PROOF_DECOMPOSITION),
+        (lambda: map_positivity_check(build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0]))).noise),
+         STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH),
+        (lambda: qubit_check([1.0, 1.0, 1.0]), STATUS_CP, posmap.PROOF_KOSSAKOWSKI_PSD),
+        (lambda: qubit_check([1.0, -1.0, 1.0]), STATUS_POSITIVE_NOT_CP, posmap.PROOF_TRUST_REGION),
+        (lambda: qubit_check([1.0, 1.0, -3.0]), STATUS_NOT_POSITIVE, posmap.PROOF_TRUST_REGION),
+        (lambda: kossakowski_positivity_check(build_generator(gksl.KossakowskiSpec(
+            3, np.zeros((3, 3)), np.eye(8), gell_mann_basis(3)))),
+         STATUS_CP, posmap.PROOF_KOSSAKOWSKI_PSD),
+        (lambda: kossakowski_positivity_check(flagship_product_generator(), budget=24),
+         STATUS_POSITIVE_NOT_CP, posmap.PROOF_SEARCH),
+    ], ids=["cp-map", "transpose", "noise", "qubit-cp", "qubit-pncp", "qubit-np", "qutrit-cp",
+            "product"])
+    def test_every_path_labelled(self, verdict, status, proof):
+        v = verdict()
+        assert (v.status, v.proof) == (status, proof)
+
+    def test_search_without_violation_is_no_proof(self):
+        # a positive verdict that only failed to find a violation is labelled
+        # "search", never one of the proofs
+        for budget in (1, 8, 24):
+            verdict = kossakowski_positivity_check(flagship_product_generator(), budget=budget)
+            if verdict.status != STATUS_NOT_POSITIVE:
+                assert verdict.proof == posmap.PROOF_SEARCH
+                assert verdict.start_values is not None
+
+
 class TestMapPositivity:
     def test_transposition_positive_not_cp(self):
         verdict = map_positivity_check(gksl.transpose_superop(2), budget=8)
@@ -226,6 +333,42 @@ class TestMapPositivity:
     def test_cp_shortcircuit(self):
         verdict = map_positivity_check(gksl.trace_to_identity_superop(2))
         assert verdict.status == STATUS_CP
+
+    def test_far_transpose_mixing_decomposed(self):
+        # (1+a)/2 id + (1-a)/2 T at gamma t = 2, rotated: the search alone
+        # cannot separate its flat minimum from zero
+        rng = np.random.default_rng(38)
+        r = gksl.basis_rotation_matrix(random_unitary(rng, 2), pauli_basis())
+        gen = build_generator(qubit_spec(r.T @ np.diag([1.0, -1.0, 1.0]) @ r))
+        verdict = map_positivity_check(evolve(gen, 2.0))
+        assert verdict.status == STATUS_POSITIVE_NOT_CP
+        assert verdict.proof == posmap.PROOF_DECOMPOSITION
+
+    def test_witness_without_pair_undetermined(self, monkeypatch):
+        # the witness proves the noise map is not positive; with no violating
+        # pair to show for it the verdict says why it is undetermined
+        noise = build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0]))).noise
+
+        def canned(l_mat, xs, restricted):
+            return np.full(len(xs), 0.5), np.zeros_like(xs), np.zeros((len(xs), 2), dtype=complex)
+
+        monkeypatch.setattr(posmap, "_evaluate", canned)
+        verdict = map_positivity_check(noise, budget=4)
+        assert verdict.status == posmap.STATUS_UNDETERMINED
+        assert verdict.proof == posmap.PROOF_SEARCH
+        assert "witness" in verdict.reason
+
+    def test_tampered_certificate_rejected(self, monkeypatch):
+        # a certificate whose blocks do not reassemble J proves nothing
+        def forged(j, max_iter=50000):
+            cert = decomp.DecompositionCertificate(j1=np.eye(4) / 4, j2=np.zeros((4, 4)),
+                                                   residual=0.0)
+            return decomp.FeasibilityResult(status=decomp.FEASIBLE, certificate=cert)
+
+        monkeypatch.setattr(decomp, "decomposability_feasibility", forged)
+        verdict = map_positivity_check(gksl.transpose_superop(2), budget=8)
+        assert verdict.status == STATUS_POSITIVE_NOT_CP
+        assert verdict.proof == posmap.PROOF_SEARCH
 
     @pytest.mark.parametrize("check,arg", [
         (map_positivity_check, gksl.transpose_superop(2)),
