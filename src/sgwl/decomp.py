@@ -24,6 +24,7 @@ the state bound-entangled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -104,7 +105,12 @@ def pairing_with_choi(j, x) -> float:
     xm = as_cmatrix(x)
     if jm.shape != xm.shape:
         raise ShapeError(f"shape mismatch {jm.shape} vs {xm.shape}")
-    val = np.trace(jm @ xm.T)
+    return _pairing(jm, xm)
+
+
+def _pairing(j: np.ndarray, x: np.ndarray) -> float:
+    """:func:`pairing_with_choi` on trusted arrays of the same shape."""
+    val = np.trace(j @ x.T)
     if abs(val.imag) > 1e-10:
         raise NumericalError(f"pairing has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -116,6 +122,25 @@ def pairing(s, x) -> float:
     return pairing_with_choi(choi(s), xm)
 
 
+@cache
+def _bell_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """The 16 entangled basis projectors, stacked as ``[mu, nu]``, and the
+    bound-entangled state's matrix.  Both are exactly Hermitian, so the
+    states built from them hold these same bits.  Built on first use; the
+    arrays are shared and read-only."""
+    p = posmap.maximally_entangled_projector(4)
+    projectors = np.empty((4, 4, 16, 16), dtype=complex)
+    for mu in range(4):
+        for nu in range(4):
+            u = np.kron(np.eye(4, dtype=complex), np.kron(SIGMA[mu], SIGMA[nu]))
+            projectors[mu, nu] = u @ p @ u
+    support = [(0, 2), (1, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
+    rho = sum(projectors[mu, nu] for mu, nu in support) / 6.0
+    projectors.setflags(write=False)
+    rho.setflags(write=False)
+    return projectors, rho
+
+
 def bell_state_projector(mu: int, nu: int) -> WitnessState:
     """Maximally entangled basis projector of the 4 (x) 4 system obtained by
     twisting the entangled projector with ``sigma_mu (x) sigma_nu`` on the
@@ -123,18 +148,14 @@ def bell_state_projector(mu: int, nu: int) -> WitnessState:
     """
     if not (0 <= mu <= 3 and 0 <= nu <= 3):
         raise DomainError(f"indices must be in 0..3, got ({mu}, {nu})")
-    u = np.kron(np.eye(4, dtype=complex), np.kron(SIGMA[mu], SIGMA[nu]))
-    p = posmap.maximally_entangled_projector(4)
-    return WitnessState(u @ p @ u, ppt_checked=False)
+    return WitnessState(_bell_matrices()[0][mu, nu], ppt_checked=False)
 
 
 def bound_entangled_state() -> WitnessState:
     """The 4 (x) 4 bound-entangled state: an equal mixture of six of the
     entangled basis projectors, PPT yet orthogonal to the entangled
     projector itself."""
-    support = [(0, 2), (1, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
-    m = sum(bell_state_projector(mu, nu).mat for mu, nu in support) / 6.0
-    return WitnessState(m, ppt_checked=True)
+    return WitnessState(_bell_matrices()[1], ppt_checked=True)
 
 
 def witness_product_generator() -> Generator:
@@ -175,11 +196,7 @@ def explicit_decomposition(t: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _bell_pairings(j: np.ndarray) -> np.ndarray:
     """Pairings of a 4 (x) 4 Choi matrix with the 16 entangled basis projectors."""
-    table = np.zeros((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            table[mu, nu] = pairing_with_choi(j, bell_state_projector(mu, nu).mat)
-    return table
+    return np.array([[_pairing(j, x) for x in row] for row in _bell_matrices()[0]])
 
 
 def pairing_table(t: float) -> np.ndarray:
@@ -201,7 +218,7 @@ def noise_pairing_table() -> tuple[np.ndarray, float]:
     part ``-2 <id, .>``.
     """
     j = choi(witness_product_generator().noise)
-    return _bell_pairings(j), pairing_with_choi(j, bound_entangled_state().mat)
+    return _bell_pairings(j), _pairing(j, _bell_matrices()[1])
 
 
 def _spectral_parts(h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -249,7 +266,7 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
         return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
 
     def pt(x):
-        return partial_transpose(x, d, d, "A")
+        return matcore._partial_transpose(x, d, d)
 
     best_lmin, best_b = -np.inf, None
     polish_left = 100
@@ -287,10 +304,10 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
             cert = DecompositionCertificate(j1=j1, j2=best_b, residual=residual)
             return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=it)
 
-    candidates = [bound_entangled_state().mat] if d == 4 else []
+    candidates = [_bell_matrices()[1]] if d == 4 else []
     if best_x is not None:
         candidates.append(best_x)
-    scored = [(pairing_with_choi(jm, mat), mat) for mat in candidates]
+    scored = [(_pairing(jm, mat), mat) for mat in candidates]
     vmin = min((val for val, _ in scored), default=0.0)
     if vmin < -slack:
         value, mat = next((val, mat) for val, mat in scored if val <= vmin + 1e-11)
@@ -377,9 +394,12 @@ def decomposability_propagation_check(
     decomposable: the noise part must be a positive map and itself
     decomposable.  Both sub-verdicts are reported; ``holds`` requires the
     positivity search to certify no violation and the feasibility solver to
-    return a certificate."""
+    return a certificate.  Where the positivity check already ran the solver
+    (qubit noise that is not CP), its result is reported and ``max_iter`` is
+    not used; elsewhere the solver runs with ``max_iter``."""
     noise = gen.noise
-    pos = posmap.map_positivity_check(noise, budget=budget, seed=seed)
-    feas = decomposability_feasibility(choi(noise), max_iter=max_iter)
+    pos, feas = posmap._map_check(noise, budget, seed)
+    if feas is None:
+        feas = decomposability_feasibility(choi(noise), max_iter=max_iter)
     holds = pos.is_positive and feas.status == FEASIBLE
     return NoisePropagationReport(noise_positivity=pos, noise_feasibility=feas, holds=holds)

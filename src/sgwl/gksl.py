@@ -269,7 +269,7 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
     return matcore.expm(t * gen.full)
 
 
-def _orthonormalize_pair(psi, phi, tol: float = 1e-10):
+def _unit_pair(psi, phi):
     p = np.asarray(psi, dtype=complex).reshape(-1)
     q = np.asarray(phi, dtype=complex).reshape(-1)
     if p.shape != q.shape:
@@ -277,8 +277,11 @@ def _orthonormalize_pair(psi, phi, tol: float = 1e-10):
     np_, nq = np.linalg.norm(p), np.linalg.norm(q)
     if np_ < 1e-14 or nq < 1e-14:
         raise PreconditionError("psi and phi must be nonzero")
-    p = p / np_
-    q = q / nq
+    return p / np_, q / nq
+
+
+def _orthonormalize_pair(psi, phi, tol: float = 1e-10):
+    p, q = _unit_pair(psi, phi)
     overlap = abs(np.vdot(p, q))
     if overlap > tol:
         raise PreconditionError(f"|<phi|psi>| = {overlap:.3e} exceeds tolerance {tol:.1e}")
@@ -309,10 +312,7 @@ def map_functional(s, psi, phi) -> float:
 
     Negativity for some pair proves the map S is not positive.
     """
-    p = np.asarray(psi, dtype=complex).reshape(-1)
-    q = np.asarray(phi, dtype=complex).reshape(-1)
-    p = p / np.linalg.norm(p)
-    q = q / np.linalg.norm(q)
+    p, q = _unit_pair(psi, phi)
     m = apply_superop(s, np.outer(p, p.conj()))
     val = np.vdot(q, m @ q)
     if abs(val.imag) > 1e-10:

@@ -91,28 +91,31 @@ class Spectrum:
     vectors: np.ndarray
 
 
-def hermitian_eig(h, check: bool = True) -> Spectrum:
+def hermitian_eig(h) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix with a residual guarantee.
 
     Raises ``NumericalError`` when ``||H v_i - w_i v_i|| > EIG_RESIDUAL_TOL
     * ||H||`` for any eigenpair, or when the eigenvector matrix is not
     unitary to the same tolerance.
     """
-    hm = as_hermitian(h)
+    return _hermitian_eig(as_hermitian(h))
+
+
+def _hermitian_eig(hm: np.ndarray) -> Spectrum:
+    """:func:`hermitian_eig` of a matrix that already passed :func:`as_hermitian`."""
     try:
         w, v = np.linalg.eigh(hm)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
-    if check:
-        scale = max(np.linalg.norm(hm, 2), 1e-300)
-        resid = np.linalg.norm(hm @ v - v * w, axis=0).max()
-        if resid > EIG_RESIDUAL_TOL * scale:
-            raise NumericalError(
-                f"eigenpair residual {resid:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||H||"
-            )
-        unit = np.abs(v.conj().T @ v - np.eye(hm.shape[0])).max()
-        if unit > 1e-10:
-            raise NumericalError(f"eigenvector matrix not unitary: deviation {unit:.3e}")
+    scale = max(np.linalg.norm(hm, 2), 1e-300)
+    resid = np.linalg.norm(hm @ v - v * w, axis=0).max()
+    if resid > EIG_RESIDUAL_TOL * scale:
+        raise NumericalError(
+            f"eigenpair residual {resid:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * ||H||"
+        )
+    unit = np.abs(v.conj().T @ v - np.eye(hm.shape[0])).max()
+    if unit > 1e-10:
+        raise NumericalError(f"eigenvector matrix not unitary: deviation {unit:.3e}")
     return Spectrum(values=w, vectors=v)
 
 
@@ -127,30 +130,6 @@ def is_psd(h, slack: float = PSD_SLACK) -> tuple[bool, float]:
     lmin = float(np.linalg.eigvalsh(hm)[0])
     bound = -slack * max(1.0, float(np.linalg.norm(hm, 2)))
     return lmin >= bound, lmin
-
-
-def psd_part(h) -> np.ndarray:
-    """Projection onto the PSD cone: clip negative eigenvalues to zero."""
-    w, v = np.linalg.eigh(as_hermitian(h))
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-
-def negative_part(h) -> np.ndarray:
-    """Negative spectral part, so that ``h == psd_part(h) + negative_part(h)``."""
-    w, v = np.linalg.eigh(as_hermitian(h))
-    return (v * np.where(w < 0.0, w, 0.0)) @ v.conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the dimension cap enforced."""
-    am = as_cmatrix(a)
-    bm = as_cmatrix(b)
-    if am.shape[0] * bm.shape[0] > MAX_DIM or am.shape[1] * bm.shape[1] > MAX_DIM:
-        raise SizeError(
-            f"kron output {am.shape[0] * bm.shape[0]}x{am.shape[1] * bm.shape[1]} "
-            f"exceeds maximum {MAX_DIM}"
-        )
-    return np.kron(am, bm)
 
 
 def vectorize(x) -> np.ndarray:
@@ -180,26 +159,13 @@ def partial_transpose(x, dim_a: int, dim_b: int, side: str = "A") -> np.ndarray:
         raise ShapeError(f"expected {n}x{n} matrix for dims ({dim_a},{dim_b}), got {xm.shape}")
     if side not in ("A", "B"):
         raise DomainError(f"side must be 'A' or 'B', got {side!r}")
-    x4 = xm.reshape(dim_a, dim_b, dim_a, dim_b)
-    if side == "A":
-        x4 = x4.transpose(2, 1, 0, 3)
-    else:
-        x4 = x4.transpose(0, 3, 2, 1)
-    return x4.reshape(n, n)
+    return _partial_transpose(xm, dim_a, dim_b, side)
 
 
-def partial_trace(x, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
-    """Trace out one tensor factor, keeping the other."""
-    xm = as_cmatrix(x)
-    n = dim_a * dim_b
-    if xm.shape != (n, n):
-        raise ShapeError(f"expected {n}x{n} matrix for dims ({dim_a},{dim_b}), got {xm.shape}")
-    x4 = xm.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("ikjk->ij", x4)
-    if keep == "B":
-        return np.einsum("kikj->ij", x4)
-    raise DomainError(f"keep must be 'A' or 'B', got {keep!r}")
+def _partial_transpose(x: np.ndarray, dim_a: int, dim_b: int, side: str = "A") -> np.ndarray:
+    """:func:`partial_transpose` on a trusted square array of the stated dims."""
+    axes = (2, 1, 0, 3) if side == "A" else (0, 3, 2, 1)
+    return x.reshape(dim_a, dim_b, dim_a, dim_b).transpose(axes).reshape(x.shape)
 
 
 # Pade-13 coefficients and the scaling threshold theta_13 (Higham 2005).

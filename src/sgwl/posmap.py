@@ -124,8 +124,12 @@ def is_completely_positive(s, slack: float = PSD_SLACK) -> PositivityVerdict:
     Returns status CompletelyPositive or Undetermined (not CP says nothing
     about plain positivity); the minimal Choi eigenpair is attached.
     """
-    j = as_hermitian(choi(s))
-    eig = matcore.hermitian_eig(j)
+    return _cp_verdict(as_hermitian(choi(s)), slack)
+
+
+def _cp_verdict(j: np.ndarray, slack: float = PSD_SLACK) -> PositivityVerdict:
+    """:func:`is_completely_positive` from a Choi matrix that passed the gate."""
+    eig = matcore._hermitian_eig(j)
     lmin = float(eig.values[0])
     bound = -slack * max(1.0, float(np.abs(eig.values).max()))
     status = STATUS_CP if lmin >= bound else STATUS_UNDETERMINED
@@ -334,7 +338,7 @@ def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
 def _certifies(j: np.ndarray, cert) -> bool:
     """Re-verify a decomposition certificate: PSD blocks that reassemble J."""
     d = int(round(np.sqrt(j.shape[0])))
-    residual = float(np.linalg.norm(j - cert.j1 - matcore.partial_transpose(cert.j2, d, d, "A")))
+    residual = float(np.linalg.norm(j - cert.j1 - matcore._partial_transpose(cert.j2, d, d)))
     return (matcore.is_psd(cert.j1)[0] and matcore.is_psd(cert.j2)[0]
             and residual <= FEASIBILITY_TOL)
 
@@ -390,20 +394,27 @@ def map_positivity_check(
     positivity, and a witness proves the map is not positive, after which
     the search must supply a violating pair or the verdict is Undetermined.
     """
+    return _map_check(s, budget, seed, max_iter)[0]
+
+
+def _map_check(s, budget: int, seed: int, max_iter: int = 200):
+    """:func:`map_positivity_check`, also returning the decomposability
+    result of the qubit route (None where that route did not run)."""
     _check_budget(budget)
     sm = as_cmatrix(s)
-    cp = is_completely_positive(sm)
+    j = as_hermitian(choi(sm))
+    cp = _cp_verdict(j)
     if cp.is_cp:
-        return cp
-    witnessed = None
+        return cp, None
+    result = witnessed = None
     if sm.shape == (4, 4):
         from . import decomp  # decomp imports this module
 
-        j = as_hermitian(choi(sm))
         result = decomp.decomposability_feasibility(j)
         if result.status == decomp.FEASIBLE and _certifies(j, result.certificate):
             return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=0.0,
-                                     choi_min_eig=cp.choi_min_eig, proof=PROOF_DECOMPOSITION)
+                                     choi_min_eig=cp.choi_min_eig,
+                                     proof=PROOF_DECOMPOSITION), result
         if result.status == decomp.INFEASIBLE_WITNESSED:
             witnessed = result.pairing
     verdict = _search(sm, partial(gksl.map_functional, sm), False, budget, seed, max_iter,
@@ -412,7 +423,7 @@ def map_positivity_check(
         verdict.status = STATUS_UNDETERMINED
         verdict.reason = (f"a PPT witness (pairing {witnessed:.3e}) proves the qubit map is not "
                           "positive, but the search found no violating pair")
-    return verdict
+    return verdict, result
 
 
 def qubit_positivity_conditions(c1: float, c2: float, c3: float) -> bool:

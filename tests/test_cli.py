@@ -196,16 +196,26 @@ class TestReproduce:
 
 
 class TestModuleEntry:
-    def test_help_is_silent_on_stderr(self):
-        # runpy warns when the package has already imported the module it runs
+    @staticmethod
+    def python(*args):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        proc = subprocess.run([sys.executable, "-m", "sgwl.cli", "--help"],
-                              capture_output=True, text=True, env=env, timeout=60)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    def test_help_is_silent_on_stderr(self):
+        # runpy warns when the package has already imported the module it runs
+        proc = self.python("-m", "sgwl.cli", "--help")
         assert proc.returncode == 0
         assert "reproduce-paper" in proc.stdout
         assert proc.stderr == ""
+
+    def test_import_leaves_cli_scenarios_and_scipy_unloaded(self):
+        proc = self.python("-c", "import sys, sgwl; print(sorted(m for m in sys.modules if m in "
+                                 "('sgwl.cli', 'sgwl.scenarios') or m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSeedOverride:

@@ -68,6 +68,18 @@ def choi_map(a, b, c):
     return s
 
 
+def per_call_projector(mu, nu):
+    """The per-call construction the cached projectors replaced."""
+    u = np.kron(np.eye(4, dtype=complex), np.kron(gksl.SIGMA[mu], gksl.SIGMA[nu]))
+    return decomp.WitnessState(u @ posmap.maximally_entangled_projector(4) @ u).mat
+
+
+def per_call_bound_entangled():
+    support = [(0, 2), (1, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
+    m = sum(per_call_projector(mu, nu) for mu, nu in support) / 6.0
+    return decomp.WitnessState(m, ppt_checked=True).mat
+
+
 def assert_witness(j, res):
     d = int(round(np.sqrt(j.shape[0])))
     w = res.witness.mat
@@ -130,6 +142,75 @@ class TestBellProjectors:
                 vec[big * 4 + small] = 0.5 * u[small, big]
         by_hand = np.outer(vec, vec.conj())
         assert np.abs(bell_state_projector(0, 2).mat - by_hand).max() < 1e-14
+
+    def test_bit_identical_to_per_call_construction(self):
+        projectors, rho = decomp._bell_matrices()
+        for mu in range(4):
+            for nu in range(4):
+                ref = per_call_projector(mu, nu).tobytes()
+                assert projectors[mu, nu].tobytes() == ref
+                assert bell_state_projector(mu, nu).mat.tobytes() == ref
+        ref = per_call_bound_entangled().tobytes()
+        assert rho.tobytes() == ref
+        assert bound_entangled_state().mat.tobytes() == ref
+
+    def test_cached_arrays_shared_and_read_only(self):
+        projectors, rho = decomp._bell_matrices()
+        assert decomp._bell_matrices()[0] is projectors
+        assert decomp._bell_matrices()[1] is rho
+        for arr in (projectors, projectors[1, 2], rho):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        # the returned states own writable copies
+        state = bound_entangled_state()
+        assert state.mat is not rho and state.mat.flags.writeable
+        assert bell_state_projector(1, 2).mat.flags.writeable
+
+
+class TestSpectralParts:
+    def test_reassembly(self):
+        rng = np.random.default_rng(10)
+        h = random_hermitian(rng, 6)
+        lmin, pos, neg = decomp._spectral_parts(h)
+        assert np.abs(pos + neg - h).max() < 1e-12
+        assert np.linalg.eigvalsh(pos).min() > -1e-14
+        assert np.linalg.eigvalsh(-neg).min() > -1e-14
+        assert lmin == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+
+
+class TestValidationCount:
+    """Internal paths trust arrays that a public entry already validated, so
+    the number of ``as_cmatrix`` calls does not grow with solver iterations."""
+
+    @staticmethod
+    def count(monkeypatch, call):
+        calls = []
+        real = matcore.as_cmatrix
+
+        def counted(x):
+            calls.append(1)
+            return real(x)
+
+        for module in (matcore, gksl, posmap, decomp):
+            if hasattr(module, "as_cmatrix"):
+                monkeypatch.setattr(module, "as_cmatrix", counted)
+        result = call()
+        return len(calls), result
+
+    @pytest.mark.parametrize("t,status", [(0.2, INFEASIBLE_WITNESSED), (1.0, FEASIBLE)])
+    def test_flagship_feasibility(self, monkeypatch, t, status):
+        j = choi(witness_product_map(t))
+        n, res = self.count(monkeypatch, lambda: decomposability_feasibility(j))
+        assert res.status == status and res.iterations > 30
+        assert n <= 12
+
+    def test_qubit_map_check(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        r = gksl.basis_rotation_matrix(random_unitary(rng, 2), gksl.pauli_basis())
+        s = evolve(build_generator(qubit_spec(r.T @ np.diag([1.0, -1.0, 1.0]) @ r)), 2.0)
+        n, verdict = self.count(monkeypatch, lambda: posmap.map_positivity_check(s))
+        assert verdict.proof == posmap.PROOF_DECOMPOSITION
+        assert n < 30
 
 
 class TestPairingTable:

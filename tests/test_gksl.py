@@ -330,6 +330,12 @@ class TestPositivityFunctional:
         gen = build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))
         psi = np.array([1.0, 1.0j]) / np.sqrt(2)
         assert gksl.map_functional(gen.noise, psi, psi) == pytest.approx(-0.5, abs=1e-12)
+        # malformed pairs are rejected as positivity_functional rejects them
+        for bad, err in (((np.zeros(2), psi), PreconditionError),
+                         ((psi, np.zeros(2)), PreconditionError),
+                         ((psi, np.ones(3)), matcore.ShapeError)):
+            with pytest.raises(err):
+                gksl.map_functional(gen.noise, *bad)
 
     def test_product_functional_identity(self):
         # for a product generator the functional is a quadratic form of the

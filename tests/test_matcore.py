@@ -7,12 +7,9 @@ from sgwl.matcore import (
     DomainError,
     HermiticityError,
     ShapeError,
-    SizeError,
     devectorize,
     expm,
     hermitian_eig,
-    kron,
-    partial_trace,
     partial_transpose,
     vectorize,
 )
@@ -28,28 +25,6 @@ def entangled_projector(d):
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return np.outer(v, v)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_x_pair_is_antidiagonal(self):
-        k = kron(S1, S1)
-        assert np.array_equal(k, np.fliplr(np.eye(4)))
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a, b = random_complex(rng, 2), random_complex(rng, 4)
-            c, d = random_complex(rng, 2), random_complex(rng, 4)
-            lhs = kron(a @ c, b @ d)
-            rhs = kron(a, b) @ kron(c, d)
-            assert np.abs(lhs - rhs).max() < 1e-12
-
-    def test_size_gate(self):
-        with pytest.raises(SizeError):
-            kron(np.eye(100), np.eye(100))
 
 
 class TestHermitianEig:
@@ -90,6 +65,10 @@ class TestAsCmatrix:
         with pytest.raises(DomainError):
             matcore.as_cmatrix(m)
 
+    def test_size_gate(self):
+        with pytest.raises(matcore.SizeError):
+            matcore.as_cmatrix(np.zeros((1, matcore.MAX_DIM + 1)))
+
 
 class TestPartialTranspose:
     def test_involution_exact(self):
@@ -123,16 +102,6 @@ class TestPartialTranspose:
         rng = np.random.default_rng(4)
         h = random_hermitian(rng, 6)
         assert np.abs(np.linalg.eigvalsh(h) - np.linalg.eigvalsh(h.T)).max() < 1e-10
-
-
-class TestPartialTrace:
-    def test_product_factors(self):
-        rng = np.random.default_rng(5)
-        r1 = random_density(rng, 2)
-        r2 = random_density(rng, 3)
-        rho = np.kron(r1, r2)
-        assert np.abs(partial_trace(rho, 2, 3, "A") - r1).max() < 1e-12
-        assert np.abs(partial_trace(rho, 2, 3, "B") - r2).max() < 1e-12
 
 
 class TestExpm:
@@ -188,13 +157,6 @@ class TestVectorize:
 
 
 class TestSpectralParts:
-    def test_reassembly(self):
-        rng = np.random.default_rng(10)
-        h = random_hermitian(rng, 6)
-        assert np.abs(matcore.psd_part(h) + matcore.negative_part(h) - h).max() < 1e-12
-        assert np.linalg.eigvalsh(matcore.psd_part(h)).min() > -1e-14
-        assert np.linalg.eigvalsh(-matcore.negative_part(h)).min() > -1e-14
-
     def test_is_psd_slack(self):
         ok, lmin = matcore.is_psd(np.diag([1.0, -1e-12]))
         assert ok and lmin == pytest.approx(-1e-12)
