@@ -123,13 +123,11 @@ def _b64_matrix(m: np.ndarray) -> str:
 def cmd_check(args) -> int:
     spec = load_spec(args.spec)
     gen = gksl.build_generator(spec)
-    k_min = matcore.min_eigenvalue(spec.c_matrix)
+    cp, k_min = matcore.is_psd(spec.c_matrix)
     if args.at_time is not None:
         if args.at_time < 0:
             raise SpecFormatError(f"--at-time: must be nonnegative, got {args.at_time}")
         cp = posmap.is_completely_positive(gksl.evolve(gen, args.at_time)).is_cp
-    else:
-        cp, _ = matcore.is_psd(spec.c_matrix)
     verdict = posmap.kossakowski_positivity_check(gen, budget=args.budget, seed=_seed())
     out = {
         "cp": bool(cp),

@@ -40,7 +40,6 @@ from .gksl import (
 )
 from .matcore import (
     FEASIBILITY_TOL,
-    PSD_SLACK,
     DomainError,
     NumericalError,
     ShapeError,
@@ -53,6 +52,8 @@ from .posmap import choi
 FEASIBLE = "Feasible"
 INFEASIBLE_WITNESSED = "InfeasibleWitnessed"
 MAX_ITERATIONS = "MaxIterations"
+THRESHOLD_TOL = 1e-9
+THRESHOLD_ZERO_TOL = 1e-12
 
 
 @dataclass
@@ -221,12 +222,12 @@ def noise_pairing_table() -> tuple[np.ndarray, float]:
     return _bell_pairings(j), _pairing(j, _bell_matrices()[1])
 
 
-def _spectral_parts(h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Smallest eigenvalue, PSD part and negative part of a Hermitian matrix,
+def _spectral_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending spectrum, PSD part and negative part of a Hermitian matrix,
     from one eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return (
-        float(w[0]),
+        w,
         (v * np.clip(w, 0.0, None)) @ v.conj().T,
         (v * np.clip(w, None, 0.0)) @ v.conj().T,
     )
@@ -238,10 +239,10 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
     Block-coordinate projection alternates ``A <- P+(J - PT B)`` and
     ``B <- P+(PT(J - A))``.  Each iteration ends in one of two tests:
 
-    * certificate: once ``J1 = J - PT B`` is PSD within the slack, a short
-      polish keeps the best iterate, and ``J1``, ``J2 = B`` are returned
-      with their assembly residual (zero by construction, bounded by
-      ``FEASIBILITY_TOL``);
+    * certificate: once ``J1 = J - PT B`` is PSD within the slack (the PSD
+      rule of ``matcore`` at the scale of ``J``), a short polish keeps the
+      best iterate, and ``J1``, ``J2 = B`` are returned with their assembly
+      residual (zero by construction, bounded by ``FEASIBILITY_TOL``);
     * witness: the residual ``Z = A + PT B - J`` has a PSD partial
       transpose after the B-step; shifted by ``max(0, -lmin Z)`` times the
       identity and normalized, its transpose is a PPT state.  Once its
@@ -258,10 +259,9 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
     d = int(round(np.sqrt(n)))
     if d * d != n:
         raise ShapeError(f"Choi matrix must be d^2 x d^2, got {jm.shape}")
-    slack = PSD_SLACK * max(1.0, float(np.linalg.norm(jm, 2)))
-
-    lmin, a, _ = _spectral_parts(jm)
-    if lmin >= -slack:
+    w, a, _ = _spectral_parts(jm)
+    slack = -matcore._psd_bound(w)
+    if w[0] >= -slack:
         cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
         return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
 
@@ -288,15 +288,15 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
                     break
                 if value < best_value:
                     best_value, best_x = value, z.T / tau
-        lmin, a, _ = _spectral_parts(jm - pt(b))
-        if lmin > best_lmin:
-            best_lmin, best_b = lmin, b
+        w, a, _ = _spectral_parts(jm - pt(b))
+        if w[0] > best_lmin:
+            best_lmin, best_b = w[0], b
         if best_lmin >= -slack:
             # inside the slack zone; run a short polish phase, keep the best
             polish_left -= 1
             if best_lmin >= -0.02 * slack or polish_left <= 0:
                 break
-    gap = max(0.0, -lmin)
+    gap = max(0.0, -float(w[0]))
     if best_lmin >= -slack:
         j1 = jm - pt(best_b)
         residual = float(np.linalg.norm(jm - j1 - pt(best_b)))
@@ -336,25 +336,23 @@ def pairing_criterion(x):
     return criterion
 
 
-def find_threshold(
-    family,
-    criterion,
-    t_lo: float,
-    t_hi: float,
-    tol: float = 1e-9,
-    zero_tol: float = 1e-12,
-) -> float:
-    """Bisection for the sign change of ``criterion(family(t))`` on a bracket.
+def find_threshold(family, criterion, t_lo: float, t_hi: float) -> float:
+    """Bisection for the sign change of ``criterion(family(t))`` on a finite
+    bracket, to within ``THRESHOLD_TOL``.
 
-    Values within ``zero_tol`` of zero count as nonnegative; criteria such
-    as a Choi minimum eigenvalue sit on an exact zero plateau past their
-    threshold and only roundoff distinguishes them from zero there.
+    Values within ``THRESHOLD_ZERO_TOL`` of zero count as nonnegative;
+    criteria such as a Choi minimum eigenvalue sit on an exact zero plateau
+    past their threshold and only roundoff distinguishes them from zero
+    there.
     """
+    for name, t in (("t_lo", t_lo), ("t_hi", t_hi)):
+        if not np.isfinite(t):
+            raise DomainError(f"{name} must be finite, got {t}")
     if not t_lo < t_hi:
         raise DomainError(f"invalid bracket [{t_lo}, {t_hi}]")
 
     def sgn(v: float) -> int:
-        return -1 if v < -zero_tol else 1
+        return -1 if v < -THRESHOLD_ZERO_TOL else 1
 
     f_lo = criterion(family(t_lo))
     f_hi = criterion(family(t_hi))
@@ -364,7 +362,7 @@ def find_threshold(
         )
     lo, hi = t_lo, t_hi
     s_lo = sgn(f_lo)
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = criterion(family(mid))
         if sgn(f_mid) == s_lo:

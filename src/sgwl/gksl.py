@@ -38,6 +38,7 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+ORTHONORMALITY_TOL = 1e-10  # on |<phi|psi>| of a pair and |V V^dag - 1| of a unitary
 
 
 @dataclass(frozen=True)
@@ -280,11 +281,12 @@ def _unit_pair(psi, phi):
     return p / np_, q / nq
 
 
-def _orthonormalize_pair(psi, phi, tol: float = 1e-10):
+def _orthonormalize_pair(psi, phi):
     p, q = _unit_pair(psi, phi)
     overlap = abs(np.vdot(p, q))
-    if overlap > tol:
-        raise PreconditionError(f"|<phi|psi>| = {overlap:.3e} exceeds tolerance {tol:.1e}")
+    if overlap > ORTHONORMALITY_TOL:
+        raise PreconditionError(
+            f"|<phi|psi>| = {overlap:.3e} exceeds tolerance {ORTHONORMALITY_TOL:.1e}")
     # optimizer iterates drift; remove the residual component exactly
     q = q - np.vdot(p, q) * p
     q = q / np.linalg.norm(q)
@@ -320,7 +322,7 @@ def map_functional(s, psi, phi) -> float:
     return float(val.real)
 
 
-def basis_rotation_matrix(v, basis: HermitianBasis, tol: float = 1e-10) -> np.ndarray:
+def basis_rotation_matrix(v, basis: HermitianBasis) -> np.ndarray:
     """Matrix R with ``V F_a V^{-1} = sum_b R[a,b] F_b`` over traceless elements.
 
     Requires unitary ``V`` so that the rotated elements stay Hermitian and
@@ -330,8 +332,8 @@ def basis_rotation_matrix(v, basis: HermitianBasis, tol: float = 1e-10) -> np.nd
     d = basis.dim
     if vm.shape != (d, d):
         raise ShapeError(f"V must be {d}x{d}, got {vm.shape}")
-    if np.abs(vm @ vm.conj().T - np.eye(d)).max() > tol:
-        raise PreconditionError("V must be unitary to tolerance 1e-10")
+    if np.abs(vm @ vm.conj().T - np.eye(d)).max() > ORTHONORMALITY_TOL:
+        raise PreconditionError(f"V must be unitary to tolerance {ORTHONORMALITY_TOL:.0e}")
     fs = np.asarray(basis.traceless())
     rot = vm @ fs @ vm.conj().T
     # R[a,b] = Tr(F_b^dag V F_a V^dag)

@@ -6,8 +6,9 @@ package relies on:
 
 * vectorization is column-stacking, so ``vec(A X B) == kron(B.T, A) @ vec(X)``;
 * Hermitian inputs are gated at a relative tolerance and symmetrized;
-* PSD decisions use the slack ``lmin >= -PSD_SLACK * max(1, ||X||_2)`` and
-  always report the raw minimum eigenvalue alongside the verdict;
+* a matrix counts as PSD when ``lmin >= -PSD_SLACK * max(1, ||X||_2)``, with
+  ``||X||_2`` read off its spectrum; every PSD decision applies this one
+  rule and reports the raw minimum eigenvalue alongside the verdict;
 * the matrix exponential is scaling-and-squaring with a fixed order-13
   diagonal Pade approximant (generators are non-normal, eigendecomposition
   is not safe).
@@ -64,21 +65,22 @@ def as_cmatrix(x) -> np.ndarray:
     return a
 
 
-def as_hermitian(x, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def as_hermitian(x) -> np.ndarray:
     """Gate on Hermiticity and return the symmetrized matrix (X + X†)/2.
 
-    Rejects inputs whose anti-Hermitian part exceeds ``tol`` relative to the
-    largest entry; small asymmetries inside the gate are symmetrized away.
+    Rejects inputs whose anti-Hermitian part exceeds ``HERMITICITY_TOL``
+    relative to the largest entry; small asymmetries inside the gate are
+    symmetrized away.
     """
     a = as_cmatrix(x)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"Hermitian matrix must be square, got {a.shape}")
     scale = max(np.abs(a).max(), 1.0)
     dev = np.abs(a - a.conj().T).max()
-    if dev > tol * scale:
+    if dev > HERMITICITY_TOL * scale:
         raise HermiticityError(
             f"matrix is not Hermitian: max |X - X^dag| = {dev:.3e} "
-            f"exceeds {tol:.1e} * {scale:.3e}"
+            f"exceeds {HERMITICITY_TOL:.1e} * {scale:.3e}"
         )
     return (a + a.conj().T) / 2
 
@@ -107,6 +109,7 @@ def _hermitian_eig(hm: np.ndarray) -> Spectrum:
         w, v = np.linalg.eigh(hm)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+    # an independent scale: one read off the eigenvalues under test could hide their error
     scale = max(np.linalg.norm(hm, 2), 1e-300)
     resid = np.linalg.norm(hm @ v - v * w, axis=0).max()
     if resid > EIG_RESIDUAL_TOL * scale:
@@ -124,12 +127,17 @@ def min_eigenvalue(h) -> float:
     return float(np.linalg.eigvalsh(as_hermitian(h))[0])
 
 
-def is_psd(h, slack: float = PSD_SLACK) -> tuple[bool, float]:
+def is_psd(h) -> tuple[bool, float]:
     """PSD decision with relative slack; returns (verdict, raw min eigenvalue)."""
-    hm = as_hermitian(h)
-    lmin = float(np.linalg.eigvalsh(hm)[0])
-    bound = -slack * max(1.0, float(np.linalg.norm(hm, 2)))
-    return lmin >= bound, lmin
+    w = np.linalg.eigvalsh(as_hermitian(h))
+    lmin = float(w[0])
+    return lmin >= _psd_bound(w), lmin
+
+
+def _psd_bound(w: np.ndarray) -> float:
+    """Least eigenvalue a PSD matrix may show, given its ascending spectrum:
+    ``-PSD_SLACK * max(1, ||X||_2)`` with ``||X||_2 = max(-w[0], w[-1])``."""
+    return -PSD_SLACK * max(1.0, -float(w[0]), float(w[-1]))
 
 
 def vectorize(x) -> np.ndarray:

@@ -7,10 +7,10 @@ generated semigroup is decided through the sign of the two-vector functional
 
 which is nonnegative for all orthonormal pairs exactly when every map of
 the semigroup is positive.  A PSD Kossakowski matrix C proves complete
-positivity (f = w C w^dag >= 0).  For a qubit generator phi is fixed by psi
-and f is a quadratic plus a linear term in the Bloch vector n of psi, so its
-minimum on |n| = 1 is a trust-region subproblem, solved exactly and
-certified by its Lagrangian dual bound.  A qubit map is positive exactly
+positivity (f = w C w^dag >= 0) without a search.  For a qubit generator
+phi is fixed by psi and f is a quadratic plus a linear term in the Bloch
+vector n of psi, so its minimum on |n| = 1 is a trust-region subproblem,
+solved exactly and certified by its Lagrangian dual bound.  A qubit map is positive exactly
 when it is decomposable, so a decomposition certificate of its Choi matrix
 decides it.  Everywhere else the checker minimizes f by projected gradient
 descent from many starts run in lockstep, with the exact gradient taken
@@ -56,6 +56,7 @@ PROOF_SEARCH = "search"
 DEFAULT_BUDGET = 64
 DEFAULT_SEED = 0x5EED
 SPREAD_TOL = 1e-8
+SEARCH_MAX_ITER = 200
 
 
 @dataclass
@@ -66,8 +67,8 @@ class PositivityVerdict:
     verdict was reached: the minimal Choi eigenpair, a violating vector
     pair with its functional value, the exact qubit minimum, or the best
     minimum found by the optimizer together with its per-start statistics.
-    A verdict proved by a decomposition certificate reports ``min_value``
-    0, the lower bound the certificate gives, not an attained minimum.
+    A verdict proved by a decomposition certificate, or by C >= 0 off the
+    qubit path, reports ``min_value`` 0, a lower bound, not a minimum.
 
     ``proof`` names how the status was reached: ``choi`` (Choi spectrum),
     ``kossakowski-psd`` (C >= 0), ``trust-region`` (exact qubit minimum),
@@ -118,21 +119,20 @@ def maximally_entangled_projector(d: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def is_completely_positive(s, slack: float = PSD_SLACK) -> PositivityVerdict:
+def is_completely_positive(s) -> PositivityVerdict:
     """CP verdict via positivity of the Choi matrix.
 
     Returns status CompletelyPositive or Undetermined (not CP says nothing
     about plain positivity); the minimal Choi eigenpair is attached.
     """
-    return _cp_verdict(as_hermitian(choi(s)), slack)
+    return _cp_verdict(as_hermitian(choi(s)))
 
 
-def _cp_verdict(j: np.ndarray, slack: float = PSD_SLACK) -> PositivityVerdict:
+def _cp_verdict(j: np.ndarray) -> PositivityVerdict:
     """:func:`is_completely_positive` from a Choi matrix that passed the gate."""
     eig = matcore._hermitian_eig(j)
     lmin = float(eig.values[0])
-    bound = -slack * max(1.0, float(np.abs(eig.values).max()))
-    status = STATUS_CP if lmin >= bound else STATUS_UNDETERMINED
+    status = STATUS_CP if lmin >= matcore._psd_bound(eig.values) else STATUS_UNDETERMINED
     return PositivityVerdict(
         status=status,
         choi_min_eig=lmin,
@@ -167,7 +167,7 @@ def _evaluate(l_mat: np.ndarray, xs: np.ndarray, restricted: bool):
     if restricted:
         proj = psi[:, :, None] * psi[:, None, :].conj()
         comp = np.eye(d) - proj
-        shift = 1.0 + 2.0 * np.linalg.norm(m, axis=(1, 2))
+        shift = 1.0 + 2.0 * np.linalg.norm(m, axis=(-2, -1))
         w, v = np.linalg.eigh(comp @ m @ comp + shift[:, None, None] * proj)
     else:
         w, v = np.linalg.eigh(m)
@@ -185,7 +185,6 @@ def _spread(start_values: np.ndarray, k: int = 5) -> float:
 
 
 def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: int,
-            max_iter: int, proved_cp: bool = False,
             choi_min_eig: float | None = None) -> PositivityVerdict:
     """Minimize the inner minimum over psi on the unit sphere and decide.
 
@@ -193,22 +192,20 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: 
     batched evaluation per stage.  A start grows its step by 1.5 (at most
     1) on an accepted trial and halves it on a rejected one; it stops when
     the step falls below 1e-12, the gradient vanishes or it has taken
-    max_iter steps.  Once any start falls below -1e-8 only the lowest one
-    goes on.  A violation is re-validated by ``functional``.  With
-    ``proved_cp`` the verdict is already proved and one start fills in the
-    minimum; otherwise the spread of the best starts decides.
+    ``SEARCH_MAX_ITER`` steps.  Once any start falls below -1e-8 only the
+    lowest one goes on.  A violation is re-validated by ``functional``;
+    otherwise the spread of the best starts decides.
     """
-    n = 1 if proved_cp else budget
     d = int(round(np.sqrt(l_mat.shape[0])))
-    x = np.array([np.random.default_rng(seed + s).normal(size=2 * d) for s in range(n)])
+    x = np.array([np.random.default_rng(seed + s).normal(size=2 * d) for s in range(budget)])
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     val, grad, phi = _evaluate(l_mat, x, restricted)
-    step = np.full(n, 0.25)
-    taken = np.zeros(n, dtype=int)
-    live = (np.linalg.norm(grad, axis=1) >= 1e-12) & (max_iter > 0)
+    step = np.full(budget, 0.25)
+    taken = np.zeros(budget, dtype=int)
+    live = np.linalg.norm(grad, axis=1) >= 1e-12
     while True:
         if np.any(val < -1e-8):
-            live &= np.arange(n) == np.argmin(val)
+            live &= np.arange(budget) == np.argmin(val)
         if not live.any():
             break
         idx = np.flatnonzero(live)
@@ -221,7 +218,7 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: 
         x[acc], val[acc], grad[acc], phi[acc] = xn[ok], vn[ok], gn[ok], pn[ok]
         step[acc] = np.minimum(step[acc] * 1.5, 1.0)
         taken[acc] += 1
-        live[acc] = (taken[acc] < max_iter) & (np.linalg.norm(gn[ok], axis=1) >= 1e-12)
+        live[acc] = (taken[acc] < SEARCH_MAX_ITER) & (np.linalg.norm(gn[ok], axis=1) >= 1e-12)
         step[rej] /= 2
         live[rej] = step[rej] >= 1e-12
 
@@ -238,12 +235,8 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: 
                 choi_min_eig=choi_min_eig,
             )
     spread = _spread(val)
-    proof, reason = PROOF_SEARCH, None
-    if proved_cp:
-        status, proof = STATUS_CP, PROOF_KOSSAKOWSKI_PSD
-    elif spread <= SPREAD_TOL:
-        status = STATUS_POSITIVE_NOT_CP
-    else:
+    status, reason = STATUS_POSITIVE_NOT_CP, None
+    if spread > SPREAD_TOL:
         status = STATUS_UNDETERMINED
         reason = f"the best starts disagree by {spread:.3e} > {SPREAD_TOL:.0e}"
     return PositivityVerdict(
@@ -252,7 +245,6 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: 
         start_values=val,
         spread=spread,
         choi_min_eig=choi_min_eig,
-        proof=proof,
         reason=reason,
     )
 
@@ -343,30 +335,27 @@ def _certifies(j: np.ndarray, cert) -> bool:
             and residual <= FEASIBILITY_TOL)
 
 
-def kossakowski_positivity_check(
-    gen: Generator,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = DEFAULT_SEED,
-    max_iter: int = 200,
-) -> PositivityVerdict:
+def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
+                                 seed: int = DEFAULT_SEED) -> PositivityVerdict:
     """Decide positivity of the generated semigroup from the orthogonal-pair
     functional of the generator.
 
-    When the Kossakowski matrix C is PSD the verdict CompletelyPositive is
-    proved (f = w C w^dag >= 0).  A qubit generator that is not a product is
-    decided exactly: the minimum of f over the Bloch sphere is a
-    trust-region subproblem, its minimizer gives the pair, and the verdict
-    is NotPositive (re-validated pair) or positive, proved by the dual bound.
+    A qubit generator that is not a product is decided exactly: the minimum
+    of f over the Bloch sphere is a trust-region subproblem, its minimizer
+    gives the pair, and the verdict is NotPositive (re-validated pair) or
+    positive, proved by the dual bound; with C PSD it is CompletelyPositive
+    and keeps that exact minimum.  Any other generator whose Kossakowski
+    matrix C is PSD is CompletelyPositive at once (f = w C w^dag >= 0), with
+    ``min_value`` 0, the lower bound that proof gives, and no search.
 
-    Otherwise each start draws psi uniformly on the unit sphere; the inner
-    problem over phi is solved exactly as the minimal eigenvalue of
-    L[|psi><psi|] compressed to the orthogonal complement of psi, and all
-    starts run projected gradient descent in lockstep on the outer problem
-    with the exact (envelope) gradient.  A NotPositive verdict always
-    carries a re-validated pair.  With C PSD a single start runs, only to
-    report the minimum; otherwise the verdict is PositiveNotCP, or
-    Undetermined when the best starts disagree by more than the spread
-    tolerance.
+    The rest are searched: each start draws psi uniformly on the unit
+    sphere; the inner problem over phi is solved exactly as the minimal
+    eigenvalue of L[|psi><psi|] compressed to the orthogonal complement of
+    psi, and all starts run projected gradient descent in lockstep on the
+    outer problem with the exact (envelope) gradient.  A NotPositive verdict
+    always carries a re-validated pair; otherwise the verdict is
+    PositiveNotCP, or Undetermined when the best starts disagree by more
+    than the spread tolerance.
     """
     _check_budget(budget)
     proved_cp = gen.spec is not None and matcore.is_psd(gen.spec.c_matrix)[0]
@@ -374,16 +363,12 @@ def kossakowski_positivity_check(
         verdict = _qubit_check(gen, proved_cp)
         if verdict is not None:
             return verdict
-    return _search(gen.full, partial(gksl.positivity_functional, gen), True,
-                   budget, seed, max_iter, proved_cp=proved_cp)
+    if proved_cp:
+        return PositivityVerdict(status=STATUS_CP, min_value=0.0, proof=PROOF_KOSSAKOWSKI_PSD)
+    return _search(gen.full, partial(gksl.positivity_functional, gen), True, budget, seed)
 
 
-def map_positivity_check(
-    s,
-    budget: int = 16,
-    seed: int = DEFAULT_SEED,
-    max_iter: int = 200,
-) -> PositivityVerdict:
+def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> PositivityVerdict:
     """Decide positivity of a single map by minimizing the smallest
     eigenvalue of S[|psi><psi|] over pure states (no orthogonality here:
     a map is positive iff these images are all PSD).
@@ -394,10 +379,10 @@ def map_positivity_check(
     positivity, and a witness proves the map is not positive, after which
     the search must supply a violating pair or the verdict is Undetermined.
     """
-    return _map_check(s, budget, seed, max_iter)[0]
+    return _map_check(s, budget, seed)[0]
 
 
-def _map_check(s, budget: int, seed: int, max_iter: int = 200):
+def _map_check(s, budget: int, seed: int):
     """:func:`map_positivity_check`, also returning the decomposability
     result of the qubit route (None where that route did not run)."""
     _check_budget(budget)
@@ -417,7 +402,7 @@ def _map_check(s, budget: int, seed: int, max_iter: int = 200):
                                      proof=PROOF_DECOMPOSITION), result
         if result.status == decomp.INFEASIBLE_WITNESSED:
             witnessed = result.pairing
-    verdict = _search(sm, partial(gksl.map_functional, sm), False, budget, seed, max_iter,
+    verdict = _search(sm, partial(gksl.map_functional, sm), False, budget, seed,
                       choi_min_eig=cp.choi_min_eig)
     if witnessed is not None and verdict.status != STATUS_NOT_POSITIVE:
         verdict.status = STATUS_UNDETERMINED

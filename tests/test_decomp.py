@@ -171,11 +171,11 @@ class TestSpectralParts:
     def test_reassembly(self):
         rng = np.random.default_rng(10)
         h = random_hermitian(rng, 6)
-        lmin, pos, neg = decomp._spectral_parts(h)
+        w, pos, neg = decomp._spectral_parts(h)
         assert np.abs(pos + neg - h).max() < 1e-12
         assert np.linalg.eigvalsh(pos).min() > -1e-14
         assert np.linalg.eigvalsh(-neg).min() > -1e-14
-        assert lmin == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+        assert np.allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
 
 
 class TestValidationCount:
@@ -494,6 +494,10 @@ class TestThreshold:
         gen = build_generator(qubit_spec(np.diag([1.0, 1.0, 1.0])))
         with pytest.raises(DomainError):
             find_threshold(lambda t: evolve(gen, t), decomp.choi_min_criterion, 0.1, 1.0)
+        # an infinite bracket end would never narrow
+        with pytest.raises(DomainError, match="t_hi must be finite"):
+            find_threshold(witness_product_map, decomp.pairing_criterion(bound_entangled_state()),
+                           0.1, float("inf"))
 
 
 class TestPropagation:

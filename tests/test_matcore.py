@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sgwl import matcore
+from sgwl import decomp, matcore, posmap
 from sgwl.matcore import (
     DomainError,
     HermiticityError,
@@ -156,9 +156,25 @@ class TestVectorize:
             devectorize(np.ones(5))
 
 
+def superop_with_choi(j):
+    # inverse of posmap.choi: undo the index reshuffle and the 1/d
+    d = int(round(np.sqrt(j.shape[0])))
+    return (d * j).reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
 class TestSpectralParts:
     def test_is_psd_slack(self):
         ok, lmin = matcore.is_psd(np.diag([1.0, -1e-12]))
         assert ok and lmin == pytest.approx(-1e-12)
         ok, _ = matcore.is_psd(np.diag([1.0, -1e-6]))
         assert not ok
+        # the slack scales with ||X||_2 = 10: the bound is -1e-9 at every
+        # entry that applies the rule
+        for lmin, ok in ((-0.5e-9, True), (-2e-9, False)):
+            j = np.diag([10.0, 0.0, 0.0, lmin])
+            assert matcore.is_psd(j) == (ok, lmin)
+            s = superop_with_choi(j)
+            assert np.array_equal(posmap.choi(s), j)
+            assert posmap.is_completely_positive(s).is_cp == ok
+            res = decomp.decomposability_feasibility(j, max_iter=5)
+            assert (res.status == decomp.FEASIBLE and res.iterations == 0) == ok

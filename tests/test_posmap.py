@@ -178,17 +178,19 @@ class TestKossakowskiCheck:
         assert "disagree" in verdict.reason
 
     def test_rank_one_cp_single_start(self):
-        # C = a a^dag proves CP; one start only reports the minimum
+        # C >= 0 proves CP with no search; min_value is the bound 0 that
+        # f = w C w^dag >= 0 gives.  Rank-one and full-rank C at d = 5
         rng = np.random.default_rng(35)
         d = 5
         a = rng.normal(size=d * d - 1) + 1j * rng.normal(size=d * d - 1)
-        spec = gksl.KossakowskiSpec(
-            d, random_hermitian(rng, d), np.outer(a, a.conj()), gell_mann_basis(d)
-        )
-        verdict = kossakowski_positivity_check(build_generator(spec))
-        assert verdict.status == STATUS_CP
-        assert verdict.min_value >= -1e-12
-        assert verdict.start_values.shape == (1,)
+        full = random_psd(rng, d * d - 1)
+        assert np.linalg.eigvalsh(full)[0] > 0
+        for c in (np.outer(a, a.conj()), full):
+            spec = gksl.KossakowskiSpec(d, random_hermitian(rng, d), c, gell_mann_basis(d))
+            verdict = kossakowski_positivity_check(build_generator(spec))
+            assert (verdict.status, verdict.proof) == (STATUS_CP, posmap.PROOF_KOSSAKOWSKI_PSD)
+            assert verdict.min_value == 0.0
+            assert verdict.start_values is None
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
@@ -235,7 +237,7 @@ class TestQubitExact:
         # too close to the boundary for the search's stopping rule to resolve
         assume(not -1e-6 < exact.min_value < -posmap.PSD_SLACK)
         search = posmap._search(gen.full, partial(gksl.positivity_functional, gen), True,
-                                posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED, 200)
+                                posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED)
         assert (exact.status == STATUS_NOT_POSITIVE) == (search.status == STATUS_NOT_POSITIVE)
         if exact.status == STATUS_NOT_POSITIVE:
             psi, phi = exact.pair
