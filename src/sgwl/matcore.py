@@ -11,7 +11,10 @@ package relies on:
   rule and reports the raw minimum eigenvalue alongside the verdict;
 * the matrix exponential is scaling-and-squaring with a fixed order-13
   diagonal Pade approximant (generators are non-normal, eigendecomposition
-  is not safe).
+  is not safe).  ``expm`` validates one matrix and hands it to a trusted
+  core that takes a ``(k, n, n)`` stack: the stack shares one scaling,
+  from the largest 1-norm, so the two factors of a product semigroup are
+  exponentiated in one pass.
 
 All functions are pure; nothing here mutates its inputs.
 """
@@ -193,19 +196,31 @@ def expm(a) -> np.ndarray:
     am = as_cmatrix(a)
     if am.shape[0] != am.shape[1]:
         raise ShapeError(f"expm requires a square matrix, got {am.shape}")
-    n = am.shape[0]
-    norm1 = float(np.linalg.norm(am, 1))
+    return _expm(am[None])[0]
+
+
+def _expm(stack: np.ndarray) -> np.ndarray:
+    """:func:`expm` of each matrix in a trusted ``(k, n, n)`` stack.
+
+    The stack shares one scaling, chosen from the largest 1-norm, so one
+    pass of batched products, one batched solve and one run of squarings
+    serve every matrix.  A 1-norm that overflows raises ``DomainError``.
+    """
+    with np.errstate(over="ignore"):
+        norm1 = float(np.abs(stack).sum(axis=-2).max())
+    if not np.isfinite(norm1):
+        raise DomainError(f"matrix 1-norm is not finite: {norm1}")
     squarings = 0
     if norm1 > _THETA13:
         squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
-        am = am / (2.0 ** squarings)
-    ident = np.eye(n, dtype=complex)
-    a2 = am @ am
+        stack = stack / (2.0 ** squarings)
+    ident = np.eye(stack.shape[-1], dtype=complex)
+    a2 = stack @ stack
     a4 = a2 @ a2
     a6 = a4 @ a2
     b = _PADE13
-    u = am @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    u = stack @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     try:

@@ -346,7 +346,8 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     positive, proved by the dual bound; with C PSD it is CompletelyPositive
     and keeps that exact minimum.  Any other generator whose Kossakowski
     matrix C is PSD is CompletelyPositive at once (f = w C w^dag >= 0), with
-    ``min_value`` 0, the lower bound that proof gives, and no search.
+    ``min_value`` 0, the lower bound that proof gives, and no search; so is
+    a product whose factors all have a PSD C.
 
     The rest are searched: each start draws psi uniformly on the unit
     sphere; the inner problem over phi is solved exactly as the minimal
@@ -358,7 +359,7 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     than the spread tolerance.
     """
     _check_budget(budget)
-    proved_cp = gen.spec is not None and matcore.is_psd(gen.spec.c_matrix)[0]
+    proved_cp = _proved_cp(gen)
     if gen.dim == 2 and gen.factors is None:
         verdict = _qubit_check(gen, proved_cp)
         if verdict is not None:
@@ -366,6 +367,14 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     if proved_cp:
         return PositivityVerdict(status=STATUS_CP, min_value=0.0, proof=PROOF_KOSSAKOWSKI_PSD)
     return _search(gen.full, partial(gksl.positivity_functional, gen), True, budget, seed)
+
+
+def _proved_cp(gen: Generator) -> bool:
+    """C >= 0 proves the semigroup CP; a product is CP when every factor is
+    (exp(t L1) (x) exp(t L2) of CP maps), checked through nested products."""
+    if gen.factors is not None:
+        return all(_proved_cp(g) for g in gen.factors)
+    return gen.spec is not None and matcore.is_psd(gen.spec.c_matrix)[0]
 
 
 def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> PositivityVerdict:

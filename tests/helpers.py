@@ -1,6 +1,8 @@
-"""Shared randomized-input helpers for the test suite (all seeded)."""
+"""Shared helpers for the test suite: seeded random inputs and call counters."""
 
 import numpy as np
+
+from sgwl import decomp, gksl, matcore, posmap
 
 
 def random_complex(rng, n, m=None):
@@ -39,3 +41,24 @@ def random_orthonormal_pair(rng, n):
     phi = random_unit_vector(rng, n)
     phi = phi - np.vdot(psi, phi) * psi
     return psi, phi / np.linalg.norm(phi)
+
+
+def counting(fn):
+    """Wrap ``fn``; the wrapper's ``calls`` attribute counts its calls."""
+    def counted(*args, **kwargs):
+        counted.calls += 1
+        return fn(*args, **kwargs)
+
+    counted.calls = 0
+    return counted
+
+
+def count_validations(monkeypatch, call):
+    """Run ``call()`` with ``matcore.as_cmatrix`` counted in every module that
+    imports it; return (number of calls, result)."""
+    counted = counting(matcore.as_cmatrix)
+    for module in (matcore, gksl, posmap, decomp):
+        if hasattr(module, "as_cmatrix"):
+            monkeypatch.setattr(module, "as_cmatrix", counted)
+    result = call()
+    return counted.calls, result

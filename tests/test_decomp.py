@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgwl import decomp, gksl, matcore, posmap
 from sgwl.decomp import (
@@ -22,7 +25,14 @@ from sgwl.gksl import build_generator, evolve, kron_superop, qubit_spec
 from sgwl.matcore import DomainError, PreconditionError, partial_transpose
 from sgwl.posmap import choi
 
-from helpers import random_complex, random_hermitian, random_psd, random_unitary
+from helpers import (
+    count_validations,
+    counting,
+    random_complex,
+    random_hermitian,
+    random_psd,
+    random_unitary,
+)
 
 # nonzero entries of 24 * rho_be (reference data for the entrywise check)
 RHO_BE_24 = np.array([
@@ -113,6 +123,25 @@ class TestPairing:
             )
 
 
+    def test_criterion_matches_pairing_with_choi(self):
+        # validated once up front, each call bit-identical to the checked path
+        rb = bound_entangled_state()
+        criterion = decomp.pairing_criterion(rb)
+        gen = witness_product_generator()
+        for t in (0.1, 0.5, 1.0):
+            s = evolve(gen, t)
+            expect = pairing_with_choi(choi(s), rb.mat)
+            assert criterion(s) == expect
+            assert pairing(s, rb) == expect
+            assert pairing(s, np.asarray(rb.mat)) == expect
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(matcore.ShapeError):
+            decomp.pairing_criterion(np.eye(4) / 4)(witness_product_map(0.3))
+        with pytest.raises(matcore.ShapeError):
+            pairing(witness_product_map(0.3), np.eye(4) / 4)
+
+
 class TestBellProjectors:
     def test_zero_indices_give_entangled_projector(self):
         z00 = bell_state_projector(0, 0)
@@ -182,33 +211,26 @@ class TestValidationCount:
     """Internal paths trust arrays that a public entry already validated, so
     the number of ``as_cmatrix`` calls does not grow with solver iterations."""
 
-    @staticmethod
-    def count(monkeypatch, call):
-        calls = []
-        real = matcore.as_cmatrix
-
-        def counted(x):
-            calls.append(1)
-            return real(x)
-
-        for module in (matcore, gksl, posmap, decomp):
-            if hasattr(module, "as_cmatrix"):
-                monkeypatch.setattr(module, "as_cmatrix", counted)
-        result = call()
-        return len(calls), result
-
     @pytest.mark.parametrize("t,status", [(0.2, INFEASIBLE_WITNESSED), (1.0, FEASIBLE)])
     def test_flagship_feasibility(self, monkeypatch, t, status):
         j = choi(witness_product_map(t))
-        n, res = self.count(monkeypatch, lambda: decomposability_feasibility(j))
+        n, res = count_validations(monkeypatch, lambda: decomposability_feasibility(j))
         assert res.status == status and res.iterations > 30
         assert n <= 12
+
+    def test_flagship_threshold(self, monkeypatch):
+        gen = witness_product_generator()
+        criterion = decomp.pairing_criterion(bound_entangled_state())
+        n, t = count_validations(
+            monkeypatch, lambda: find_threshold(lambda t: evolve(gen, t), criterion, 0.2, 2.0))
+        assert abs(t - np.log(3.0) / 2.0) < 1e-8
+        assert n <= 15
 
     def test_qubit_map_check(self, monkeypatch):
         rng = np.random.default_rng(38)
         r = gksl.basis_rotation_matrix(random_unitary(rng, 2), gksl.pauli_basis())
         s = evolve(build_generator(qubit_spec(r.T @ np.diag([1.0, -1.0, 1.0]) @ r)), 2.0)
-        n, verdict = self.count(monkeypatch, lambda: posmap.map_positivity_check(s))
+        n, verdict = count_validations(monkeypatch, lambda: posmap.map_positivity_check(s))
         assert verdict.proof == posmap.PROOF_DECOMPOSITION
         assert n < 30
 
@@ -498,6 +520,84 @@ class TestThreshold:
         with pytest.raises(DomainError, match="t_hi must be finite"):
             find_threshold(witness_product_map, decomp.pairing_criterion(bound_entangled_state()),
                            0.1, float("inf"))
+
+
+def bisection(family, criterion, t_lo, t_hi):
+    """Plain bisection with the sign rule of ``find_threshold``."""
+    def neg(v):
+        return v < -decomp.THRESHOLD_ZERO_TOL
+
+    lo, hi = t_lo, t_hi
+    neg_lo = neg(criterion(family(lo)))
+    while hi - lo > decomp.THRESHOLD_TOL:
+        mid = 0.5 * (lo + hi)
+        if neg(criterion(family(mid))) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def onset_generator(a, b):
+    """Qubit rates 2 (b, b, a - b): the Choi minimum turns nonnegative where
+    cosh(2bt) = exp(2(b - a)t)."""
+    return build_generator(qubit_spec(2.0 * np.diag([b, b, a - b])))
+
+
+def onset_root(a, b):
+    def g(t):  # log cosh(2bt) - 2(b - a)t
+        x = 2 * b * t
+        return x + np.log1p(np.exp(-2 * x)) - np.log(2.0) - 2 * (b - a) * t
+
+    return scipy.optimize.brentq(g, 1e-6, 50.0, xtol=1e-15, rtol=1e-15)
+
+
+class TestThresholdCalls:
+    """ITP keeps bisection's worst case and needs far fewer criterion calls
+    on a smooth criterion."""
+
+    def test_flagship_pairing(self):
+        gen = witness_product_generator()
+        criterion = counting(decomp.pairing_criterion(bound_entangled_state()))
+        t = find_threshold(lambda t: evolve(gen, t), criterion, 0.2, 2.0)
+        assert abs(t - np.log(3.0) / 2.0) < 1e-8
+        assert criterion.calls <= 12
+
+    def test_delayed_cp_onset(self):
+        gen = onset_generator(1.0, 2.0)
+        criterion = counting(decomp.choi_min_criterion)
+        t = find_threshold(lambda t: evolve(gen, t), criterion, 0.05, 2.0)
+        assert abs(t - onset_root(1.0, 2.0)) < 1e-8
+        assert criterion.calls <= 13
+
+    def test_zero_plateau_no_worse_than_bisection(self):
+        # past ln(3)/2 the S2 Choi minimum is 0 up to roundoff: interpolation
+        # learns nothing there, and the projection keeps bisection's count
+        criterion = counting(decomp.choi_min_criterion)
+        t = find_threshold(lambda t: explicit_decomposition(t)[1], criterion, 0.1, 2.0)
+        assert abs(t - np.log(3.0) / 2.0) < 1e-8
+        assert criterion.calls <= 2 + int(np.ceil(np.log2(1.9 / decomp.THRESHOLD_TOL)))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.floats(0.5, 1.5),
+        gap=st.floats(0.5, 1.5),
+        below=st.floats(0.05, 0.95),
+        above=st.floats(0.05, 4.0),
+    )
+    def test_matches_bisection_and_root(self, a, gap, below, above):
+        b = a + gap
+        root = onset_root(a, b)
+        gen = onset_generator(a, b)
+
+        def family(t):
+            return evolve(gen, t)
+
+        lo, hi = below * root, root + above
+        t_itp = find_threshold(family, decomp.choi_min_criterion, lo, hi)
+        t_bis = bisection(family, decomp.choi_min_criterion, lo, hi)
+        assert abs(t_itp - t_bis) <= decomp.THRESHOLD_TOL
+        assert abs(t_itp - root) <= decomp.THRESHOLD_TOL
 
 
 class TestPropagation:

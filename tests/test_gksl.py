@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,17 @@ class TestProductGenerator:
         dense = matcore.expm(t * gp.full)
         assert np.abs(evolve(gp, t) - dense).max() < 1e-12 * max(1.0, np.abs(dense).max())
 
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_stacked_factors_match_separate_expm(self, d):
+        # the factors share one scaling, set by the second: its C is 100x the first's
+        rng = np.random.default_rng(210 + d)
+        g1 = random_generator(rng, d, 0.01)
+        g2 = random_generator(rng, d, 1.0)
+        gp = product_generator(g1, g2)
+        for t in (0.1, 1.0, 3.0):
+            sep = kron_superop(matcore.expm(t * g1.full), matcore.expm(t * g2.full), d, d)
+            assert np.abs(evolve(gp, t) - sep).max() < 1e-14 * max(1.0, np.abs(sep).max())
+
     def test_dim_mismatch(self):
         g2 = build_generator(qubit_spec(np.diag([1.0, 1.0, 1.0])))
         g3 = build_generator(
@@ -274,6 +287,21 @@ class TestEvolve:
         for g in (gen, product_generator(gen, gen)):
             with pytest.raises(DomainError, match="evolution time t"):
                 evolve(g, t)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_time(self):
+        # t L stays finite, but the exponential loses trace preservation
+        # (0.14 at t = 1e15), then overflows to NaN or underflows to zeros;
+        # dense, stacked-product and nested-product paths all refuse, quietly
+        gen = build_generator(qubit_spec(np.eye(3)))
+        prod = product_generator(gen, gen)
+        for g in (gen, prod, product_generator(prod, prod)):
+            assert np.isfinite(evolve(g, 1e6)).all()
+            for t in (1e15, 1e20, 1e100):
+                with pytest.raises(matcore.NumericalError, match=re.escape(f"t = {t!r}")):
+                    evolve(g, t)
+            with pytest.raises(DomainError):
+                evolve(g, 1e308)
 
     def test_hermiticity_preserved(self):
         rng = np.random.default_rng(21)

@@ -133,6 +133,24 @@ class TestExpm:
         with pytest.raises(ShapeError):
             expm(np.ones((2, 3)))
 
+    def test_stacked_core_matches_single_calls(self):
+        # one shared scaling, from the larger 1-norm, serves both matrices;
+        # the last stack's 1-norms differ by 100x
+        rng = np.random.default_rng(8)
+        for n, scales in ((4, (0.3, 2.0)), (9, (1.0, 1.0)), (16, (0.5, 3.0)), (4, (0.5, 50.0))):
+            a, b = (random_complex(rng, n) for _ in range(2))
+            a *= scales[0] / np.linalg.norm(a, 1)
+            b *= scales[1] / np.linalg.norm(b, 1)
+            stacked = matcore._expm(np.stack((a, b)))
+            for got, m in zip(stacked, (a, b)):
+                ref = expm(m)
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_overflowing_norm_rejected(self):
+        # finite entries whose 1-norm overflows
+        with pytest.raises(DomainError, match="1-norm"):
+            expm(np.full((2, 2), 1e308))
+
 
 class TestVectorize:
     def test_identity_stacking(self):

@@ -192,6 +192,25 @@ class TestKossakowskiCheck:
             assert verdict.min_value == 0.0
             assert verdict.start_values is None
 
+    def test_product_of_cp_proved_without_search(self):
+        # a product is CP when every factor's C is PSD, nested products too;
+        # one factor that is not CP sends the product to the search
+        rng = np.random.default_rng(36)
+        depol = build_generator(qubit_spec(np.eye(3)))
+        g3 = build_generator(gksl.KossakowskiSpec(3, random_hermitian(rng, 3), random_psd(rng, 8),
+                                                  gell_mann_basis(3)))
+        pair = gksl.product_generator(depol, depol)
+        for gen in (pair, gksl.product_generator(g3, g3),
+                    gksl.product_generator(pair, gksl.product_generator(depol, depol))):
+            verdict = kossakowski_positivity_check(gen)
+            assert (verdict.status, verdict.proof) == (STATUS_CP, posmap.PROOF_KOSSAKOWSKI_PSD)
+            assert verdict.min_value == 0.0
+            assert verdict.start_values is None
+        flagship = decomp.witness_product_generator()
+        verdict = kossakowski_positivity_check(flagship, budget=8)
+        assert verdict.proof == posmap.PROOF_SEARCH
+        assert verdict.status != STATUS_CP
+
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
         c=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
