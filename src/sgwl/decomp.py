@@ -23,6 +23,7 @@ the state bound-entangled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -342,7 +343,9 @@ def pairing_criterion(x):
 
 def find_threshold(family, criterion, t_lo: float, t_hi: float) -> float:
     """Locate the sign change of ``criterion(family(t))`` on a finite
-    bracket, to within ``THRESHOLD_TOL``.
+    bracket, to within ``THRESHOLD_TOL``, or to two adjacent floats where
+    their spacing is wider (from |t| = 2^23, about 8.4e6).  A bracket whose
+    width ``t_hi - t_lo`` overflows is rejected with ``DomainError``.
 
     Values within ``THRESHOLD_ZERO_TOL`` of zero count as nonnegative;
     criteria such as a Choi minimum eigenvalue sit on an exact zero plateau
@@ -359,13 +362,17 @@ def find_threshold(family, criterion, t_lo: float, t_hi: float) -> float:
     with the sign rule (zero-plateau roundoff reads as 0), and each point
     keeps ``THRESHOLD_TOL / 4`` from the bracket ends: a falsi point on
     the root to machine precision would otherwise move one end only and
-    the bracket would not close.
+    the bracket would not close.  Where floats are too far apart for that
+    margin, the point is the midpoint.
     """
     for name, t in (("t_lo", t_lo), ("t_hi", t_hi)):
         if not np.isfinite(t):
             raise DomainError(f"{name} must be finite, got {t}")
     if not t_lo < t_hi:
         raise DomainError(f"invalid bracket [{t_lo}, {t_hi}]")
+    width = t_hi - t_lo
+    if not np.isfinite(width):
+        raise DomainError(f"bracket width t_hi - t_lo is not finite: [{t_lo}, {t_hi}]")
 
     def sgn(v: float) -> int:
         return -1 if v < -THRESHOLD_ZERO_TOL else 1
@@ -381,30 +388,32 @@ def find_threshold(family, criterion, t_lo: float, t_hi: float) -> float:
         return v if sgn(v) < 0 else max(v, 0.0)
 
     eps = THRESHOLD_TOL / 2
-    kappa1 = 0.2 / (t_hi - t_lo)
-    n_max = int(np.ceil(np.log2((t_hi - t_lo) / (2 * eps))))
+    n_max = int(np.ceil(np.log2(width) - np.log2(2 * eps)))
     lo, hi = t_lo, t_hi
     y_lo, y_hi = value(f_lo), value(f_hi)
     s_lo = sgn(f_lo)
     j = 0
     while hi - lo > THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        x = mid
-        if y_hi != y_lo:
-            x_f = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
-            toward = 1.0 if mid > x_f else -1.0
-            delta = kappa1 * (hi - lo) ** 2
-            x_t = x_f + toward * delta if delta <= abs(mid - x_f) else mid
-            radius = eps * 2.0 ** (n_max - j) - 0.5 * (hi - lo)
-            x = x_t if abs(x_t - mid) <= radius else mid - toward * radius
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats, further apart than the tolerance
+        # sgn(y_lo) != sgn(y_hi) holds throughout, so y_hi != y_lo
+        x_f = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
+        toward = 1.0 if mid > x_f else -1.0
+        delta = 0.2 * (hi - lo) * ((hi - lo) / width)
+        x_t = x_f + toward * delta if delta <= abs(mid - x_f) else mid
+        radius = math.ldexp(eps, n_max - j) - 0.5 * (hi - lo)
+        x = x_t if abs(x_t - mid) <= radius else mid - toward * radius
         x = min(max(x, lo + eps / 2), hi - eps / 2)
+        if not lo < x < hi:
+            x = mid  # eps / 2 is below the spacing of floats at the ends
         f_x = criterion(family(x))
         if sgn(f_x) == s_lo:
             lo, y_lo = x, value(f_x)
         else:
             hi, y_hi = x, value(f_x)
         j += 1
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 @dataclass

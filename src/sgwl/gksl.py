@@ -267,12 +267,12 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
 
     ``t`` must be finite and nonnegative, and so must every entry of t L
     (``DomainError``).  A product generator is evolved factor by factor,
-    ``exp(t L1) (x) exp(t L2)``, with both factors exponentiated in one
-    stacked call when neither is itself a product; any other generator by
-    one dense matrix exponential.  Every generator built here is trace
-    preserving, so each exponential is checked for finite entries and for
-    trace preservation within ``TRACE_PRESERVATION_TOL``; one that fails,
-    as scaling and squaring does at huge ``t``, raises ``NumericalError``.
+    ``exp(t L1) (x) exp(t L2)``, with both factors' dense ``full`` matrices
+    exponentiated in one stacked call; any other generator by one dense
+    matrix exponential.  Every generator built here is trace preserving, so
+    each exponential is checked for finite entries and for trace
+    preservation within ``TRACE_PRESERVATION_TOL``; one that fails, as
+    scaling and squaring does at huge ``t``, raises ``NumericalError``.
     """
     if not 0.0 <= t < np.inf:
         raise DomainError(f"evolution time t must be finite and nonnegative, got {t}")
@@ -282,13 +282,9 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
             _check_trace_preserving(s[None], gen.dim, t)
             return s
         g1, g2 = gen.factors
-        if g1.factors is None and g2.factors is None:
-            pair = matcore._expm(t * np.stack((g1.full, g2.full)))
-            _check_trace_preserving(pair, g1.dim, t)
-            s1, s2 = pair
-        else:
-            s1, s2 = evolve(g1, t), evolve(g2, t)
-    return _kron_superop(s1, s2, g1.dim, g2.dim)
+        pair = matcore._expm(t * np.stack((g1.full, g2.full)))
+        _check_trace_preserving(pair, g1.dim, t)
+    return _kron_superop(pair[0], pair[1], g1.dim, g2.dim)
 
 
 def _check_trace_preserving(stack: np.ndarray, d: int, t: float) -> None:

@@ -12,9 +12,9 @@ package relies on:
 * the matrix exponential is scaling-and-squaring with a fixed order-13
   diagonal Pade approximant (generators are non-normal, eigendecomposition
   is not safe).  ``expm`` validates one matrix and hands it to a trusted
-  core that takes a ``(k, n, n)`` stack: the stack shares one scaling,
-  from the largest 1-norm, so the two factors of a product semigroup are
-  exponentiated in one pass.
+  core that also takes a ``(k, n, n)`` stack, so the two factors of a
+  product semigroup are exponentiated in one pass; each matrix keeps its
+  own scaling, and its result is bit-identical to an ``expm`` of it alone.
 
 All functions are pure; nothing here mutates its inputs.
 """
@@ -196,24 +196,34 @@ def expm(a) -> np.ndarray:
     am = as_cmatrix(a)
     if am.shape[0] != am.shape[1]:
         raise ShapeError(f"expm requires a square matrix, got {am.shape}")
-    return _expm(am[None])[0]
+    return _expm(am)
 
 
 def _expm(stack: np.ndarray) -> np.ndarray:
-    """:func:`expm` of each matrix in a trusted ``(k, n, n)`` stack.
+    """:func:`expm` of a trusted ``(n, n)`` matrix or of each matrix in a
+    trusted ``(k, n, n)`` stack.
 
-    The stack shares one scaling, chosen from the largest 1-norm, so one
-    pass of batched products, one batched solve and one run of squarings
-    serve every matrix.  A 1-norm that overflows raises ``DomainError``.
+    One pass of batched products and one batched solve serve every matrix.
+    Each matrix is scaled by its own power of two, from its own 1-norm, and
+    squared back that many times, so it gets the bits that a call on it
+    alone would.  A 1-norm that overflows raises ``DomainError``.
     """
     with np.errstate(over="ignore"):
-        norm1 = float(np.abs(stack).sum(axis=-2).max())
-    if not np.isfinite(norm1):
-        raise DomainError(f"matrix 1-norm is not finite: {norm1}")
-    squarings = 0
-    if norm1 > _THETA13:
-        squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
-        stack = stack / (2.0 ** squarings)
+        norm1 = np.abs(stack).sum(axis=-2).max(axis=-1)
+    top = float(norm1.max())
+    if not np.isfinite(top):
+        raise DomainError(f"matrix 1-norm is not finite: {top}")
+    if top <= _THETA13:
+        return _pade13(stack)
+    squarings = np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13)).astype(int)
+    r = _pade13(stack / (2.0 ** squarings)[..., None, None])
+    for i in range(squarings.max()):
+        r = np.where((squarings > i)[..., None, None], r @ r, r)
+    return r
+
+
+def _pade13(stack: np.ndarray) -> np.ndarray:
+    """Order-13 diagonal Pade approximant of exp, for 1-norms up to theta_13."""
     ident = np.eye(stack.shape[-1], dtype=complex)
     a2 = stack @ stack
     a4 = a2 @ a2
@@ -224,9 +234,6 @@ def _expm(stack: np.ndarray) -> np.ndarray:
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     try:
-        r = np.linalg.solve(v - u, u + v)
+        return np.linalg.solve(v - u, u + v)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Pade denominator is singular: {exc}") from exc
-    for _ in range(squarings):
-        r = r @ r
-    return r

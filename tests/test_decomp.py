@@ -520,6 +520,35 @@ class TestThreshold:
         with pytest.raises(DomainError, match="t_hi must be finite"):
             find_threshold(witness_product_map, decomp.pairing_criterion(bound_entangled_state()),
                            0.1, float("inf"))
+        # finite ends whose distance overflows
+        with pytest.raises(DomainError, match="width"):
+            find_threshold(lambda t: t, lambda t: t - 0.3, -1e308, 1e308)
+
+    def test_wide_bracket(self):
+        # the ITP arithmetic stays finite on a bracket 2e300 wide
+        t_hat = find_threshold(lambda t: t, lambda t: t - 0.3, -1e300, 1e300)
+        assert t_hat == pytest.approx(0.3, abs=decomp.THRESHOLD_TOL)
+        # and near the largest float, where the falsi products overflow
+        t_hat = find_threshold(lambda t: t, lambda t: 1.7e308 - t, 1e308, 1.79e308)
+        assert abs(t_hat - 1.7e308) <= np.spacing(1.7e308)
+
+    def test_float_spacing_above_tolerance(self):
+        # floats near 1e8 are 1.5e-8 apart: the search stops at adjacent floats
+        c = 1e8 + 0.3
+        t_hat = find_threshold(lambda t: t, lambda t: t - c, 1e8 - 1.0, 1e8 + 1.0)
+        assert abs(t_hat - c) <= np.spacing(c)
+        # a root on a float: once the falsi point sits on a bracket end, where
+        # eps / 2 does not move it, the search bisects instead of re-evaluating
+        r = 1e8 + 0.25
+        points = []
+
+        def criterion(t):
+            points.append(t)
+            return r - t
+
+        t_hat = find_threshold(lambda t: t, criterion, 1e8 - 1.0, 1e8 + 1.0)
+        assert abs(t_hat - r) <= np.spacing(r)
+        assert len(set(points)) == len(points)
 
 
 def bisection(family, criterion, t_lo, t_hi):

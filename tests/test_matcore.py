@@ -134,17 +134,18 @@ class TestExpm:
             expm(np.ones((2, 3)))
 
     def test_stacked_core_matches_single_calls(self):
-        # one shared scaling, from the larger 1-norm, serves both matrices;
-        # the last stack's 1-norms differ by 100x
+        # each matrix keeps its own scaling, so the stack gives the bits of
+        # single calls; the 1-norms of the last two stacks differ by 100x,
+        # and in the last one both need squarings, different numbers of them
         rng = np.random.default_rng(8)
-        for n, scales in ((4, (0.3, 2.0)), (9, (1.0, 1.0)), (16, (0.5, 3.0)), (4, (0.5, 50.0))):
+        for n, scales in ((4, (0.3, 2.0)), (9, (1.0, 1.0)), (16, (0.5, 3.0)),
+                          (4, (0.5, 50.0)), (9, (800.0, 8.0))):
             a, b = (random_complex(rng, n) for _ in range(2))
             a *= scales[0] / np.linalg.norm(a, 1)
             b *= scales[1] / np.linalg.norm(b, 1)
             stacked = matcore._expm(np.stack((a, b)))
             for got, m in zip(stacked, (a, b)):
-                ref = expm(m)
-                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.array_equal(got, expm(m))
 
     def test_overflowing_norm_rejected(self):
         # finite entries whose 1-norm overflows
