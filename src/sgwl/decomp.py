@@ -227,21 +227,17 @@ def noise_pairing_table() -> tuple[np.ndarray, float]:
 
 
 def _spectral_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending spectrum, PSD part and negative part of a Hermitian matrix,
-    from one eigendecomposition."""
+    """Ascending spectrum, eigenvectors and PSD part of a Hermitian matrix."""
     w, v = np.linalg.eigh(h)
-    return (
-        w,
-        (v * np.clip(w, 0.0, None)) @ v.conj().T,
-        (v * np.clip(w, None, 0.0)) @ v.conj().T,
-    )
+    return w, v, (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
 def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
     """Decide whether a Choi matrix belongs to the decomposable cone.
 
     Block-coordinate projection alternates ``A <- P+(J - PT B)`` and
-    ``B <- P+(PT(J - A))``.  Each iteration ends in one of two tests:
+    ``B <- P+(PT(J - A))``, one eigendecomposition each and little else.
+    Each iteration ends in one of two tests:
 
     * certificate: once ``J1 = J - PT B`` is PSD within the slack (the PSD
       rule of ``matcore`` at the scale of ``J``), a short polish keeps the
@@ -249,11 +245,13 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
       residual (zero by construction, bounded by ``FEASIBILITY_TOL``);
     * witness: the residual ``Z = A + PT B - J`` has a PSD partial
       transpose after the B-step; shifted by ``max(0, -lmin Z)`` times the
-      identity and normalized, its transpose is a PPT state.  Once its
-      pairing with ``J`` is below the slack and has stopped improving, the
-      map is certified non-decomposable.  For d = 4 the canonical
-      bound-entangled state is also scored and wins ties within 1e-11, so
-      certificates are reproducible.
+      identity and normalized, its transpose is a PPT state.  Its pairing
+      with ``J``, a convex combination of ``<Z, J> / tr Z`` and ``tr J / n``,
+      stays above the slack while both are nonnegative, so ``lmin Z`` is
+      computed only when one is negative.  Once the pairing is below the
+      slack and has stopped improving, the map is certified non-decomposable.
+      For d = 4 the canonical bound-entangled state is also scored and wins
+      ties within 1e-11, so certificates are reproducible.
 
     If the budget runs out first, the result is an honest MaxIterations
     with the gap ``max(0, -lmin J1)``.
@@ -263,7 +261,7 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
     d = int(round(np.sqrt(n)))
     if d * d != n:
         raise ShapeError(f"Choi matrix must be d^2 x d^2, got {jm.shape}")
-    w, a, _ = _spectral_parts(jm)
+    w, _, a = _spectral_parts(jm)
     slack = -matcore._psd_bound(w)
     if w[0] >= -slack:
         cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
@@ -272,27 +270,29 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
     def pt(x):
         return matcore._partial_transpose(x, d, d)
 
+    ident, negative_trace = np.eye(n), np.trace(jm).real < 0.0
     best_lmin, best_b = -np.inf, None
     polish_left = 100
     best_value, best_x = 0.0, None
     it = 0
     for it in range(1, max_iter + 1):
-        _, b, neg = _spectral_parts(pt(jm - a))
+        lam, v, b = _spectral_parts(pt(jm - a))
         # Z = A + PT B - J, built from the clipped spectrum so that PT(Z) is
         # PSD up to roundoff on the scale of Z itself, not of J; the shift
-        # keeps PT(Z) PSD (PT(I) = I) and makes Z PSD.  tr Z = tr PT(Z) >= 0.
-        z = -pt(neg)
-        z += max(0.0, -float(np.linalg.eigvalsh(z)[0])) * np.eye(n)
-        tau = float(np.trace(z).real)
-        if tau > 0.0:
-            value = float(np.vdot(z, jm).real) / tau  # Tr(J X^T) with X = Z^T / tau
-            if value < -slack:
-                # stop once an iteration improves the pairing by less than 1e-6 relative
-                if best_x is not None and value >= best_value * (1.0 + 1e-6):
-                    break
-                if value < best_value:
-                    best_value, best_x = value, z.T / tau
-        w, a, _ = _spectral_parts(jm - pt(b))
+        # keeps PT(Z) PSD (PT(I) = I) and makes Z PSD.  tr Z >= 0 exactly.
+        z = -pt((v * np.minimum(lam, 0.0)) @ v.conj().T)
+        if negative_trace or np.vdot(z, jm).real < 0.0:
+            z += max(0.0, -float(np.linalg.eigvalsh(z)[0])) * ident
+            tau = float(np.trace(z).real)
+            if tau > 0.0:
+                value = float(np.vdot(z, jm).real) / tau  # Tr(J X^T) with X = Z^T / tau
+                if value < -slack:
+                    # stop once an iteration improves the pairing by less than 1e-6 relative
+                    if best_x is not None and value >= best_value * (1.0 + 1e-6):
+                        break
+                    if value < best_value:
+                        best_value, best_x = value, z.T / tau
+        w, _, a = _spectral_parts(jm - pt(b))
         if w[0] > best_lmin:
             best_lmin, best_b = w[0], b
         if best_lmin >= -slack:

@@ -278,7 +278,7 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
         raise DomainError(f"evolution time t must be finite and nonnegative, got {t}")
     with np.errstate(all="ignore"):
         if gen.factors is None:
-            s = matcore.expm(t * gen.full)
+            s = matcore._expm(t * gen.full)
             _check_trace_preserving(s[None], gen.dim, t)
             return s
         g1, g2 = gen.factors

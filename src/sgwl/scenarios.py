@@ -193,15 +193,15 @@ def _transcendental_root(a: float, b: float, lo: float, hi: float) -> float:
     def g(t):
         return np.cosh(2 * b * t) - np.exp(2 * (b - a) * t)
 
-    glo, ghi = g(lo), g(hi)
-    if glo * ghi > 0:
+    slo = np.sign(g(lo))
+    if slo * np.sign(g(hi)) > 0:
         raise matcore.DomainError("no root of the transcendental equation in the bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if g(mid) * glo <= 0:
+        if np.sign(g(mid)) * slo <= 0:
             hi = mid
         else:
-            lo, glo = mid, g(lo)
+            lo = mid  # g(mid) has the sign of g(lo)
         if hi - lo < 1e-12:
             break
     return 0.5 * (lo + hi)

@@ -62,3 +62,14 @@ def count_validations(monkeypatch, call):
             monkeypatch.setattr(module, "as_cmatrix", counted)
     result = call()
     return counted.calls, result
+
+
+def count_eigensolvers(monkeypatch, call):
+    """Run ``call()`` with ``np.linalg.eigh`` and ``np.linalg.eigvalsh``
+    counted; return (eigh calls, eigvalsh calls, result)."""
+    eigh = counting(np.linalg.eigh)
+    eigvalsh = counting(np.linalg.eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    result = call()
+    return eigh.calls, eigvalsh.calls, result

@@ -26,6 +26,7 @@ from sgwl.matcore import DomainError, PreconditionError, partial_transpose
 from sgwl.posmap import choi
 
 from helpers import (
+    count_eigensolvers,
     count_validations,
     counting,
     random_complex,
@@ -88,6 +89,80 @@ def per_call_bound_entangled():
     support = [(0, 2), (1, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
     m = sum(per_call_projector(mu, nu) for mu, nu in support) / 6.0
     return decomp.WitnessState(m, ppt_checked=True).mat
+
+
+def reference_feasibility(j, max_iter=50000):
+    """The projection loop as it stood before each iteration was cut to its
+    two eigendecompositions: both spectral parts from every eigh, and the
+    witness shift's eigvalsh on every iteration."""
+    jm = matcore.as_hermitian(j)
+    n = jm.shape[0]
+    d = int(round(np.sqrt(n)))
+
+    def parts(h):
+        w, v = np.linalg.eigh(h)
+        return (w, (v * np.clip(w, 0.0, None)) @ v.conj().T,
+                (v * np.clip(w, None, 0.0)) @ v.conj().T)
+
+    def pt(x):
+        return matcore._partial_transpose(x, d, d)
+
+    w, a, _ = parts(jm)
+    slack = -matcore._psd_bound(w)
+    if w[0] >= -slack:
+        cert = decomp.DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
+        return decomp.FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
+    best_lmin, best_b = -np.inf, None
+    polish_left = 100
+    best_value, best_x = 0.0, None
+    it = 0
+    for it in range(1, max_iter + 1):
+        _, b, neg = parts(pt(jm - a))
+        z = -pt(neg)
+        z += max(0.0, -float(np.linalg.eigvalsh(z)[0])) * np.eye(n)
+        tau = float(np.trace(z).real)
+        if tau > 0.0:
+            value = float(np.vdot(z, jm).real) / tau
+            if value < -slack:
+                if best_x is not None and value >= best_value * (1.0 + 1e-6):
+                    break
+                if value < best_value:
+                    best_value, best_x = value, z.T / tau
+        w, a, _ = parts(jm - pt(b))
+        if w[0] > best_lmin:
+            best_lmin, best_b = w[0], b
+        if best_lmin >= -slack:
+            polish_left -= 1
+            if best_lmin >= -0.02 * slack or polish_left <= 0:
+                break
+    gap = max(0.0, -float(w[0]))
+    if best_lmin >= -slack:
+        j1 = jm - pt(best_b)
+        residual = float(np.linalg.norm(jm - j1 - pt(best_b)))
+        if residual <= matcore.FEASIBILITY_TOL:
+            cert = decomp.DecompositionCertificate(j1=j1, j2=best_b, residual=residual)
+            return decomp.FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=it)
+    candidates = [decomp._bell_matrices()[1]] if d == 4 else []
+    if best_x is not None:
+        candidates.append(best_x)
+    scored = [(decomp._pairing(jm, mat), mat) for mat in candidates]
+    vmin = min((val for val, _ in scored), default=0.0)
+    if vmin < -slack:
+        value, mat = next((val, mat) for val, mat in scored if val <= vmin + 1e-11)
+        return decomp.FeasibilityResult(
+            status=INFEASIBLE_WITNESSED, witness=decomp.WitnessState(mat, ppt_checked=True),
+            pairing=value, gap=gap, iterations=it)
+    return decomp.FeasibilityResult(status=decomp.MAX_ITERATIONS, gap=gap, iterations=it)
+
+
+def result_bytes(res):
+    """Everything a FeasibilityResult reports, floats and arrays as raw bytes."""
+    cert, wit = res.certificate, res.witness
+    return (
+        res.status, res.iterations, repr(res.gap), repr(res.pairing),
+        None if cert is None else (cert.j1.tobytes(), cert.j2.tobytes(), repr(cert.residual)),
+        None if wit is None else (wit.mat.tobytes(), wit.ppt_checked),
+    )
 
 
 def assert_witness(j, res):
@@ -200,7 +275,8 @@ class TestSpectralParts:
     def test_reassembly(self):
         rng = np.random.default_rng(10)
         h = random_hermitian(rng, 6)
-        w, pos, neg = decomp._spectral_parts(h)
+        w, v, pos = decomp._spectral_parts(h)
+        neg = (v * np.minimum(w, 0.0)) @ v.conj().T
         assert np.abs(pos + neg - h).max() < 1e-12
         assert np.linalg.eigvalsh(pos).min() > -1e-14
         assert np.linalg.eigvalsh(-neg).min() > -1e-14
@@ -233,6 +309,29 @@ class TestValidationCount:
         n, verdict = count_validations(monkeypatch, lambda: posmap.map_positivity_check(s))
         assert verdict.proof == posmap.PROOF_DECOMPOSITION
         assert n < 30
+
+
+class TestEigensolverCount:
+    """Each iteration of the projection loop costs two eigendecompositions;
+    the witness shift's eigvalsh runs only when the unshifted pairing is
+    negative."""
+
+    def test_feasible_flagship(self, monkeypatch):
+        j = choi(witness_product_map(1.0))
+        n_eigh, n_eigvalsh, res = count_eigensolvers(
+            monkeypatch, lambda: decomposability_feasibility(j))
+        assert res.status == FEASIBLE and res.iterations > 30
+        assert n_eigh == 2 * res.iterations + 1
+        assert n_eigvalsh == 0
+
+    def test_witnessed_flagship(self, monkeypatch):
+        j = choi(witness_product_map(0.2))
+        n_eigh, n_eigvalsh, res = count_eigensolvers(
+            monkeypatch, lambda: decomposability_feasibility(j))
+        assert res.status == INFEASIBLE_WITNESSED and res.iterations > 30
+        assert n_eigh <= 2 * res.iterations + 1
+        # WitnessState validation takes two of them
+        assert n_eigvalsh <= res.iterations + 2
 
 
 class TestPairingTable:
@@ -481,6 +580,44 @@ class TestFeasibility:
         else:
             assert res.status == INFEASIBLE_WITNESSED
             assert_witness(j, res)
+
+    @pytest.mark.parametrize("case", [
+        "flagship-0.2", "flagship-0.5", "flagship-0.6", "flagship-1.0",
+        "phi-2-decomposable", "phi-2-non-decomposable",
+        "phi-1.5-decomposable", "phi-1.5-non-decomposable",
+        "psd-2", "psd-3", "psd-4", "indefinite-2", "indefinite-3", "indefinite-4",
+        "negative-trace-2", "negative-trace-3", "max-iter-3",
+    ])
+    def test_bit_identical_to_reference(self, case):
+        # the flagship on both sides of ln(3)/2 = 0.549, Phi[a,b,c] on both
+        # sides of Cho-Kye-Lee's bc = (3 - a)^2 / 4, seeded random J, and
+        # negative-trace J, whose witness shift is computed on every iteration
+        kind, _, arg = case.rpartition("-")
+        rng = np.random.default_rng([47, len(case)])
+        max_iter = 50000
+        if case.startswith("flagship"):
+            j = choi(witness_product_map(float(arg)))
+        elif case.startswith("phi"):
+            a, b, c = {
+                "phi-2-decomposable": (2.0, 1.0, 0.3),
+                "phi-2-non-decomposable": (2.0, 1.0, 0.2),
+                "phi-1.5-decomposable": (1.5, 1.2, 0.5),
+                "phi-1.5-non-decomposable": (1.5, 1.2, 0.4),
+            }[case]
+            assert (b * c >= (3 - a) ** 2 / 4) == ("-non-" not in case)
+            j = choi(choi_map(a, b, c))
+        elif kind == "psd":
+            j = random_psd(rng, int(arg) ** 2)
+        elif kind == "indefinite":
+            j = random_hermitian(rng, int(arg) ** 2)
+        elif kind == "negative-trace":
+            n = int(arg) ** 2
+            j = random_hermitian(rng, n) - 2.0 * np.eye(n)
+            assert np.trace(j).real < 0
+        else:
+            j, max_iter = choi(witness_product_map(1.0)), int(arg)
+        got = decomposability_feasibility(j, max_iter=max_iter)
+        assert result_bytes(got) == result_bytes(reference_feasibility(j, max_iter=max_iter))
 
     def test_budget_exhaustion(self):
         # too few iterations to certify, and no witness exists in the

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sgwl import decomp, matcore, posmap
+from sgwl import decomp, gksl, matcore, posmap
 from sgwl.matcore import (
     DomainError,
     HermiticityError,
+    NumericalError,
     ShapeError,
     devectorize,
     expm,
@@ -151,6 +152,13 @@ class TestExpm:
         # finite entries whose 1-norm overflows
         with pytest.raises(DomainError, match="1-norm"):
             expm(np.full((2, 2), 1e308))
+
+    def test_non_finite_result_rejected(self):
+        # the depolarizing generator's squarings overflow to NaN; no
+        # RuntimeWarning escapes (the suite turns them into errors)
+        gen = gksl.build_generator(gksl.qubit_spec(np.eye(3)))
+        with pytest.raises(NumericalError, match="non-finite"):
+            expm(1e20 * gen.full)
 
 
 class TestVectorize:
