@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 ok, 2 parse/validation error, 3 numerical or I/O failure,
 4 inconclusive (iteration budget exhausted), 5 scenario check failure.
-The environment variable ``SGWL_SEED`` (decimal integer) overrides the
+The environment variable ``SGWL_SEED`` (decimal integer >= 0) overrides the
 default optimizer seed.
 """
 
@@ -43,9 +43,12 @@ def _seed() -> int:
     if raw is None:
         return posmap.DEFAULT_SEED
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise SpecFormatError(f"SGWL_SEED: expected a decimal integer, got {raw!r}") from exc
+    if seed < 0:
+        raise SpecFormatError(f"SGWL_SEED: expected a nonnegative integer, got {raw!r}")
+    return seed
 
 
 def _parse_complex_matrix(node, path: str) -> np.ndarray:
@@ -106,8 +109,9 @@ def load_spec(path: str) -> gksl.KossakowskiSpec:
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise SpecFormatError(f"label: expected a string, got {type(label).__name__}")
-    basis = gksl.pauli_basis() if basis_name == "pauli" else gksl.gell_mann_basis(dim)
     try:
+        gksl.check_spec_shapes(dim, h, c)  # before the basis: 16 d^4 bytes, cached
+        basis = gksl.pauli_basis() if basis_name == "pauli" else gksl.gell_mann_basis(dim)
         return gksl.KossakowskiSpec(dim, h, c, basis, label)
     except (matcore.ShapeError, matcore.HermiticityError, matcore.DomainError) as exc:
         raise SpecFormatError(f"{path}: {exc}") from exc

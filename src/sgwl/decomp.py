@@ -103,18 +103,13 @@ class FeasibilityResult:
 
 def pairing_with_choi(j, x) -> float:
     """Duality pairing evaluated from a Choi matrix: Tr(J X^T), real part."""
-    return _shaped_pairing(as_cmatrix(j), as_cmatrix(x))
-
-
-def _shaped_pairing(j: np.ndarray, x: np.ndarray) -> float:
-    """:func:`pairing_with_choi` on trusted arrays, with the shape check."""
-    if j.shape != x.shape:
-        raise ShapeError(f"shape mismatch {j.shape} vs {x.shape}")
-    return _pairing(j, x)
+    return _pairing(as_cmatrix(j), as_cmatrix(x))
 
 
 def _pairing(j: np.ndarray, x: np.ndarray) -> float:
-    """:func:`pairing_with_choi` on trusted arrays of the same shape."""
+    """:func:`pairing_with_choi` on trusted arrays."""
+    if j.shape != x.shape:
+        raise ShapeError(f"shape mismatch {j.shape} vs {x.shape}")
     val = np.trace(j @ x.T)
     if abs(val.imag) > 1e-10:
         raise NumericalError(f"pairing has imaginary part {val.imag:.3e}")
@@ -123,8 +118,7 @@ def _pairing(j: np.ndarray, x: np.ndarray) -> float:
 
 def pairing(s, x) -> float:
     """Duality pairing <Lambda, X> of a map (as superoperator) with a state."""
-    xm = x.mat if isinstance(x, WitnessState) else as_cmatrix(x)
-    return _shaped_pairing(choi(s), xm)
+    return pairing_criterion(x)(s)
 
 
 @cache
@@ -336,7 +330,7 @@ def pairing_criterion(x):
     xm = x.mat if isinstance(x, WitnessState) else as_cmatrix(x)
 
     def criterion(s) -> float:
-        return _shaped_pairing(choi(s), xm)
+        return _pairing(choi(s), xm)
 
     return criterion
 
@@ -434,14 +428,10 @@ def decomposability_propagation_check(
 ) -> NoisePropagationReport:
     """Check the hypothesis under which every map of the semigroup is
     decomposable: the noise part must be a positive map and itself
-    decomposable.  Both sub-verdicts are reported; ``holds`` requires the
-    positivity search to certify no violation and the feasibility solver to
-    return a certificate.  Where the positivity check already ran the solver
-    (qubit noise that is not CP), its result is reported and ``max_iter`` is
-    not used; elsewhere the solver runs with ``max_iter``."""
-    noise = gen.noise
-    pos, feas = posmap._map_check(noise, budget, seed)
-    if feas is None:
-        feas = decomposability_feasibility(choi(noise), max_iter=max_iter)
+    decomposable.  It reports the noise part's :func:`posmap.map_positivity_check`
+    (``budget``, ``seed``) and :func:`decomposability_feasibility` (``max_iter``);
+    ``holds`` requires positivity and a certificate."""
+    pos = posmap.map_positivity_check(gen.noise, budget, seed)
+    feas = decomposability_feasibility(choi(gen.noise), max_iter=max_iter)
     holds = pos.is_positive and feas.status == FEASIBLE
     return NoisePropagationReport(noise_positivity=pos, noise_feasibility=feas, holds=holds)

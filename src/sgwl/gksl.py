@@ -126,17 +126,21 @@ class KossakowskiSpec:
     def __post_init__(self):
         h = as_hermitian(self.hamiltonian)
         c = as_hermitian(self.c_matrix)
-        if h.shape != (self.dim, self.dim):
-            raise ShapeError(f"Hamiltonian must be {self.dim}x{self.dim}, got {h.shape}")
-        n = self.dim * self.dim - 1
-        if c.shape != (n, n):
-            raise ShapeError(f"Kossakowski matrix must be {n}x{n}, got {c.shape}")
+        check_spec_shapes(self.dim, h, c)
         if self.basis.dim != self.dim:
             raise ShapeError(
                 f"basis dimension {self.basis.dim} does not match spec dimension {self.dim}"
             )
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "c_matrix", c)
+
+
+def check_spec_shapes(dim: int, hamiltonian: np.ndarray, c_matrix: np.ndarray) -> None:
+    """Raise ``ShapeError`` unless H is d x d and C is (d^2-1) x (d^2-1)."""
+    for name, m, n in (("Hamiltonian", hamiltonian, dim),
+                       ("Kossakowski matrix", c_matrix, dim * dim - 1)):
+        if m.shape != (n, n):
+            raise ShapeError(f"{name} must be {n}x{n}, got {m.shape}")
 
 
 def qubit_spec(c_matrix, hamiltonian=None, label: str = "") -> KossakowskiSpec:
@@ -338,11 +342,7 @@ def positivity_functional(gen: Generator, psi, phi) -> float:
     p, q = _orthonormalize_pair(psi, phi)
     if p.size != gen.dim:
         raise ShapeError(f"vectors of dimension {p.size} do not match generator dim {gen.dim}")
-    m = apply_superop(gen.full, np.outer(p, p.conj()))
-    val = np.vdot(q, m @ q)
-    if abs(val.imag) > 1e-10:
-        raise matcore.NumericalError(f"functional has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return _functional(gen.full, p, q)
 
 
 def map_functional(s, psi, phi) -> float:
@@ -350,7 +350,11 @@ def map_functional(s, psi, phi) -> float:
 
     Negativity for some pair proves the map S is not positive.
     """
-    p, q = _unit_pair(psi, phi)
+    return _functional(s, *_unit_pair(psi, phi))
+
+
+def _functional(s, p: np.ndarray, q: np.ndarray) -> float:
+    """Re <q| S[|p><p|] |q> for unit vectors, checking the imaginary part."""
     m = apply_superop(s, np.outer(p, p.conj()))
     val = np.vdot(q, m @ q)
     if abs(val.imag) > 1e-10:

@@ -7,15 +7,13 @@ generated semigroup is decided through the sign of the two-vector functional
 
 which is nonnegative for all orthonormal pairs exactly when every map of
 the semigroup is positive.  A PSD Kossakowski matrix C proves complete
-positivity (f = w C w^dag >= 0) without a search.  For a qubit generator
-phi is fixed by psi and f is a quadratic plus a linear term in the Bloch
-vector n of psi, so its minimum on |n| = 1 is a trust-region subproblem,
-solved exactly and certified by its Lagrangian dual bound.  A qubit map is positive exactly
-when it is decomposable, so a decomposition certificate of its Choi matrix
-decides it.  Everywhere else the checker minimizes f by projected gradient
-descent from many starts run in lockstep, with the exact gradient taken
-from the same batched eigendecomposition that gives the inner minimum over
-phi.
+positivity (f = w C w^dag >= 0) without a search.  On qubits, for a
+generator and for a map alike, positivity is a quadratic condition on the
+Bloch vector n of psi, so its minimum on |n| = 1 is a trust-region
+subproblem, solved exactly and certified by its Lagrangian dual bound.
+Everywhere else the checker minimizes f by projected gradient descent from
+many starts run in lockstep, with the exact gradient taken from the same
+batched Hermitian eigensolve that gives the inner minimum over phi.
 
 Every verdict names its ``proof``.  Violation reports are always
 re-validated by direct evaluation before being returned, while a
@@ -33,14 +31,7 @@ import numpy as np
 
 from . import gksl, matcore
 from .gksl import SIGMA, Generator, HermitianBasis
-from .matcore import (
-    FEASIBILITY_TOL,
-    PSD_SLACK,
-    PreconditionError,
-    ShapeError,
-    as_cmatrix,
-    as_hermitian,
-)
+from .matcore import PSD_SLACK, PreconditionError, ShapeError, as_cmatrix, as_hermitian
 
 STATUS_CP = "CompletelyPositive"
 STATUS_POSITIVE_NOT_CP = "PositiveNotCP"
@@ -50,7 +41,6 @@ STATUS_UNDETERMINED = "Undetermined"
 PROOF_CHOI = "choi"
 PROOF_KOSSAKOWSKI_PSD = "kossakowski-psd"
 PROOF_TRUST_REGION = "trust-region"
-PROOF_DECOMPOSITION = "decomposition"
 PROOF_SEARCH = "search"
 
 DEFAULT_BUDGET = 64
@@ -67,14 +57,14 @@ class PositivityVerdict:
     verdict was reached: the minimal Choi eigenpair, a violating vector
     pair with its functional value, the exact qubit minimum, or the best
     minimum found by the optimizer together with its per-start statistics.
-    A verdict proved by a decomposition certificate, or by C >= 0 off the
-    qubit path, reports ``min_value`` 0, a lower bound, not a minimum.
+    A verdict proved by C >= 0 off the qubit path reports ``min_value`` 0,
+    a lower bound, not a minimum.
 
     ``proof`` names how the status was reached: ``choi`` (Choi spectrum),
-    ``kossakowski-psd`` (C >= 0), ``trust-region`` (exact qubit minimum),
-    ``decomposition`` (PSD certificate blocks) or ``search``.  A search
-    verdict is a proof only when it is NotPositive, with its re-validated
-    pair; ``reason`` says why a verdict is Undetermined.
+    ``kossakowski-psd`` (C >= 0), ``trust-region`` (exact qubit minimum, of
+    a generator or of a map) or ``search``.  A search verdict is a proof
+    only when it is NotPositive, with its re-validated pair; ``reason`` says
+    why a verdict is Undetermined.
     """
 
     status: str
@@ -184,8 +174,8 @@ def _spread(start_values: np.ndarray, k: int = 5) -> float:
     return float(top[-1] - top[0])
 
 
-def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: int,
-            choi_min_eig: float | None = None) -> PositivityVerdict:
+def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
+            seed: int) -> PositivityVerdict:
     """Minimize the inner minimum over psi on the unit sphere and decide.
 
     All starts (start s drawn with seed + s) descend in lockstep, one
@@ -232,7 +222,6 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: 
                 min_value=value,
                 pair=(psi, phi[best]),
                 start_values=val,
-                choi_min_eig=choi_min_eig,
             )
     spread = _spread(val)
     status, reason = STATUS_POSITIVE_NOT_CP, None
@@ -244,14 +233,15 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int, seed: 
         min_value=float(val[best]),
         start_values=val,
         spread=spread,
-        choi_min_eig=choi_min_eig,
         reason=reason,
     )
 
 
-def _check_budget(budget: int) -> None:
+def _check_search_args(budget: int, seed: int) -> None:
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
 
 
 # Column-stacked Pauli matrices: Tr(sigma_j X) = vec(sigma_j)^dag vec(X).
@@ -327,14 +317,6 @@ def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
                              proof=PROOF_TRUST_REGION)
 
 
-def _certifies(j: np.ndarray, cert) -> bool:
-    """Re-verify a decomposition certificate: PSD blocks that reassemble J."""
-    d = int(round(np.sqrt(j.shape[0])))
-    residual = float(np.linalg.norm(j - cert.j1 - matcore._partial_transpose(cert.j2, d, d)))
-    return (matcore.is_psd(cert.j1)[0] and matcore.is_psd(cert.j2)[0]
-            and residual <= FEASIBILITY_TOL)
-
-
 def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
                                  seed: int = DEFAULT_SEED) -> PositivityVerdict:
     """Decide positivity of the generated semigroup from the orthogonal-pair
@@ -358,7 +340,7 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     PositiveNotCP, or Undetermined when the best starts disagree by more
     than the spread tolerance.
     """
-    _check_budget(budget)
+    _check_search_args(budget, seed)
     proved_cp = _proved_cp(gen)
     if gen.dim == 2 and gen.factors is None:
         verdict = _qubit_check(gen, proved_cp)
@@ -377,47 +359,66 @@ def _proved_cp(gen: Generator) -> bool:
     return gen.spec is not None and matcore.is_psd(gen.spec.c_matrix)[0]
 
 
+def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:
+    """Exact verdict for a map on M_2 that is not CP, or None if the bound fails.
+
+    With M_jk = Tr(sigma_j S(sigma_k)), u0 = M_00, u = M[0, 1:], v0 = M[1:, 0]
+    and V = M[1:, 1:], S maps (1 + n.sigma)/2 to alpha + beta.sigma with
+    alpha = (u0 + u.n)/4 and beta = (v0 + V n)/4, so S is positive iff
+    alpha >= 0 and 16 (alpha^2 - |beta|^2) = n^T (u u^T - V^T V) n
+    + 2 (u0 u - V^T v0).n + u0^2 - |v0|^2 >= 0 on |n| = 1.  The pair (psi for
+    n, phi for -beta(n)) at its minimizer, or at n = -u/|u| where
+    alpha_min = (u0 - |u|)/4 < 0, is re-validated by ``gksl.map_functional``.
+    A positive verdict needs alpha_min above the slack and the dual bound of
+    that quadratic over 16 alpha_min, a bound on alpha - |beta|, within it.
+    """
+    m = (_PAULI_VECS.conj().T @ sm @ _PAULI_VECS).real
+    u0, u, v0, v = m[0, 0], m[0, 1:], m[1:, 0], m[1:, 1:]
+    n, dual = _sphere_minimum(np.outer(u, u) - v.T @ v, 2 * (u0 * u - v.T @ v0))
+    r = float(np.linalg.norm(u))
+    alpha_min = (u0 - r) / 4
+
+    def at(n):
+        # psi: top eigenvector of n.sigma; phi: bottom one of beta(n).sigma
+        _, e = np.linalg.eigh(np.tensordot(np.stack([n, v0 + v @ n]), np.array(SIGMA[1:]), axes=1))
+        psi, phi = e[0, :, 1], e[1, :, 0]
+        return gksl.map_functional(sm, psi, phi), (psi, phi)
+
+    value, pair = at(n)
+    if value >= -PSD_SLACK and alpha_min < 0 < r:
+        value, pair = at(-u / r)
+    if value < -PSD_SLACK:
+        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
+                                 proof=PROOF_TRUST_REGION)
+    if alpha_min <= PSD_SLACK or ((dual + u0 * u0 - v0 @ v0) / (16 * alpha_min)
+                                  < -PSD_SLACK * max(1.0, float(np.abs(m).max()))):
+        return None
+    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value, spread=0.0,
+                             proof=PROOF_TRUST_REGION)
+
+
 def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> PositivityVerdict:
     """Decide positivity of a single map by minimizing the smallest
     eigenvalue of S[|psi><psi|] over pure states (no orthogonality here:
     a map is positive iff these images are all PSD).
 
-    CP maps short-circuit through the Choi check.  On M_2 every positive map
-    is decomposable (Woronowicz, Rep. Math. Phys. 1976), so the
-    decomposability solver decides: a re-verified certificate proves
-    positivity, and a witness proves the map is not positive, after which
-    the search must supply a violating pair or the verdict is Undetermined.
+    CP maps short-circuit through the Choi check.  A map on M_2 is decided
+    exactly, by a trust-region subproblem on the Bloch sphere, unless its
+    dual bound fails; other maps are searched.  On M_2 ``min_value`` is the
+    exact minimum whenever tr S[|psi><psi|] does not depend on psi (every
+    trace-preserving or trace-scaling map); otherwise it is the value at the
+    subproblem's pair, re-validated and violating if NotPositive.
     """
-    return _map_check(s, budget, seed)[0]
-
-
-def _map_check(s, budget: int, seed: int):
-    """:func:`map_positivity_check`, also returning the decomposability
-    result of the qubit route (None where that route did not run)."""
-    _check_budget(budget)
+    _check_search_args(budget, seed)
     sm = as_cmatrix(s)
-    j = as_hermitian(choi(sm))
-    cp = _cp_verdict(j)
+    cp = _cp_verdict(as_hermitian(choi(sm)))
     if cp.is_cp:
-        return cp, None
-    result = witnessed = None
-    if sm.shape == (4, 4):
-        from . import decomp  # decomp imports this module
-
-        result = decomp.decomposability_feasibility(j)
-        if result.status == decomp.FEASIBLE and _certifies(j, result.certificate):
-            return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=0.0,
-                                     choi_min_eig=cp.choi_min_eig,
-                                     proof=PROOF_DECOMPOSITION), result
-        if result.status == decomp.INFEASIBLE_WITNESSED:
-            witnessed = result.pairing
-    verdict = _search(sm, partial(gksl.map_functional, sm), False, budget, seed,
-                      choi_min_eig=cp.choi_min_eig)
-    if witnessed is not None and verdict.status != STATUS_NOT_POSITIVE:
-        verdict.status = STATUS_UNDETERMINED
-        verdict.reason = (f"a PPT witness (pairing {witnessed:.3e}) proves the qubit map is not "
-                          "positive, but the search found no violating pair")
-    return verdict, result
+        return cp
+    verdict = _qubit_map_exact(sm) if sm.shape == (4, 4) else None
+    if verdict is None:
+        verdict = _search(sm, partial(gksl.map_functional, sm), False, budget, seed)
+    verdict.choi_min_eig = cp.choi_min_eig
+    return verdict
 
 
 def qubit_positivity_conditions(c1: float, c2: float, c3: float) -> bool:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgwl import cli
+from sgwl import cli, gksl
 
 DEPOL = {
     "dim": 2,
@@ -76,6 +76,22 @@ class TestCheck:
         assert rc == 2
         assert "C[1][2]" in err
 
+
+    def test_dim_mismatch_rejected_before_basis(self, tmp_path, capsys, monkeypatch):
+        # a 200-dimensional basis would take 16 * 200^4 bytes (about 26 GB)
+        calls = []
+
+        def refuse(d):
+            calls.append(d)
+            raise AssertionError(f"basis of dimension {d} built before the shape check")
+
+        monkeypatch.setattr(gksl, "gell_mann_basis", refuse)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(DEPOL, dim=200, basis="gell-mann")))
+        rc = cli.main(["check", str(path)])
+        assert rc == 2
+        assert "Hamiltonian must be 200x200, got (2, 2)" in capsys.readouterr().err
+        assert calls == []
 
 class TestScan:
     def test_threshold_sign_change(self, spec_files, tmp_path, capsys):
@@ -229,6 +245,8 @@ class TestSeedOverride:
 
     def test_bad_env_seed(self, spec_files, capsys, monkeypatch):
         _, tmix = spec_files
-        monkeypatch.setenv("SGWL_SEED", "not-a-number")
-        rc = cli.main(["check", tmix])
-        assert rc == 2
+        for raw in ("not-a-number", "-1"):
+            monkeypatch.setenv("SGWL_SEED", raw)
+            rc = cli.main(["check", tmix])
+            assert rc == 2
+            assert "SGWL_SEED" in capsys.readouterr().err

@@ -307,7 +307,7 @@ class TestValidationCount:
         r = gksl.basis_rotation_matrix(random_unitary(rng, 2), gksl.pauli_basis())
         s = evolve(build_generator(qubit_spec(r.T @ np.diag([1.0, -1.0, 1.0]) @ r)), 2.0)
         n, verdict = count_validations(monkeypatch, lambda: posmap.map_positivity_check(s))
-        assert verdict.proof == posmap.PROOF_DECOMPOSITION
+        assert verdict.proof == posmap.PROOF_TRUST_REGION
         assert n < 30
 
 

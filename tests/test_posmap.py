@@ -22,7 +22,7 @@ from sgwl.posmap import (
     qubit_product_positivity,
 )
 
-from helpers import random_hermitian, random_psd, random_unitary
+from helpers import random_density, random_hermitian, random_psd, random_unitary
 
 
 def choi_by_matrix_units(s, d):
@@ -289,12 +289,85 @@ class TestQubitExact:
         assert bound <= value + 1e-14
         assert value - bound <= 1e-12
 
-    def test_failed_bound_falls_back_to_search(self, monkeypatch):
-        gen = build_generator(qubit_spec(np.diag([1.0, -0.5, 1.0])))
-        monkeypatch.setattr(posmap, "_sphere_minimum", lambda q, g: (np.array([0, 0, 1.0]), -1.0))
-        verdict = kossakowski_positivity_check(gen, budget=8)
+    @pytest.mark.parametrize("check,arg,dual", [
+        (kossakowski_positivity_check, build_generator(qubit_spec(np.diag([1.0, -0.5, 1.0]))),
+         -1.0),
+        # the map route's bound is (dual + u0^2 - |v0|^2) / (16 alpha_min) = (dual + 4) / 8
+        (map_positivity_check, gksl.transpose_superop(2), -100.0),
+    ], ids=["generator", "map"])
+    def test_failed_bound_falls_back_to_search(self, monkeypatch, check, arg, dual):
+        monkeypatch.setattr(posmap, "_sphere_minimum", lambda q, g: (np.array([0, 0, 1.0]), dual))
+        verdict = check(arg, budget=8)
         assert verdict.status == STATUS_POSITIVE_NOT_CP
         assert verdict.proof == posmap.PROOF_SEARCH
+
+
+def map_from_choi(j):
+    # inverse of posmap.choi at d = 2
+    return (2 * j).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+
+
+def random_qubit_map(rng, family, shift):
+    # the three families of Hermiticity-preserving qubit maps: a random
+    # Hermitian Choi matrix (the partial transpose of a state, a positive
+    # map, plus a Hermitian perturbation), an evolved random generator
+    # (trace-preserving) and a generator's noise part (trace varies with
+    # the state)
+    if family == 0:
+        j = matcore.partial_transpose(random_density(rng, 4), 2, 2)
+        return map_from_choi(j + random_hermitian(rng, 4) * (shift - 0.5) / 8)
+    gen = random_qubit_generator(rng, shift)
+    return evolve(gen, float(rng.uniform(0.05, 2.0))) if family == 1 else gen.noise
+
+
+def woronowicz_positive(s):
+    # on M_2 positive = decomposable: a certificate whose blocks are PSD and
+    # reassemble J; None where the solver stops without deciding
+    j = choi(s)
+    res = decomp.decomposability_feasibility(j)
+    if res.status == decomp.MAX_ITERATIONS:
+        return None
+    if res.status == decomp.INFEASIBLE_WITNESSED:
+        return False
+    cert = res.certificate
+    assert matcore.is_psd(cert.j1)[0] and matcore.is_psd(cert.j2)[0]
+    assert np.linalg.norm(j - cert.j1 - matcore.partial_transpose(cert.j2, 2, 2)) <= 1e-9
+    return True
+
+
+class TestQubitMapExact:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), family=st.integers(0, 2), shift=st.floats(0.0, 1.5))
+    def test_matches_woronowicz_and_search(self, seed, family, shift):
+        s = random_qubit_map(np.random.default_rng(seed), family, shift)
+        verdict = map_positivity_check(s)
+        if verdict.is_cp:
+            return
+        assert verdict.proof == posmap.PROOF_TRUST_REGION
+        # too close to the boundary for the solver's slack to resolve
+        assume(not -1e-6 < verdict.min_value < 1e-6)
+        oracle = woronowicz_positive(s)
+        assume(oracle is not None)
+        assert verdict.is_positive == oracle
+        if verdict.status == STATUS_NOT_POSITIVE:
+            value = gksl.map_functional(s, *verdict.pair)
+            assert value == pytest.approx(verdict.min_value, abs=1e-12)
+        else:
+            assert verdict.min_value >= -posmap.PSD_SLACK
+        if family == 1:
+            # the exact minimum of a trace-preserving map: no search start goes lower
+            search = posmap._search(s, partial(gksl.map_functional, s), False, 64, seed)
+            assert verdict.min_value <= search.min_value + 1e-9
+
+    @pytest.mark.parametrize("excess,proof", [(0.5, posmap.PROOF_TRUST_REGION),
+                                              (1.5, posmap.PROOF_SEARCH)])
+    def test_bound_scale(self, monkeypatch, excess, proof):
+        # transposition: u0 = 2, v0 = 0, alpha_min = 1/2 and max |M| = 2, so the
+        # bound (dual + 4) / 8 on alpha - |beta| must clear -2 PSD_SLACK
+        dual = -4.0 - excess * 16 * posmap.PSD_SLACK
+        monkeypatch.setattr(posmap, "_sphere_minimum", lambda q, g: (np.array([0, 0, 1.0]), dual))
+        verdict = map_positivity_check(gksl.transpose_superop(2), budget=8)
+        assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP, proof)
 
 
 def flagship_product_generator():
@@ -312,9 +385,12 @@ class TestProofLabels:
         (lambda: map_positivity_check(gksl.trace_to_identity_superop(2)),
          STATUS_CP, posmap.PROOF_CHOI),
         (lambda: map_positivity_check(gksl.transpose_superop(2)),
-         STATUS_POSITIVE_NOT_CP, posmap.PROOF_DECOMPOSITION),
+         STATUS_POSITIVE_NOT_CP, posmap.PROOF_TRUST_REGION),
         (lambda: map_positivity_check(build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0]))).noise),
-         STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH),
+         STATUS_NOT_POSITIVE, posmap.PROOF_TRUST_REGION),
+        # X -> Tr(sigma_3 X) 1 / 2: alpha^2 - |beta|^2 >= 0 everywhere, but alpha < 0 at n = -e3
+        (lambda: map_positivity_check(np.outer([1, 0, 0, 1], [1, 0, 0, -1]) / 2),
+         STATUS_NOT_POSITIVE, posmap.PROOF_TRUST_REGION),
         (lambda: qubit_check([1.0, 1.0, 1.0]), STATUS_CP, posmap.PROOF_KOSSAKOWSKI_PSD),
         (lambda: qubit_check([1.0, -1.0, 1.0]), STATUS_POSITIVE_NOT_CP, posmap.PROOF_TRUST_REGION),
         (lambda: qubit_check([1.0, 1.0, -3.0]), STATUS_NOT_POSITIVE, posmap.PROOF_TRUST_REGION),
@@ -323,8 +399,8 @@ class TestProofLabels:
          STATUS_CP, posmap.PROOF_KOSSAKOWSKI_PSD),
         (lambda: kossakowski_positivity_check(flagship_product_generator(), budget=24),
          STATUS_POSITIVE_NOT_CP, posmap.PROOF_SEARCH),
-    ], ids=["cp-map", "transpose", "noise", "qubit-cp", "qubit-pncp", "qubit-np", "qutrit-cp",
-            "product"])
+    ], ids=["cp-map", "transpose", "noise", "trace-sign", "qubit-cp", "qubit-pncp", "qubit-np",
+            "qutrit-cp", "product"])
     def test_every_path_labelled(self, verdict, status, proof):
         v = verdict()
         assert (v.status, v.proof) == (status, proof)
@@ -357,39 +433,15 @@ class TestMapPositivity:
 
     def test_far_transpose_mixing_decomposed(self):
         # (1+a)/2 id + (1-a)/2 T at gamma t = 2, rotated: the search alone
-        # cannot separate its flat minimum from zero
+        # cannot separate its flat minimum from zero; the exact qubit route can
         rng = np.random.default_rng(38)
         r = gksl.basis_rotation_matrix(random_unitary(rng, 2), pauli_basis())
         gen = build_generator(qubit_spec(r.T @ np.diag([1.0, -1.0, 1.0]) @ r))
         verdict = map_positivity_check(evolve(gen, 2.0))
         assert verdict.status == STATUS_POSITIVE_NOT_CP
-        assert verdict.proof == posmap.PROOF_DECOMPOSITION
-
-    def test_witness_without_pair_undetermined(self, monkeypatch):
-        # the witness proves the noise map is not positive; with no violating
-        # pair to show for it the verdict says why it is undetermined
-        noise = build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0]))).noise
-
-        def canned(l_mat, xs, restricted):
-            return np.full(len(xs), 0.5), np.zeros_like(xs), np.zeros((len(xs), 2), dtype=complex)
-
-        monkeypatch.setattr(posmap, "_evaluate", canned)
-        verdict = map_positivity_check(noise, budget=4)
-        assert verdict.status == posmap.STATUS_UNDETERMINED
-        assert verdict.proof == posmap.PROOF_SEARCH
-        assert "witness" in verdict.reason
-
-    def test_tampered_certificate_rejected(self, monkeypatch):
-        # a certificate whose blocks do not reassemble J proves nothing
-        def forged(j, max_iter=50000):
-            cert = decomp.DecompositionCertificate(j1=np.eye(4) / 4, j2=np.zeros((4, 4)),
-                                                   residual=0.0)
-            return decomp.FeasibilityResult(status=decomp.FEASIBLE, certificate=cert)
-
-        monkeypatch.setattr(decomp, "decomposability_feasibility", forged)
-        verdict = map_positivity_check(gksl.transpose_superop(2), budget=8)
-        assert verdict.status == STATUS_POSITIVE_NOT_CP
-        assert verdict.proof == posmap.PROOF_SEARCH
+        assert verdict.proof == posmap.PROOF_TRUST_REGION
+        # trace-preserving: min_value is the exact minimum, 0 for this family
+        assert abs(verdict.min_value) <= posmap.PSD_SLACK
 
     @pytest.mark.parametrize("check,arg", [
         (map_positivity_check, gksl.transpose_superop(2)),
@@ -398,6 +450,15 @@ class TestMapPositivity:
     def test_zero_budget_rejected(self, check, arg):
         with pytest.raises(PreconditionError):
             check(arg, budget=0)
+
+    @pytest.mark.parametrize("check,arg", [
+        (map_positivity_check, gksl.transpose_superop(2)),
+        (kossakowski_positivity_check, build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))),
+    ])
+    def test_negative_seed_rejected(self, check, arg):
+        # rejected before any exact route, although neither of these would search
+        with pytest.raises(PreconditionError, match="seed"):
+            check(arg, seed=-1)
 
 
 class TestExactGradient:
