@@ -183,6 +183,15 @@ class TestDecompose:
         assert out["status"] == "max_iterations"
         assert out["gap"] > 0
 
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_budget_below_one_rejected(self, spec_files, capsys, max_iter):
+        depol, tmix = spec_files
+        rc = cli.main(["witness", depol, tmix, "--at-time", "0.3", "--max-iter", max_iter])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "max_iter" in captured.err
+
 
 class TestReproduce:
     def test_full_run(self, tmp_path, capsys):

@@ -22,7 +22,7 @@ from sgwl.decomp import (
     witness_product_map,
 )
 from sgwl.gksl import build_generator, evolve, kron_superop, qubit_spec
-from sgwl.matcore import DomainError, PreconditionError, partial_transpose
+from sgwl.matcore import DomainError, NumericalError, PreconditionError, partial_transpose
 from sgwl.posmap import choi
 
 from helpers import (
@@ -77,6 +77,14 @@ def choi_map(a, b, c):
         for k in range(3):
             s[4 * k, 4 * i] += mix[k, i]  # vec index of |k><k| is 4 k
     return s
+
+
+def choi_map_choi(a, p, spread):
+    """Choi matrix of Phi[a,b,c] with bc = p and b + c = spread times the
+    least sum that keeps a + b + c >= 3 and b, c real."""
+    sigma = spread * max(3 - a, 2 * np.sqrt(p))
+    b = (sigma + np.sqrt(sigma * sigma - 4 * p)) / 2
+    return choi(choi_map(a, b, p / b))
 
 
 def per_call_projector(mu, nu):
@@ -155,6 +163,36 @@ def reference_feasibility(j, max_iter=50000):
     return decomp.FeasibilityResult(status=decomp.MAX_ITERATIONS, gap=gap, iterations=it)
 
 
+def reference_case(case):
+    """The Choi matrix and budget of a named reference case: the flagship
+    on both sides of ln(3)/2 = 0.549, Phi[a,b,c] on both sides of
+    Cho-Kye-Lee's bc = (3 - a)^2 / 4, seeded random J, and negative-trace J,
+    whose witness shift is computed on every iteration."""
+    kind, _, arg = case.rpartition("-")
+    rng = np.random.default_rng([47, len(case)])
+    if case.startswith("flagship"):
+        return choi(witness_product_map(float(arg))), 50000
+    if case.startswith("phi"):
+        a, b, c = {
+            "phi-2-decomposable": (2.0, 1.0, 0.3),
+            "phi-2-non-decomposable": (2.0, 1.0, 0.2),
+            "phi-1.5-decomposable": (1.5, 1.2, 0.5),
+            "phi-1.5-non-decomposable": (1.5, 1.2, 0.4),
+        }[case]
+        assert (b * c >= (3 - a) ** 2 / 4) == ("-non-" not in case)
+        return choi(choi_map(a, b, c)), 50000
+    if kind == "psd":
+        return random_psd(rng, int(arg) ** 2), 50000
+    if kind == "indefinite":
+        return random_hermitian(rng, int(arg) ** 2), 50000
+    if kind == "negative-trace":
+        n = int(arg) ** 2
+        j = random_hermitian(rng, n) - 2.0 * np.eye(n)
+        assert np.trace(j).real < 0
+        return j, 50000
+    return choi(witness_product_map(1.0)), int(arg)
+
+
 def result_bytes(res):
     """Everything a FeasibilityResult reports, floats and arrays as raw bytes."""
     cert, wit = res.certificate, res.witness
@@ -163,6 +201,14 @@ def result_bytes(res):
         None if cert is None else (cert.j1.tobytes(), cert.j2.tobytes(), repr(cert.residual)),
         None if wit is None else (wit.mat.tobytes(), wit.ppt_checked),
     )
+
+
+def assert_certificate(j, res):
+    cert = res.certificate
+    d = int(round(np.sqrt(j.shape[0])))
+    assert matcore.is_psd(cert.j1)[0] and matcore.is_psd(cert.j2)[0]
+    assert cert.residual <= matcore.FEASIBILITY_TOL
+    assert np.abs(cert.j1 + partial_transpose(cert.j2, d, d, "A") - j).max() < 1e-10
 
 
 def assert_witness(j, res):
@@ -314,7 +360,8 @@ class TestValidationCount:
 class TestEigensolverCount:
     """Each iteration of the projection loop costs two eigendecompositions;
     the witness shift's eigvalsh runs only when the unshifted pairing is
-    negative."""
+    negative, and the certificate test of an accelerated iteration adds
+    one more."""
 
     def test_feasible_flagship(self, monkeypatch):
         j = choi(witness_product_map(1.0))
@@ -332,6 +379,18 @@ class TestEigensolverCount:
         assert n_eigh <= 2 * res.iterations + 1
         # WitnessState validation takes two of them
         assert n_eigvalsh <= res.iterations + 2
+
+    def test_accelerated_choi_map(self, monkeypatch):
+        j = choi(choi_map(2.0, 1.0, 0.3))
+        n_eigh, n_eigvalsh, res = count_eigensolvers(
+            monkeypatch, lambda: decomposability_feasibility(j))
+        assert res.status == FEASIBLE and res.iterations > decomp.ACCELERATION_START
+        assert n_eigh == 2 * res.iterations + 1
+        assert n_eigh + n_eigvalsh <= 3 * res.iterations + 1
+        # only iterations past ACCELERATION_START pay eigvalsh here: the
+        # certificate test, and the witness shift where an extrapolated
+        # A-step turns the unshifted pairing negative
+        assert 0 < n_eigvalsh <= 2 * (res.iterations - decomp.ACCELERATION_START)
 
 
 class TestPairingTable:
@@ -583,41 +642,68 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("case", [
         "flagship-0.2", "flagship-0.5", "flagship-0.6", "flagship-1.0",
-        "phi-2-decomposable", "phi-2-non-decomposable",
-        "phi-1.5-decomposable", "phi-1.5-non-decomposable",
+        "phi-2-non-decomposable", "phi-1.5-non-decomposable",
         "psd-2", "psd-3", "psd-4", "indefinite-2", "indefinite-3", "indefinite-4",
         "negative-trace-2", "negative-trace-3", "max-iter-3",
     ])
     def test_bit_identical_to_reference(self, case):
-        # the flagship on both sides of ln(3)/2 = 0.549, Phi[a,b,c] on both
-        # sides of Cho-Kye-Lee's bc = (3 - a)^2 / 4, seeded random J, and
-        # negative-trace J, whose witness shift is computed on every iteration
-        kind, _, arg = case.rpartition("-")
-        rng = np.random.default_rng([47, len(case)])
-        max_iter = 50000
-        if case.startswith("flagship"):
-            j = choi(witness_product_map(float(arg)))
-        elif case.startswith("phi"):
-            a, b, c = {
-                "phi-2-decomposable": (2.0, 1.0, 0.3),
-                "phi-2-non-decomposable": (2.0, 1.0, 0.2),
-                "phi-1.5-decomposable": (1.5, 1.2, 0.5),
-                "phi-1.5-non-decomposable": (1.5, 1.2, 0.4),
-            }[case]
-            assert (b * c >= (3 - a) ** 2 / 4) == ("-non-" not in case)
-            j = choi(choi_map(a, b, c))
-        elif kind == "psd":
-            j = random_psd(rng, int(arg) ** 2)
-        elif kind == "indefinite":
-            j = random_hermitian(rng, int(arg) ** 2)
-        elif kind == "negative-trace":
-            n = int(arg) ** 2
-            j = random_hermitian(rng, n) - 2.0 * np.eye(n)
-            assert np.trace(j).real < 0
-        else:
-            j, max_iter = choi(witness_product_map(1.0)), int(arg)
+        # every case ends within ACCELERATION_START iterations, so the
+        # accelerated loop takes exactly the plain loop's steps
+        j, max_iter = reference_case(case)
         got = decomposability_feasibility(j, max_iter=max_iter)
+        assert got.iterations <= decomp.ACCELERATION_START
         assert result_bytes(got) == result_bytes(reference_feasibility(j, max_iter=max_iter))
+
+    @pytest.mark.parametrize("case", ["phi-2-decomposable", "phi-1.5-decomposable"])
+    def test_accelerated_against_reference(self, case):
+        # near Cho-Kye-Lee's boundary the plain loop needs 394 and 303
+        # iterations; past ACCELERATION_START the accelerated loop takes
+        # other steps to the same verdict, with a certificate that re-verifies
+        j, max_iter = reference_case(case)
+        got = decomposability_feasibility(j, max_iter=max_iter)
+        ref = reference_feasibility(j, max_iter=max_iter)
+        assert got.status == ref.status == FEASIBLE
+        assert_certificate(j, got)
+        assert decomp.ACCELERATION_START < got.iterations < ref.iterations
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.floats(1.0, 2.9),
+        excess=st.floats(1.0, 1.5),
+        spread=st.floats(1.05, 1.5),
+    )
+    def test_accelerated_near_boundary(self, a, excess, spread):
+        # decomposable Phi[a,b,c] between 1 and 1.5 times the boundary
+        # product bc = (3 - a)^2 / 4, where the plain loop needs several
+        # hundred iterations and the accelerated phase decides
+        j = choi_map_choi(a, excess * (3 - a) ** 2 / 4, spread)
+        got = decomposability_feasibility(j)
+        ref = reference_feasibility(j)
+        assert got.status == ref.status == FEASIBLE
+        assert_certificate(j, got)
+        assert got.iterations <= ref.iterations
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1.2, 2.8), share=st.floats(0.99, 0.999))
+    def test_accelerated_witness_near_boundary(self, a, share):
+        # positive, non-decomposable Phi[a,b,c] just below the boundary,
+        # where the plain loop needs up to about 220 iterations to witness
+        floor = max(2 - a, 0.0) ** 2
+        j = choi_map_choi(a, floor + share * ((3 - a) ** 2 / 4 - floor), 1.25)
+        got = decomposability_feasibility(j)
+        ref = reference_feasibility(j)
+        assert got.status == ref.status == INFEASIBLE_WITNESSED
+        assert_witness(j, got)
+        assert got.pairing == pytest.approx(ref.pairing, abs=1e-9)
+        assert got.iterations <= ref.iterations
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_indefinite_same_status(self, d, seed):
+        j = random_hermitian(np.random.default_rng(seed), d * d)
+        got = decomposability_feasibility(j)
+        assert got.status == reference_feasibility(j).status == INFEASIBLE_WITNESSED
+        assert_witness(j, got)
 
     def test_budget_exhaustion(self):
         # too few iterations to certify, and no witness exists in the
@@ -626,6 +712,21 @@ class TestFeasibility:
         assert res.status == decomp.MAX_ITERATIONS
         assert res.gap > 0
         assert res.iterations == 3
+
+    def test_budget_exhaustion_while_accelerated(self):
+        # the budget runs out two accelerated iterations in, before the
+        # certificate test passes on a true projection
+        max_iter = decomp.ACCELERATION_START + 2
+        res = decomposability_feasibility(choi(choi_map(2.0, 1.0, 0.3)), max_iter=max_iter)
+        assert res.status == decomp.MAX_ITERATIONS
+        assert res.certificate is None and res.witness is None
+        assert 0 < res.gap < np.inf
+        assert res.iterations == max_iter
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_budget_below_one_rejected(self, max_iter):
+        with pytest.raises(PreconditionError, match="max_iter"):
+            decomposability_feasibility(choi(witness_product_map(1.0)), max_iter=max_iter)
 
 
 class TestThreshold:
@@ -660,6 +761,23 @@ class TestThreshold:
         # finite ends whose distance overflows
         with pytest.raises(DomainError, match="width"):
             find_threshold(lambda t: t, lambda t: t - 0.3, -1e308, 1e308)
+
+    def test_non_finite_criterion_rejected(self):
+        # a NaN has no sign: it must not pass for a nonnegative value
+        def ends(t):
+            return -1.0 if t < 0.5 else float("nan")
+
+        with pytest.raises(NumericalError, match=r"not finite at t = 1\.0"):
+            find_threshold(lambda t: t, ends, 0.0, 1.0)
+        with pytest.raises(NumericalError, match=r"not finite at t = 0\.0"):
+            find_threshold(lambda t: t, lambda t: -np.inf if t == 0.0 else 1.0, 0.0, 1.0)
+
+        # finite at both ends, NaN at the first interior point
+        def interior(t):
+            return -1.0 if t < 0.4 else (1.0 if t > 0.9 else float("nan"))
+
+        with pytest.raises(NumericalError, match=r"not finite at t = 0\.5"):
+            find_threshold(lambda t: t, interior, 0.0, 1.0)
 
     def test_wide_bracket(self):
         # the ITP arithmetic stays finite on a bracket 2e300 wide
@@ -784,6 +902,8 @@ class TestPropagation:
         gen = build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))
         with pytest.raises(PreconditionError):
             decomposability_propagation_check(gen, budget=0)
+        with pytest.raises(PreconditionError, match="max_iter"):
+            decomposability_propagation_check(gen, max_iter=0)
 
     def test_cp_noise_holds(self):
         rng = np.random.default_rng(41)
