@@ -17,8 +17,8 @@ exponential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -48,12 +48,14 @@ ORTHONORMALITY_TOL = 1e-10  # on |<phi|psi>| of a pair and |V V^dag - 1| of a un
 TRACE_PRESERVATION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianBasis:
     """Orthonormal Hermitian basis of M_d with the identity element first.
 
     ``elements[0]`` is ``1/sqrt(d)``; the remaining ``d^2 - 1`` elements are
     traceless.  Orthonormality is in the Hilbert-Schmidt inner product.
+    Equality and hash are by identity, as for every array-holding record
+    here.
     """
 
     dim: int
@@ -109,7 +111,7 @@ def standard_basis(d: int) -> HermitianBasis:
     return gell_mann_basis(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KossakowskiSpec:
     """Input data for a generator: dimension, Hamiltonian, Kossakowski matrix.
 
@@ -149,7 +151,7 @@ def qubit_spec(c_matrix, hamiltonian=None, label: str = "") -> KossakowskiSpec:
     return KossakowskiSpec(2, h, np.asarray(c_matrix, dtype=complex), pauli_basis(), label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Assembled generator: full = noise + pseudo_h, all d^2 x d^2 matrices.
 
@@ -164,8 +166,8 @@ class Generator:
     noise: np.ndarray
     pseudo_h: np.ndarray
     k_matrix: np.ndarray
-    spec: KossakowskiSpec | None = field(default=None, compare=False)
-    factors: tuple[Generator, Generator] | None = field(default=None, compare=False)
+    spec: KossakowskiSpec | None = None
+    factors: tuple[Generator, Generator] | None = None
 
 
 def apply_superop(s, x) -> np.ndarray:
@@ -227,25 +229,46 @@ def _kron_superop(sa: np.ndarray, sb: np.ndarray, da: int, db: int) -> np.ndarra
     return (a * b).reshape(dd * dd, dd * dd)
 
 
+@lru_cache(maxsize=32)
+def _traceless_stack(basis: HermitianBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The traceless elements F_1..F_n of a basis as an ``(n, d^2)`` stack of
+    flattened elements, and their conjugates as an ``(n, d, d)`` stack.
+
+    Built once per basis object and read-only, like the basis elements
+    themselves.  The cache is keyed by identity and bounded, so bases that a
+    caller makes one per spec do not pile up.
+    """
+    fs = np.asarray(basis.traceless())
+    stacks = (fs.reshape(fs.shape[0], -1), fs.conj())
+    for m in stacks:
+        m.setflags(write=False)
+    return stacks
+
+
 def build_generator(spec: KossakowskiSpec) -> Generator:
     """Assemble full, noise and pseudo-Hamiltonian superoperators from a spec.
 
-    One contraction over the stacked traceless basis F: with
-    ``X_b = sum_a C[a,b] F_a``, the noise part is
-    ``sum_b kron(conj(F_b), X_b)`` (the superoperator of
-    ``rho -> sum_b X_b rho F_b^dag``) and ``K = sum_b F_b^dag X_b``.  The
-    spec's H and C were validated when it was made, so nothing is checked
-    again here.
+    With ``X_b = sum_a C[a,b] F_a`` over the basis' cached traceless stack,
+    the noise part ``sum_b kron(conj(F_b), X_b)`` (the superoperator of
+    ``rho -> sum_b X_b rho F_b^dag``) is one (d^2 x n)(n x d^2) product,
+    ``conj(F)^T X``, read with its row and column indices reshuffled.
+    ``K = sum_b F_b^dag X_b`` is a d x d contraction, and the
+    pseudo-Hamiltonian part two broadcast products.  The spec's H and C were
+    validated when it was made, so nothing is checked again here.
     """
     d = spec.dim
-    fs = np.asarray(spec.basis.traceless())
-    x = np.tensordot(spec.c_matrix, fs, axes=(0, 0))
-    noise = np.einsum("bij,bkl->ikjl", fs.conj(), x).reshape(d * d, d * d)
-    k = np.einsum("bji,bjk->ik", fs.conj(), x)
-    # -i[H, rho] - {K, rho}/2 = G rho + rho G' with G = -iH - K/2, G' = iH - K/2
+    flat, conj = _traceless_stack(spec.basis)
+    x = spec.c_matrix.T @ flat
+    noise = (conj.reshape(flat.shape).T @ x).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    noise = noise.reshape(d * d, d * d)
+    k = np.einsum("bji,bjk->ik", conj, x.reshape(conj.shape))
+    # -i[H, rho] - {K, rho}/2 = G rho + rho G' with G = -iH - K/2, G' = iH - K/2:
+    # kron(1, G) + kron(G'^T, 1), entry ((a, i), (b, j)) on column-stacked vectors
     ident = np.eye(d)
     h = spec.hamiltonian
-    pseudo = np.kron(ident, -1j * h - 0.5 * k) + np.kron((1j * h - 0.5 * k).T, ident)
+    pseudo = (ident[:, None, :, None] * (-1j * h - 0.5 * k)[None, :, None, :]
+              + (1j * h - 0.5 * k).T[:, None, :, None] * ident[None, :, None, :])
+    pseudo = pseudo.reshape(d * d, d * d)
     return Generator(d, noise + pseudo, noise, pseudo, k, spec)
 
 
@@ -350,12 +373,19 @@ def map_functional(s, psi, phi) -> float:
 
     Negativity for some pair proves the map S is not positive.
     """
-    return _functional(s, *_unit_pair(psi, phi))
+    sm = as_cmatrix(s)
+    p, q = _unit_pair(psi, phi)
+    d = p.size
+    if sm.shape != (d * d, d * d):
+        raise ShapeError(f"superoperator {sm.shape} does not act on {d}x{d} matrices")
+    return _functional(sm, p, q)
 
 
-def _functional(s, p: np.ndarray, q: np.ndarray) -> float:
-    """Re <q| S[|p><p|] |q> for unit vectors, checking the imaginary part."""
-    m = apply_superop(s, np.outer(p, p.conj()))
+def _functional(s: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """Re <q| S[|p><p|] |q> for unit vectors and a trusted d^2 x d^2 S,
+    checking the imaginary part."""
+    d = p.size
+    m = (s @ np.outer(p, p.conj()).T.reshape(-1)).reshape(d, d).T
     val = np.vdot(q, m @ q)
     if abs(val.imag) > 1e-10:
         raise matcore.NumericalError(f"functional has imaginary part {val.imag:.3e}")

@@ -78,6 +78,11 @@ def as_hermitian(x) -> np.ndarray:
     a = as_cmatrix(x)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"Hermitian matrix must be square, got {a.shape}")
+    return _as_hermitian(a)
+
+
+def _as_hermitian(a: np.ndarray) -> np.ndarray:
+    """:func:`as_hermitian` of a square array that already passed :func:`as_cmatrix`."""
     scale = max(np.abs(a).max(), 1.0)
     dev = np.abs(a - a.conj().T).max()
     if dev > HERMITICITY_TOL * scale:
@@ -88,9 +93,12 @@ def as_hermitian(x) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    Equality and hash are by identity: the fields are arrays.
+    """
 
     values: np.ndarray
     vectors: np.ndarray

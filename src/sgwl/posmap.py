@@ -16,14 +16,17 @@ many starts run in lockstep, with the exact gradient taken from the same
 batched Hermitian eigensolve that gives the inner minimum over phi.
 
 Every verdict names its ``proof``.  Violation reports are always
-re-validated by direct evaluation before being returned, while a
-"positive" outcome of the search (proof ``search``) is a statement about
-the search, not a proof (hence the Undetermined status when starts
-disagree).
+re-validated by direct evaluation before being returned: on the qubit
+routes the pair is written in closed form from the Bloch vectors and the
+functional is evaluated at it directly.  A "positive" outcome of the search
+(proof ``search``) is a statement about the search, not a proof (hence the
+Undetermined status when starts disagree).  Public entries validate their
+inputs once; the internal routes work on the arrays those entries checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -31,7 +34,14 @@ import numpy as np
 
 from . import gksl, matcore
 from .gksl import SIGMA, Generator, HermitianBasis
-from .matcore import PSD_SLACK, PreconditionError, ShapeError, as_cmatrix, as_hermitian
+from .matcore import (
+    PSD_SLACK,
+    PreconditionError,
+    ShapeError,
+    _as_hermitian,
+    as_cmatrix,
+    as_hermitian,
+)
 
 STATUS_CP = "CompletelyPositive"
 STATUS_POSITIVE_NOT_CP = "PositiveNotCP"
@@ -55,10 +65,20 @@ class PositivityVerdict:
 
     Exactly one kind of certificate is populated, depending on how the
     verdict was reached: the minimal Choi eigenpair, a violating vector
-    pair with its functional value, the exact qubit minimum, or the best
-    minimum found by the optimizer together with its per-start statistics.
+    pair with its functional value, the exact qubit minimum with its pair,
+    or the best minimum found by the optimizer together with its per-start
+    statistics.
     A verdict proved by C >= 0 off the qubit path reports ``min_value`` 0,
     a lower bound, not a minimum.
+
+    On the qubit routes ``min_value`` is the functional at ``pair``, the
+    pair the trust-region subproblem gives, and ``pair`` is set whatever the
+    status.  For a generator, and for a map on M_2 whose trace
+    tr S[|psi><psi|] is the same for every psi (trace preserving, or trace
+    scaling by a constant), that is the exact minimum.  For a map on M_2
+    whose trace varies with psi it is only an upper bound on the minimum of
+    the smallest eigenvalue of S[|psi><psi|], and can lie well above it;
+    the status is exact all the same.
 
     ``proof`` names how the status was reached: ``choi`` (Choi spectrum),
     ``kossakowski-psd`` (C >= 0), ``trust-region`` (exact qubit minimum, of
@@ -93,7 +113,11 @@ def choi(s) -> np.ndarray:
 
     With column-stacking this is an index reshuffle of the superoperator.
     """
-    sm = as_cmatrix(s)
+    return _choi(as_cmatrix(s))
+
+
+def _choi(sm: np.ndarray) -> np.ndarray:
+    """:func:`choi` of an array that already passed :func:`as_cmatrix`."""
     d = int(round(np.sqrt(sm.shape[0])))
     if sm.shape != (d * d, d * d):
         raise ShapeError(f"superoperator must be d^2 x d^2, got {sm.shape}")
@@ -115,7 +139,7 @@ def is_completely_positive(s) -> PositivityVerdict:
     Returns status CompletelyPositive or Undetermined (not CP says nothing
     about plain positivity); the minimal Choi eigenpair is attached.
     """
-    return _cp_verdict(as_hermitian(choi(s)))
+    return _cp_verdict(_as_hermitian(choi(s)))
 
 
 def _cp_verdict(j: np.ndarray) -> PositivityVerdict:
@@ -256,37 +280,62 @@ def _sphere_minimum(q: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     y_i = -b_i / (w_i + s) where |y(s)| = 1 (More & Sorensen, SIAM J. Sci.
     Stat. Comput. 1983).  1/|y(s)| is concave and increasing in s, so Newton's
     method from the lower bound s >= max_i (|b_i| - w_i) converges
-    monotonically.  In the hard case |y(0)| < 1 and s = 0; the remaining norm
-    goes along the lowest eigenvector.  The Lagrangian dual value
+    monotonically; it runs on the three coordinates as plain floats.  In the
+    hard case |y(0)| < 1 and s = 0; the remaining norm goes along the lowest
+    eigenvector.  The Lagrangian dual value
     lam[0] - s - sum_i b_i^2 / (w_i + s) bounds the minimum from below and
     is returned with the minimizer.
     """
     lam, u = np.linalg.eigh(q)
-    b = u.T @ g / 2
-    w = lam - lam[0]
-    s = max(0.0, float(np.max(np.abs(b) - w)))
+    b = (u.T @ g / 2).tolist()
+    w = (lam - lam[0]).tolist()
+    s = max(0.0, *(abs(bi) - wi for bi, wi in zip(b, w)))
 
     def solve(s):
-        den = w + s
-        return np.divide(-b, den, out=np.zeros_like(b), where=den > 0), den
+        return [-bi / (wi + s) if wi + s > 0 else 0.0 for bi, wi in zip(b, w)]
 
-    y, den = solve(s)
-    r = float(np.linalg.norm(y))
+    def weighted(s, power):
+        # sum_i b_i^2 / (w_i + s)^power over the terms with w_i + s > 0
+        return sum(bi * bi / (wi + s) ** power for bi, wi in zip(b, w) if wi + s > 0)
+
+    y = solve(s)
+    r = math.hypot(*y)
     for _ in range(100):
         if r <= 1.0 + 1e-15:
             break
-        curve = float(np.sum(np.divide(b * b, den**3, out=np.zeros_like(b), where=den > 0)))
-        step = (r - 1.0) * r * r / curve
+        step = (r - 1.0) * r * r / weighted(s, 3)
         s += step
-        y, den = solve(s)
-        r = float(np.linalg.norm(y))
+        y = solve(s)
+        r = math.hypot(*y)
         if step <= 1e-15 * s:
             break
     if s == 0.0 and r < 1.0:
-        y[0] = np.sqrt(1.0 - r * r)
-    bound = lam[0] - s - float(np.sum(np.divide(b * b, den, out=np.zeros_like(b), where=den > 0)))
+        y[0] = math.sqrt(1.0 - r * r)
     n = u @ y
-    return n / np.linalg.norm(n), bound
+    return n / np.linalg.norm(n), float(lam[0]) - s - weighted(s, 1)
+
+
+def _bloch_pair(n) -> tuple[np.ndarray, np.ndarray]:
+    """The +1 and -1 eigenvectors of n.sigma / |n| for a real 3-vector n,
+    in closed form; (|0>, |1>) for n = 0.
+
+    With n / |n| = (x, y, z) the +1 eigenvector is (1 + z, x + iy) scaled by
+    1 / sqrt(2 (1 + z)) for z >= 0, and (x - iy, 1 - z) / sqrt(2 (1 - z))
+    for z < 0, so the divisor never falls below sqrt(2).  The -1
+    eigenvector is (-conj(b), conj(a)) for the +1 eigenvector (a, b).
+    """
+    x, y, z = (float(c) for c in n)
+    r = math.hypot(x, y, z)
+    if r == 0.0:
+        x, y, z, r = 0.0, 0.0, 1.0, 1.0
+    x, y, z = x / r, y / r, z / r
+    if z >= 0.0:
+        a, b = complex(1.0 + z), complex(x, y)
+    else:
+        a, b = complex(x, -y), complex(1.0 - z)
+    scale = 1.0 / math.sqrt(2.0 * (1.0 + abs(z)))
+    a, b = a * scale, b * scale
+    return np.array([a, b]), np.array([-b.conjugate(), a.conjugate()])
 
 
 def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
@@ -295,26 +344,26 @@ def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
     With P = (1 + n.sigma)/2, psi spans the range of P and phi that of
     1 - P, so f = Tr((1 - P) L(P)) = n^T Q n + g^T n for M_jk = Tr(sigma_j L(sigma_k)),
     Q = -sym(M[1:, 1:]) / 4 and g = -M[1:, 0] / 4 (row 0 of M vanishes by
-    trace preservation).  The value at the minimizer is re-validated by
-    ``gksl.positivity_functional``; a positive verdict also needs the dual
-    lower bound within the slack.
+    trace preservation).  The pair at the minimizer n is written in closed
+    form (:func:`_bloch_pair`) and f is evaluated at it directly, so the
+    reported value is that of a pair, not of the quadratic; a positive
+    verdict also needs the dual lower bound within the slack.
     """
     m = (_PAULI_VECS.conj().T @ gen.full @ _PAULI_VECS).real
     q = -(m[1:, 1:] + m[1:, 1:].T) / 8
     n, bound = _sphere_minimum(q, -m[1:, 0] / 4)
-    _, v = np.linalg.eigh(np.tensordot(n, np.array(SIGMA[1:]), axes=1))
-    psi, phi = v[:, 1], v[:, 0]
-    value = gksl.positivity_functional(gen, psi, phi)
+    pair = _bloch_pair(n)
+    value = gksl._functional(gen.full, *pair)
     if value < -PSD_SLACK:
-        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=(psi, phi),
+        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
                                  proof=PROOF_TRUST_REGION)
     if bound < -PSD_SLACK * max(1.0, float(np.abs(m).max())):
         return None
     if proved_cp:
-        return PositivityVerdict(status=STATUS_CP, min_value=value, spread=0.0,
+        return PositivityVerdict(status=STATUS_CP, min_value=value, pair=pair, spread=0.0,
                                  proof=PROOF_KOSSAKOWSKI_PSD)
-    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value, spread=0.0,
-                             proof=PROOF_TRUST_REGION)
+    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value, pair=pair,
+                             spread=0.0, proof=PROOF_TRUST_REGION)
 
 
 def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
@@ -356,7 +405,11 @@ def _proved_cp(gen: Generator) -> bool:
     (exp(t L1) (x) exp(t L2) of CP maps), checked through nested products."""
     if gen.factors is not None:
         return all(_proved_cp(g) for g in gen.factors)
-    return gen.spec is not None and matcore.is_psd(gen.spec.c_matrix)[0]
+    if gen.spec is None:
+        return False
+    # the spec's C passed the Hermiticity gate when the spec was made
+    w = np.linalg.eigvalsh(gen.spec.c_matrix)
+    return bool(w[0] >= matcore._psd_bound(w))
 
 
 def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:
@@ -368,7 +421,8 @@ def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:
     alpha >= 0 and 16 (alpha^2 - |beta|^2) = n^T (u u^T - V^T V) n
     + 2 (u0 u - V^T v0).n + u0^2 - |v0|^2 >= 0 on |n| = 1.  The pair (psi for
     n, phi for -beta(n)) at its minimizer, or at n = -u/|u| where
-    alpha_min = (u0 - |u|)/4 < 0, is re-validated by ``gksl.map_functional``.
+    alpha_min = (u0 - |u|)/4 < 0, is written in closed form
+    (:func:`_bloch_pair`) and the functional is evaluated at it directly.
     A positive verdict needs alpha_min above the slack and the dual bound of
     that quadratic over 16 alpha_min, a bound on alpha - |beta|, within it.
     """
@@ -380,9 +434,8 @@ def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:
 
     def at(n):
         # psi: top eigenvector of n.sigma; phi: bottom one of beta(n).sigma
-        _, e = np.linalg.eigh(np.tensordot(np.stack([n, v0 + v @ n]), np.array(SIGMA[1:]), axes=1))
-        psi, phi = e[0, :, 1], e[1, :, 0]
-        return gksl.map_functional(sm, psi, phi), (psi, phi)
+        pair = _bloch_pair(n)[0], _bloch_pair(v0 + v @ n)[1]
+        return gksl._functional(sm, *pair), pair
 
     value, pair = at(n)
     if value >= -PSD_SLACK and alpha_min < 0 < r:
@@ -393,8 +446,8 @@ def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:
     if alpha_min <= PSD_SLACK or ((dual + u0 * u0 - v0 @ v0) / (16 * alpha_min)
                                   < -PSD_SLACK * max(1.0, float(np.abs(m).max()))):
         return None
-    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value, spread=0.0,
-                             proof=PROOF_TRUST_REGION)
+    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value, pair=pair,
+                             spread=0.0, proof=PROOF_TRUST_REGION)
 
 
 def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> PositivityVerdict:
@@ -402,16 +455,19 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
     eigenvalue of S[|psi><psi|] over pure states (no orthogonality here:
     a map is positive iff these images are all PSD).
 
-    CP maps short-circuit through the Choi check.  A map on M_2 is decided
+    S is validated once and its Choi matrix gated for Hermiticity once.  CP
+    maps short-circuit through the Choi check.  A map on M_2 is decided
     exactly, by a trust-region subproblem on the Bloch sphere, unless its
-    dual bound fails; other maps are searched.  On M_2 ``min_value`` is the
-    exact minimum whenever tr S[|psi><psi|] does not depend on psi (every
-    trace-preserving or trace-scaling map); otherwise it is the value at the
-    subproblem's pair, re-validated and violating if NotPositive.
+    dual bound fails; other maps are searched.  When that exact route
+    decides, ``min_value`` is the value at the returned pair: the exact
+    minimum whenever
+    tr S[|psi><psi|] does not depend on psi (every trace-preserving or
+    trace-scaling map), otherwise only an upper bound on it (see
+    :class:`PositivityVerdict`).
     """
     _check_search_args(budget, seed)
     sm = as_cmatrix(s)
-    cp = _cp_verdict(as_hermitian(choi(sm)))
+    cp = _cp_verdict(_as_hermitian(_choi(sm)))
     if cp.is_cp:
         return cp
     verdict = _qubit_map_exact(sm) if sm.shape == (4, 4) else None

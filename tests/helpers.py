@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded random inputs and call counters."""
+"""Shared helpers for the test suite: seeded random inputs, call counters and
+the earlier formulations that faster code is checked against."""
 
 import numpy as np
 
@@ -73,3 +74,26 @@ def count_eigensolvers(monkeypatch, call):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     result = call()
     return eigh.calls, eigvalsh.calls, result
+
+
+def reference_generator(spec):
+    """``gksl.build_generator`` as it was before the cached basis stack: a
+    4-index ``einsum`` for the noise part and two ``np.kron`` for the
+    pseudo-Hamiltonian part."""
+    d = spec.dim
+    fs = np.asarray(spec.basis.traceless())
+    x = np.tensordot(spec.c_matrix, fs, axes=(0, 0))
+    noise = np.einsum("bij,bkl->ikjl", fs.conj(), x).reshape(d * d, d * d)
+    k = np.einsum("bji,bjk->ik", fs.conj(), x)
+    ident = np.eye(d)
+    h = spec.hamiltonian
+    pseudo = np.kron(ident, -1j * h - 0.5 * k) + np.kron((1j * h - 0.5 * k).T, ident)
+    return gksl.Generator(d, noise + pseudo, noise, pseudo, k, spec)
+
+
+def reference_bloch_pair(n):
+    """The +1 and -1 eigenvectors of n.sigma from ``eigh``, as the qubit
+    routes found their pairs before the closed form."""
+    _, v = np.linalg.eigh(np.tensordot(np.asarray(n, dtype=float), np.array(gksl.SIGMA[1:]),
+                                       axes=1))
+    return v[:, 1], v[:, 0]

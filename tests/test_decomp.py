@@ -354,7 +354,58 @@ class TestValidationCount:
         s = evolve(build_generator(qubit_spec(r.T @ np.diag([1.0, -1.0, 1.0]) @ r)), 2.0)
         n, verdict = count_validations(monkeypatch, lambda: posmap.map_positivity_check(s))
         assert verdict.proof == posmap.PROOF_TRUST_REGION
-        assert n < 30
+        # S itself, once: the Choi matrix's Hermiticity gate and the
+        # re-evaluation at the pair work on the validated array
+        assert n == 1
+
+    @pytest.mark.parametrize("rates,proof", [
+        ([1.0, -1.0, 1.0], posmap.PROOF_TRUST_REGION),
+        ([1.0, 1.0, -3.0], posmap.PROOF_TRUST_REGION),
+        ([1.0, 1.0, 1.0], posmap.PROOF_KOSSAKOWSKI_PSD),
+    ])
+    def test_qubit_generator_check(self, monkeypatch, rates, proof):
+        gen = build_generator(qubit_spec(np.diag(rates), np.diag([0.3, -0.3])))
+        n, verdict = count_validations(monkeypatch,
+                                       lambda: posmap.kossakowski_positivity_check(gen))
+        assert verdict.proof == proof
+        assert n == 0
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_psd_kossakowski_check(self, monkeypatch, d):
+        rng = np.random.default_rng(39 + d)
+        gen = build_generator(gksl.KossakowskiSpec(d, random_hermitian(rng, d),
+                                                   random_psd(rng, d * d - 1),
+                                                   gksl.gell_mann_basis(d)))
+        n, verdict = count_validations(monkeypatch,
+                                       lambda: posmap.kossakowski_positivity_check(gen))
+        assert verdict.proof == posmap.PROOF_KOSSAKOWSKI_PSD
+        assert n == 0
+
+
+class TestQubitEigensolverCount:
+    """The qubit routes pay one eigh for the trust-region subproblem; the
+    generator route adds the eigvalsh of C >= 0, the map route the Choi
+    check's eigh.  The pair is written in closed form."""
+
+    @pytest.mark.parametrize("rates", [[1.0, -1.0, 1.0], [1.0, 1.0, -3.0], [1.0, 1.0, 1.0]])
+    def test_generator(self, monkeypatch, rates):
+        gen = build_generator(qubit_spec(np.diag(rates)))
+        n_eigh, n_eigvalsh, verdict = count_eigensolvers(
+            monkeypatch, lambda: posmap.kossakowski_positivity_check(gen))
+        assert verdict.proof != posmap.PROOF_SEARCH
+        assert (n_eigh, n_eigvalsh) == (1, 1)
+
+    @pytest.mark.parametrize("s", [
+        gksl.transpose_superop(2),
+        build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0]))).noise,
+        # X -> Tr(sigma_3 X) 1 / 2 is decided at n = -e3, a second pair
+        np.outer([1, 0, 0, 1], [1, 0, 0, -1]) / 2,
+    ], ids=["transpose", "noise", "trace-sign"])
+    def test_map(self, monkeypatch, s):
+        n_eigh, n_eigvalsh, verdict = count_eigensolvers(
+            monkeypatch, lambda: posmap.map_positivity_check(s))
+        assert verdict.proof == posmap.PROOF_TRUST_REGION
+        assert (n_eigh, n_eigvalsh) == (2, 0)
 
 
 class TestEigensolverCount:

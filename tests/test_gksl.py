@@ -27,6 +27,7 @@ from helpers import (
     random_hermitian,
     random_orthonormal_pair,
     random_unitary,
+    reference_generator,
 )
 
 
@@ -39,7 +40,7 @@ def gram(elems):
     return g
 
 
-def reference_generator(spec):
+def loop_generator(spec):
     """The double loop over basis pairs that assembled generators before the
     single contraction; returns (full, noise, pseudo_h, k_matrix)."""
     d = spec.dim
@@ -111,6 +112,22 @@ class TestBases:
                 b.elements[1][0, 0] = 5.0
 
 
+class TestIdentityEquality:
+    # records that hold arrays compare and hash by identity: a field-wise ==
+    # would have to reduce array comparisons to one truth value
+    @pytest.mark.parametrize("make", [
+        lambda: HermitianBasis(2, pauli_basis().elements),
+        lambda: qubit_spec(np.eye(3)),
+        lambda: build_generator(qubit_spec(np.eye(3))),
+    ], ids=["basis", "spec", "generator"])
+    def test_eq_and_hash(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+        assert {a: 1}[a] == 1
+
+
 class TestBuildGenerator:
     def test_depolarizing_closed_form(self):
         # all rates 1: L[rho] = Tr(rho) id - 2 rho
@@ -147,9 +164,24 @@ class TestBuildGenerator:
         gen = build_generator(spec)
         tol = 1e-12 * max(1.0, np.linalg.norm(c, 2))
         for got, want in zip(
-            (gen.full, gen.noise, gen.pseudo_h, gen.k_matrix), reference_generator(spec)
+            (gen.full, gen.noise, gen.pseudo_h, gen.k_matrix), loop_generator(spec)
         ):
             assert np.abs(got - want).max() < tol
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           c_scale=st.sampled_from([1e-3, 1.0, 1e3]), h_scale=st.sampled_from([0.0, 1.0, 1e3]))
+    def test_matches_einsum_reference(self, d, seed, c_scale, h_scale):
+        # the GEMM over the cached basis stack against the 4-index einsum and
+        # the two kron products it replaced: equal up to summation order
+        rng = np.random.default_rng(seed)
+        c = c_scale * random_hermitian(rng, d * d - 1)
+        h = h_scale * random_hermitian(rng, d)
+        spec = gksl.KossakowskiSpec(d, h, c, gell_mann_basis(d))
+        gen, ref = build_generator(spec), reference_generator(spec)
+        tol = 1e-14 * max(1.0, np.linalg.norm(c, 2), np.linalg.norm(h, 2))
+        for part in ("full", "noise", "pseudo_h", "k_matrix"):
+            assert np.abs(getattr(gen, part) - getattr(ref, part)).max() <= tol
 
     def test_parts_recompose(self):
         rng = np.random.default_rng(14)

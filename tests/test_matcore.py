@@ -46,6 +46,12 @@ class TestHermitianEig:
             assert resid <= 1e-10 * np.linalg.norm(h, 2)
             assert np.abs(spec.vectors.conj().T @ spec.vectors - np.eye(n)).max() < 1e-10
 
+    def test_spectrum_eq_and_hash(self):
+        # a Spectrum holds arrays, so it compares and hashes by identity
+        a, b = hermitian_eig(S3), hermitian_eig(S3)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_hermiticity_gate(self):
         with pytest.raises(HermiticityError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,14 @@ from sgwl.posmap import (
     qubit_product_positivity,
 )
 
-from helpers import random_density, random_hermitian, random_psd, random_unitary
+from helpers import (
+    random_density,
+    random_hermitian,
+    random_psd,
+    random_unitary,
+    reference_bloch_pair,
+    reference_generator,
+)
 
 
 def choi_by_matrix_units(s, d):
@@ -368,6 +376,184 @@ class TestQubitMapExact:
         monkeypatch.setattr(posmap, "_sphere_minimum", lambda q, g: (np.array([0, 0, 1.0]), dual))
         verdict = map_positivity_check(gksl.transpose_superop(2), budget=8)
         assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP, proof)
+
+
+def amplitude_damping_spec(sign):
+    # jump operator sigma_-, or sigma_+ for sign -1: the qubit minimizer
+    # sits at the pole +e3 (sign 1) or -e3 (sign -1)
+    return qubit_spec(np.array([[1, -1j * sign, 0], [1j * sign, 1, 0], [0, 0, 0]]))
+
+
+def trace_sign_map(sign):
+    # X -> Tr(sign sigma_3 X) 1 / 2: alpha is least at the pole n = -sign e3
+    return np.outer([1, 0, 0, 1], [sign, 0, 0, -sign]) / 2
+
+
+def with_reference_pair(check, arg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posmap, "_bloch_pair", reference_bloch_pair)
+        return check(arg)
+
+
+def assert_matches_reference(verdict, reference, functional):
+    # same status and proof as the eigh pair on the einsum generator; a
+    # trust-region verdict's value is re-evaluated at its pair
+    assert (verdict.status, verdict.proof) == (reference.status, reference.proof)
+    if verdict.proof == posmap.PROOF_SEARCH:
+        return
+    assert verdict.min_value == pytest.approx(reference.min_value, abs=1e-12)
+    if verdict.proof != posmap.PROOF_CHOI:
+        assert functional(*verdict.pair) == pytest.approx(verdict.min_value, abs=1e-12)
+
+
+class TestBlochPair:
+    @pytest.mark.parametrize("n", [
+        [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-9, -2e-9, 1.0], [1e-9, 2e-9, -1.0],
+        [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.4, 1e-17], [0.3, -0.4, -1e-17],
+        [0.6, 0.0, -0.8], [-2.0, 3.0, 6.0],
+    ])
+    def test_eigenvectors(self, n):
+        # both branches (z >= 0 and z < 0), the poles and the zero vector
+        psi, phi = posmap._bloch_pair(n)
+        m = np.tensordot(np.asarray(n, dtype=float), np.array(SIGMA[1:]), axes=1)
+        r = np.linalg.norm(n)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
+        assert abs(np.vdot(psi, phi)) <= 1e-16
+        assert np.abs(m @ psi - r * psi).max() <= 1e-15 * max(1.0, r)
+        assert np.abs(m @ phi + r * phi).max() <= 1e-15 * max(1.0, r)
+        if r > 0:
+            ref_psi, ref_phi = reference_bloch_pair(n)
+            assert abs(np.vdot(ref_psi, psi)) == pytest.approx(1.0, abs=1e-15)
+            assert abs(np.vdot(ref_phi, phi)) == pytest.approx(1.0, abs=1e-15)
+
+
+def boundary_qubit_spec(rng, delta):
+    # rates (m + delta, -m, m + e): the sum of the first two is delta, within
+    # +-1e-3 of the boundary of the pairwise-sum criterion; rotated, with H
+    m = rng.uniform(0.1, 1.0)
+    rates = np.array([m + delta, -m, m + rng.uniform(0.0, 1.0)])
+    r = gksl.basis_rotation_matrix(random_unitary(rng, 2), pauli_basis())
+    return qubit_spec(r.T @ np.diag(rates) @ r, random_hermitian(rng, 2))
+
+
+def degenerate_qubit_spec(rng, delta):
+    # two equal rates: q has a repeated eigenvalue and g = 0, the hard case
+    a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0) + delta
+    r = gksl.basis_rotation_matrix(random_unitary(rng, 2), pauli_basis())
+    return qubit_spec(r.T @ np.diag(rng.permutation([a, a, b])) @ r, random_hermitian(rng, 2))
+
+
+class TestQubitRoutesAgainstReference:
+    """The closed-form pair and the GEMM-assembled generator give the
+    verdicts that the eigh pair and the einsum assembly gave."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), family=st.integers(0, 2),
+           delta=st.floats(-1e-3, 1e-3), shift=st.floats(0.0, 1.5))
+    def test_generators(self, seed, family, delta, shift):
+        rng = np.random.default_rng(seed)
+        if family == 0:
+            spec = boundary_qubit_spec(rng, delta)
+        elif family == 1:
+            spec = degenerate_qubit_spec(rng, delta)
+        else:
+            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            spec = qubit_spec(a @ a.conj().T / 3 - shift * np.eye(3), random_hermitian(rng, 2))
+        gen = build_generator(spec)
+        verdict = kossakowski_positivity_check(gen)
+        reference = with_reference_pair(kossakowski_positivity_check, reference_generator(spec))
+        assert_matches_reference(verdict, reference, partial(gksl.positivity_functional, gen))
+        if verdict.pair is not None:
+            assert abs(np.vdot(*verdict.pair)) <= 1e-16
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), family=st.integers(0, 3),
+           delta=st.floats(-1e-3, 1e-3), scale=st.floats(0.2, 3.0))
+    def test_maps(self, seed, family, delta, scale):
+        # trace preserving (evolved), trace scaling (a multiple of one),
+        # trace varying (a noise part, a random Hermitian Choi matrix)
+        rng = np.random.default_rng(seed)
+        if family == 3:
+            s = random_qubit_map(rng, 0, scale / 2)
+        else:
+            spec = boundary_qubit_spec(rng, delta)
+            gen = build_generator(spec)
+            s = (gen.noise if family == 2
+                 else evolve(gen, float(rng.uniform(0.05, 2.0))) * (scale if family else 1.0))
+        verdict = map_positivity_check(s)
+        reference = with_reference_pair(map_positivity_check, s)
+        assert_matches_reference(verdict, reference, partial(gksl.map_functional, s))
+
+    @pytest.mark.parametrize("check,arg", [
+        (kossakowski_positivity_check, build_generator(amplitude_damping_spec(1))),
+        (kossakowski_positivity_check, build_generator(amplitude_damping_spec(-1))),
+        (kossakowski_positivity_check, build_generator(qubit_spec(np.diag([-3.0, -3.0, 1.0])))),
+        (map_positivity_check, trace_sign_map(1)),
+        (map_positivity_check, trace_sign_map(-1)),
+    ], ids=["damping-north", "damping-south", "rates-north", "map-south", "map-north"])
+    def test_poles(self, check, arg):
+        verdict = check(arg)
+        psi = verdict.pair[0]
+        assert abs(abs(psi[0]) ** 2 - abs(psi[1]) ** 2) == pytest.approx(1.0, abs=1e-15)
+        if check is map_positivity_check:
+            reference = with_reference_pair(check, arg)
+            functional = partial(gksl.map_functional, arg)
+        else:
+            reference = with_reference_pair(check, reference_generator(arg.spec))
+            functional = partial(gksl.positivity_functional, arg)
+        assert_matches_reference(verdict, reference, functional)
+
+
+def least_image_eigenvalue(s):
+    """min over pure states of the smallest eigenvalue of S[|psi><psi|]: a
+    Fibonacci grid of 20000 Bloch vectors, polished by Nelder-Mead from the
+    best three."""
+    def images_min(theta, phi):
+        psi = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
+        vecs = (psi[:, :, None] * psi[:, None, :].conj()).transpose(0, 2, 1).reshape(-1, 4)
+        imgs = (vecs @ s.T).reshape(-1, 2, 2).transpose(0, 2, 1)
+        return np.linalg.eigvalsh((imgs + imgs.conj().transpose(0, 2, 1)) / 2)[:, 0]
+
+    k = np.arange(20000) + 0.5
+    theta, phi = np.arccos(1 - 2 * k / k.size), np.pi * (1 + 5**0.5) * k
+    values = images_min(theta, phi)
+    best = values.min()
+    for i in np.argsort(values)[:3]:
+        res = scipy.optimize.minimize(lambda x: images_min(x[:1], x[1:])[0], [theta[i], phi[i]],
+                                      method="Nelder-Mead",
+                                      options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000})
+        best = min(best, res.fun)
+    return best
+
+
+class TestQubitMapMinValue:
+    """On M_2, ``min_value`` is the value at the subproblem's pair: the
+    least eigenvalue over pure states when the trace of S[|psi><psi|] does
+    not vary, an upper bound on it when it does."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trace_preserving_is_minimum(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        verdict = None
+        while verdict is None or verdict.is_cp:
+            gen = build_generator(boundary_qubit_spec(rng, rng.uniform(-0.5, 0.5)))
+            s = evolve(gen, float(rng.uniform(0.1, 2.0)))
+            verdict = map_positivity_check(s)
+        assert verdict.proof == posmap.PROOF_TRUST_REGION
+        assert verdict.min_value == pytest.approx(least_image_eigenvalue(s), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trace_varying_is_upper_bound(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        verdict = None
+        while verdict is None or verdict.is_cp:
+            s = (random_qubit_map(rng, 0, rng.uniform(0.0, 1.5)) if seed % 2
+                 else build_generator(boundary_qubit_spec(rng, rng.uniform(-0.5, 0.5))).noise)
+            verdict = map_positivity_check(s)
+        assert verdict.proof == posmap.PROOF_TRUST_REGION
+        assert verdict.min_value >= least_image_eigenvalue(s) - 1e-9
+        assert gksl.map_functional(s, *verdict.pair) == pytest.approx(verdict.min_value,
+                                                                      abs=1e-12)
 
 
 def flagship_product_generator():
