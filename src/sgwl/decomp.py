@@ -23,6 +23,13 @@ Non-decomposability is certified through the duality pairing
 decomposable maps pair nonnegatively with every PPT state, so a PPT state
 with a negative pairing simultaneously proves the map non-decomposable and
 the state bound-entangled.
+
+The loop runs in the field of ``J``.  The decomposable cone is closed under
+entrywise conjugation, so for a real ``J`` (real symmetric, as the flagship
+product semigroup and the Choi-type maps are in the computational basis)
+every iterate, certificate block and witness is real, and the loop runs in
+float64 with real symmetric eigensolves; any other ``J`` runs in complex128.
+Certificates are returned as complex128 either way.
 """
 
 from __future__ import annotations
@@ -93,11 +100,15 @@ class WitnessState:
 
 @dataclass
 class DecompositionCertificate:
-    """PSD Choi blocks realizing ``J = J1 + (T (x) id)[J2]``."""
+    """PSD Choi blocks realizing ``J = J1 + (T (x) id)[J2]``, held as complex128."""
 
     j1: np.ndarray
     j2: np.ndarray
     residual: float
+
+    def __post_init__(self):
+        self.j1 = np.asarray(self.j1, dtype=complex)
+        self.j2 = np.asarray(self.j2, dtype=complex)
 
 
 @dataclass
@@ -304,10 +315,22 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
     If the budget runs out first, the result is an honest MaxIterations
     with the gap ``max(0, -lmin J1)``.  A budget ``max_iter < 1`` is
     rejected with ``PreconditionError``.
+
+    The loop runs in the field of ``J``: in float64 when the gated ``J``
+    has no nonzero imaginary entry, so every eigensolve is real symmetric,
+    and in complex128 otherwise.  Certificates come back as complex128.
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter must be >= 1, got {max_iter}")
     jm = as_hermitian(j)
+    if not jm.imag.any():
+        jm = np.ascontiguousarray(jm.real)
+    return _feasibility(jm, max_iter)
+
+
+def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
+    """:func:`decomposability_feasibility` of a gated Hermitian matrix, in
+    the arithmetic of its dtype."""
     n = jm.shape[0]
     d = int(round(np.sqrt(n)))
     if d * d != n:

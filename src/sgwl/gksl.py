@@ -46,6 +46,7 @@ ORTHONORMALITY_TOL = 1e-10  # on |<phi|psi>| of a pair and |V V^dag - 1| of a un
 # which certificates are checked, admits ||t L|| up to about 1e8 and rejects
 # elements whose error would reach the verdicts built on them.
 TRACE_PRESERVATION_TOL = 1e-8
+TRACE_LOSS_PER_NORM = 1e-16  # the error model above, per unit of ||t L||_1
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,22 +297,41 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
     (``DomainError``).  A product generator is evolved factor by factor,
     ``exp(t L1) (x) exp(t L2)``, with both factors' dense ``full`` matrices
     exponentiated in one stacked call; any other generator by one dense
-    matrix exponential.  Every generator built here is trace preserving, so
-    each exponential is checked for finite entries and for trace
-    preservation within ``TRACE_PRESERVATION_TOL``; one that fails, as
-    scaling and squaring does at huge ``t``, raises ``NumericalError``.
+    matrix exponential.  Every generator built here is trace preserving.
+
+    Huge ``t`` is refused with ``NumericalError`` twice over.  A priori,
+    from the 1-norm the exponential computes anyway: once the error model
+    ``TRACE_LOSS_PER_NORM * ||t L||_1`` of an exponentiated matrix (a
+    factor, for a product) passes ``TRACE_PRESERVATION_TOL``, that is from
+    ``||t L||_1 > 1e8``, nothing is exponentiated.  A posteriori, each
+    exponential is checked for finite entries and for trace preservation
+    within ``TRACE_PRESERVATION_TOL``.
     """
     if not 0.0 <= t < np.inf:
         raise DomainError(f"evolution time t must be finite and nonnegative, got {t}")
     with np.errstate(all="ignore"):
         if gen.factors is None:
-            s = matcore._expm(t * gen.full)
+            s = _gated_expm(t * gen.full, t)
             _check_trace_preserving(s[None], gen.dim, t)
             return s
         g1, g2 = gen.factors
-        pair = matcore._expm(t * np.stack((g1.full, g2.full)))
+        pair = _gated_expm(t * np.stack((g1.full, g2.full)), t)
         _check_trace_preserving(pair, g1.dim, t)
     return _kron_superop(pair[0], pair[1], g1.dim, g2.dim)
+
+
+def _gated_expm(stack: np.ndarray, t: float) -> np.ndarray:
+    """``matcore._expm`` of ``t L`` (or of a stack of them), refused with
+    ``NumericalError`` when the error model puts its trace loss above
+    ``TRACE_PRESERVATION_TOL``."""
+    norm1 = matcore._one_norms(stack)
+    loss = TRACE_LOSS_PER_NORM * float(norm1.max())
+    if loss > TRACE_PRESERVATION_TOL:
+        raise matcore.NumericalError(
+            f"exp(t L) at t = {t!r} would lose about {loss:.1e} of trace "
+            f"> {TRACE_PRESERVATION_TOL:.0e}: t L is too large for the exponential"
+        )
+    return matcore._expm(stack, norm1)
 
 
 def _check_trace_preserving(stack: np.ndarray, d: int, t: float) -> None:

@@ -1,8 +1,9 @@
 """Dense complex matrix kernel.
 
 Everything downstream works on plain ``numpy.ndarray`` objects with
-``complex128`` entries.  This module fixes the conventions the rest of the
-package relies on:
+``complex128`` entries at its public boundaries; the trusted ``_`` cores
+take real ``float64`` arrays too.  This module fixes the conventions the
+rest of the package relies on:
 
 * vectorization is column-stacking, so ``vec(A X B) == kron(B.T, A) @ vec(X)``;
 * Hermitian inputs are gated at a relative tolerance and symmetrized;
@@ -218,20 +219,30 @@ def expm(a) -> np.ndarray:
     return r
 
 
-def _expm(stack: np.ndarray) -> np.ndarray:
+def _one_norms(stack: np.ndarray) -> np.ndarray:
+    """1-norm of a trusted matrix, or of each matrix in a trusted stack.
+    A 1-norm that overflows raises ``DomainError``."""
+    with np.errstate(over="ignore"):
+        norm1 = np.abs(stack).sum(axis=-2).max(axis=-1)
+    top = float(norm1.max())
+    if not np.isfinite(top):
+        raise DomainError(f"matrix 1-norm is not finite: {top}")
+    return norm1
+
+
+def _expm(stack: np.ndarray, norm1: np.ndarray | None = None) -> np.ndarray:
     """:func:`expm` of a trusted ``(n, n)`` matrix or of each matrix in a
     trusted ``(k, n, n)`` stack.
 
     One pass of batched products and one batched solve serve every matrix.
     Each matrix is scaled by its own power of two, from its own 1-norm, and
     squared back that many times, so it gets the bits that a call on it
-    alone would.  A 1-norm that overflows raises ``DomainError``.
+    alone would.  ``norm1`` takes the stack's :func:`_one_norms` when the
+    caller has them already; a 1-norm that overflows raises ``DomainError``.
     """
-    with np.errstate(over="ignore"):
-        norm1 = np.abs(stack).sum(axis=-2).max(axis=-1)
+    if norm1 is None:
+        norm1 = _one_norms(stack)
     top = float(norm1.max())
-    if not np.isfinite(top):
-        raise DomainError(f"matrix 1-norm is not finite: {top}")
     if top <= _THETA13:
         return _pade13(stack)
     squarings = np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13)).astype(int)

@@ -65,15 +65,33 @@ def count_validations(monkeypatch, call):
     return counted.calls, result
 
 
+def eigensolver_calls(monkeypatch, call):
+    """Run ``call()`` with ``np.linalg.eigh`` and ``np.linalg.eigvalsh``
+    recorded; return the name of the solver and the dtype of the matrix it
+    received for each call, in call order, and the result."""
+    calls = []
+
+    def recording(name):
+        fn = getattr(np.linalg, name)
+
+        def recorded(a, *args, **kwargs):
+            calls.append((name, np.asarray(a).dtype))
+            return fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+    recording("eigh")
+    recording("eigvalsh")
+    result = call()
+    return calls, result
+
+
 def count_eigensolvers(monkeypatch, call):
     """Run ``call()`` with ``np.linalg.eigh`` and ``np.linalg.eigvalsh``
     counted; return (eigh calls, eigvalsh calls, result)."""
-    eigh = counting(np.linalg.eigh)
-    eigvalsh = counting(np.linalg.eigvalsh)
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    result = call()
-    return eigh.calls, eigvalsh.calls, result
+    calls, result = eigensolver_calls(monkeypatch, call)
+    names = [name for name, _ in calls]
+    return names.count("eigh"), names.count("eigvalsh"), result
 
 
 def reference_generator(spec):

@@ -29,6 +29,7 @@ from helpers import (
     count_eigensolvers,
     count_validations,
     counting,
+    eigensolver_calls,
     random_complex,
     random_hermitian,
     random_psd,
@@ -99,11 +100,17 @@ def per_call_bound_entangled():
     return decomp.WitnessState(m, ppt_checked=True).mat
 
 
-def reference_feasibility(j, max_iter=50000):
+def reference_feasibility(j, max_iter=50000, dtype=None):
     """The projection loop as it stood before each iteration was cut to its
     two eigendecompositions: both spectral parts from every eigh, and the
-    witness shift's eigvalsh on every iteration."""
+    witness shift's eigvalsh on every iteration.  It runs in the field of
+    J, as the solver does: float64 when J is real, complex128 otherwise;
+    ``dtype=complex`` runs a real J in complex arithmetic instead."""
     jm = matcore.as_hermitian(j)
+    if dtype is not None:
+        jm = jm.astype(dtype)
+    elif not jm.imag.any():
+        jm = np.ascontiguousarray(jm.real)
     n = jm.shape[0]
     d = int(round(np.sqrt(n)))
 
@@ -167,11 +174,15 @@ def reference_case(case):
     """The Choi matrix and budget of a named reference case: the flagship
     on both sides of ln(3)/2 = 0.549, Phi[a,b,c] on both sides of
     Cho-Kye-Lee's bc = (3 - a)^2 / 4, seeded random J, and negative-trace J,
-    whose witness shift is computed on every iteration."""
+    whose witness shift is computed on every iteration.  All but the
+    flagship and Phi[a,b,c] cases are complex, and so is the flagship
+    conjugated by local phases, which keep its status."""
     kind, _, arg = case.rpartition("-")
     rng = np.random.default_rng([47, len(case)])
     if case.startswith("flagship"):
         return choi(witness_product_map(float(arg))), 50000
+    if kind == "phased-flagship":
+        return phased(choi(witness_product_map(float(arg)))), 50000
     if case.startswith("phi"):
         a, b, c = {
             "phi-2-decomposable": (2.0, 1.0, 0.3),
@@ -191,6 +202,17 @@ def reference_case(case):
         assert np.trace(j).real < 0
         return j, 50000
     return choi(witness_product_map(1.0)), int(arg)
+
+
+def phased(j):
+    """``U J U^dag`` with ``U = 1 (x) diag(phases)`` on a 4 (x) 4 Choi
+    matrix: a complex J with the same status, since U acts on the second
+    factor only, commutes with the partial transpose on the first and so
+    maps the decomposable cone onto itself."""
+    u = np.kron(np.eye(4), np.diag(np.exp(1j * np.array([0.0, 0.7, -1.3, 2.1]))))
+    jc = u @ j @ u.conj().T
+    assert np.abs(jc.imag).max() > 0.05
+    return jc
 
 
 def result_bytes(res):
@@ -696,10 +718,12 @@ class TestFeasibility:
         "phi-2-non-decomposable", "phi-1.5-non-decomposable",
         "psd-2", "psd-3", "psd-4", "indefinite-2", "indefinite-3", "indefinite-4",
         "negative-trace-2", "negative-trace-3", "max-iter-3",
+        "phased-flagship-0.2", "phased-flagship-1.0",
     ])
     def test_bit_identical_to_reference(self, case):
         # every case ends within ACCELERATION_START iterations, so the
-        # accelerated loop takes exactly the plain loop's steps
+        # accelerated loop takes exactly the plain loop's steps, in the
+        # same field
         j, max_iter = reference_case(case)
         got = decomposability_feasibility(j, max_iter=max_iter)
         assert got.iterations <= decomp.ACCELERATION_START
@@ -778,6 +802,93 @@ class TestFeasibility:
     def test_budget_below_one_rejected(self, max_iter):
         with pytest.raises(PreconditionError, match="max_iter"):
             decomposability_feasibility(choi(witness_product_map(1.0)), max_iter=max_iter)
+
+
+def real_symmetric(rng, n):
+    a = rng.normal(size=(n, n))
+    return (a + a.T) / 2
+
+
+def assert_matches_complex_arithmetic(j):
+    """The float64 loop on a real J against the same loop on J in complex
+    arithmetic; below ACCELERATION_START that is also the reference."""
+    got = decomposability_feasibility(j)
+    ref = decomp._feasibility(matcore.as_hermitian(j), 50000)
+    if ref.iterations < decomp.ACCELERATION_START:
+        assert result_bytes(ref) == result_bytes(reference_feasibility(j, dtype=complex))
+    assert got.status == ref.status
+    assert abs(got.iterations - ref.iterations) <= 5
+    if got.status == FEASIBLE:
+        assert_certificate(j, got)
+    else:
+        assert got.status == INFEASIBLE_WITNESSED
+        assert_witness(j, got)
+        assert got.pairing == pytest.approx(ref.pairing, abs=1e-12)
+
+
+class TestField:
+    """The loop runs in the field of J: float64 for a real J, whose iterates,
+    certificate and witness are all real (the decomposable cone is closed
+    under entrywise conjugation), and complex128 otherwise."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(t=st.floats(0.05, 2.0))
+    def test_flagship_matches_complex(self, t):
+        assert_matches_complex_arithmetic(choi(witness_product_map(t)))
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1.2, 2.9), share=st.floats(0.5, 0.999), decomposable=st.booleans())
+    def test_choi_map_matches_complex(self, a, share, decomposable):
+        # both sides of bc = (3 - a)^2 / 4: 1 to 3 times the boundary
+        # product, where the accelerated phase decides, or a share of the
+        # way up to it from the positivity floor
+        boundary = (3 - a) ** 2 / 4
+        floor = max(2 - a, 0.0) ** 2
+        p = (4 * share - 1) * boundary if decomposable else floor + share * (boundary - floor)
+        j = choi_map_choi(a, p, 1.25)
+        assert not j.imag.any()
+        assert_matches_complex_arithmetic(j)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_real_indefinite_matches_complex(self, d, seed):
+        j = real_symmetric(np.random.default_rng(seed), d * d)
+        assert np.linalg.eigvalsh(j)[0] < 0
+        assert_matches_complex_arithmetic(j)
+
+    def test_real_feasible_dtypes(self, monkeypatch):
+        j = choi(witness_product_map(1.0))
+        calls, res = eigensolver_calls(monkeypatch, lambda: decomposability_feasibility(j))
+        assert res.status == FEASIBLE and len(calls) == 2 * res.iterations + 1
+        assert set(calls) == {("eigh", np.dtype(np.float64))}
+        assert res.certificate.j1.dtype == res.certificate.j2.dtype == np.complex128
+
+    def test_real_witnessed_dtypes(self, monkeypatch):
+        j = choi(choi_map(2.0, 0.0, 1.0))
+        calls, res = eigensolver_calls(monkeypatch, lambda: decomposability_feasibility(j))
+        assert res.status == INFEASIBLE_WITNESSED
+        # the loop's solves, then WitnessState's PSD and PPT checks of the
+        # witness, which the public boundary holds as complex128
+        assert {dtype for _, dtype in calls[:-2]} == {np.dtype(np.float64)}
+        assert calls[-2:] == [("eigvalsh", np.dtype(np.complex128))] * 2
+        assert res.witness.mat.dtype == np.complex128
+
+    @pytest.mark.parametrize("t", [0.2, 1.0])
+    def test_complex_dtypes(self, monkeypatch, t):
+        j = phased(choi(witness_product_map(t)))
+        calls, res = eigensolver_calls(monkeypatch, lambda: decomposability_feasibility(j))
+        assert res.iterations > 30
+        assert {dtype for _, dtype in calls} == {np.dtype(np.complex128)}
+        if res.status == FEASIBLE:
+            assert res.certificate.j1.dtype == res.certificate.j2.dtype == np.complex128
+
+    def test_trivial_certificate_is_complex(self):
+        j = choi(witness_product_map(0.0)).real
+        assert j.dtype == np.float64
+        res = decomposability_feasibility(j)
+        assert res.status == FEASIBLE and res.iterations == 0
+        assert res.certificate.j1.dtype == res.certificate.j2.dtype == np.complex128
+        assert res.certificate.j1.tobytes() == j.astype(complex).tobytes()
 
 
 class TestThreshold:

@@ -22,6 +22,7 @@ from sgwl.gksl import (
 from sgwl.matcore import DomainError, PreconditionError
 
 from helpers import (
+    counting,
     random_complex,
     random_density,
     random_hermitian,
@@ -323,18 +324,35 @@ class TestEvolve:
 
     @pytest.mark.filterwarnings("error")
     def test_huge_time(self):
-        # t L stays finite, but the exponential loses trace preservation
-        # (0.14 at t = 1e15), then overflows to NaN or underflows to zeros;
-        # dense, product and nested-product generators all refuse, quietly
+        # t L stays finite, but the exponential would lose trace
+        # preservation (0.14 at t = 1e15), then overflow to NaN or underflow
+        # to zeros; dense, product and nested-product generators all refuse,
+        # quietly and a priori, whatever the last bits of C: a few ulps of
+        # the rates decide whether an exponential at t = 1e20 happens to
+        # preserve the trace
+        for ulps in range(-3, 4):
+            rate = 1.0
+            for _ in range(abs(ulps)):
+                rate = np.nextafter(rate, np.sign(ulps) * np.inf)
+            gen = build_generator(qubit_spec(rate * np.eye(3)))
+            prod = product_generator(gen, gen)
+            for g in (gen, prod, product_generator(prod, prod)):
+                assert np.isfinite(evolve(g, 1e6)).all()
+                for t in (1e15, 1e20, 1e100):
+                    with pytest.raises(matcore.NumericalError, match=re.escape(f"t = {t!r}")):
+                        evolve(g, t)
+                with pytest.raises(DomainError):
+                    evolve(g, 1e308)
+
+    def test_gate_reuses_one_norm(self, monkeypatch):
+        # the a-priori gate reads the 1-norms that scale the exponential,
+        # with no pass of its own over t L
         gen = build_generator(qubit_spec(np.eye(3)))
-        prod = product_generator(gen, gen)
-        for g in (gen, prod, product_generator(prod, prod)):
-            assert np.isfinite(evolve(g, 1e6)).all()
-            for t in (1e15, 1e20, 1e100):
-                with pytest.raises(matcore.NumericalError, match=re.escape(f"t = {t!r}")):
-                    evolve(g, t)
-            with pytest.raises(DomainError):
-                evolve(g, 1e308)
+        for g in (gen, product_generator(gen, gen)):
+            counted = counting(matcore._one_norms)
+            monkeypatch.setattr(matcore, "_one_norms", counted)
+            evolve(g, 1e6)
+            assert counted.calls == 1
 
     def test_hermiticity_preserved(self):
         rng = np.random.default_rng(21)
