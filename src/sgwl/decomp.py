@@ -130,10 +130,7 @@ def _pairing(j: np.ndarray, x: np.ndarray) -> float:
     """:func:`pairing_with_choi` on trusted arrays."""
     if j.shape != x.shape:
         raise ShapeError(f"shape mismatch {j.shape} vs {x.shape}")
-    val = np.trace(j @ x.T)
-    if abs(val.imag) > 1e-10:
-        raise NumericalError(f"pairing has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return matcore._real(np.trace(j @ x.T), "pairing", j, x)
 
 
 def pairing(s, x) -> float:
@@ -301,7 +298,8 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
     * certificate: once ``J1 = J - PT B`` is PSD within the slack (the PSD
       rule of ``matcore`` at the scale of ``J``), a short polish keeps the
       best iterate, and ``J1``, ``J2 = B`` are returned with their assembly
-      residual (zero by construction, bounded by ``FEASIBILITY_TOL``);
+      residual (zero by construction, bounded by
+      ``FEASIBILITY_TOL * max(1, ||J||_2)``, the same tolerance rule);
     * witness: the residual ``Z = A + PT B - J`` has a PSD partial
       transpose after the B-step; shifted by ``max(0, -lmin Z)`` times the
       identity and normalized, its transpose is a PPT state.  Its pairing
@@ -314,11 +312,8 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
 
     If the budget runs out first, the result is an honest MaxIterations
     with the gap ``max(0, -lmin J1)``.  A budget ``max_iter < 1`` is
-    rejected with ``PreconditionError``.
-
-    The loop runs in the field of ``J``: in float64 when the gated ``J``
-    has no nonzero imaginary entry, so every eigensolve is real symmetric,
-    and in complex128 otherwise.  Certificates come back as complex128.
+    rejected with ``PreconditionError``.  The loop runs in the field of the
+    gated ``J`` (see the module docstring).
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter must be >= 1, got {max_iter}")
@@ -335,11 +330,13 @@ def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     d = int(round(np.sqrt(n)))
     if d * d != n:
         raise ShapeError(f"Choi matrix must be d^2 x d^2, got {jm.shape}")
-    w, _, a = _spectral_parts(jm)
-    slack = -matcore._psd_bound(w)
+    w, v = np.linalg.eigh(jm)
+    norm = max(-float(w[0]), float(w[-1]))  # ||J||_2
+    slack = matcore._tol(matcore.PSD_SLACK, norm)
     if w[0] >= -slack:
         cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
         return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
+    a = (v * np.maximum(w, 0.0)) @ v.conj().T  # the PSD part, as in _spectral_parts
 
     def pt(x):
         return matcore._partial_transpose(x, d, d)
@@ -381,7 +378,7 @@ def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     if best_lmin >= -slack:
         j1 = jm - pt(best_b)
         residual = float(np.linalg.norm(jm - j1 - pt(best_b)))
-        if residual <= FEASIBILITY_TOL:
+        if residual <= matcore._tol(FEASIBILITY_TOL, norm):
             cert = DecompositionCertificate(j1=j1, j2=best_b, residual=residual)
             return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=it)
 

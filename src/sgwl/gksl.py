@@ -18,7 +18,7 @@ exponential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -40,11 +40,11 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 ORTHONORMALITY_TOL = 1e-10  # on |<phi|psi>| of a pair and |V V^dag - 1| of a unitary
-# Trace-preservation gate on exp(t L).  Scaling and squaring loses about
-# 1e-16 * ||t L||_1 of trace: 8e-11 at t = 1e6 for the depolarizing qubit,
-# 1.2e-7 at t = 1e9, 0.14 at t = 1e15.  1e-8, the FEASIBILITY_TOL scale at
-# which certificates are checked, admits ||t L|| up to about 1e8 and rejects
-# elements whose error would reach the verdicts built on them.
+# Trace-preservation gate on exp(t L), at the scale of its largest entry.
+# Scaling and squaring loses about 1e-16 * ||t L||_1 of trace on a map of
+# unit size: 8e-11 at t = 1e6 for the depolarizing qubit, 1.2e-7 at 1e9, 0.14
+# at 1e15.  1e-8, the FEASIBILITY_TOL scale at which certificates are checked,
+# admits ||t L|| up to about 1e8 and rejects elements that would sway verdicts.
 TRACE_PRESERVATION_TOL = 1e-8
 TRACE_LOSS_PER_NORM = 1e-16  # the error model above, per unit of ||t L||_1
 
@@ -64,6 +64,16 @@ class HermitianBasis:
 
     def traceless(self) -> tuple[np.ndarray, ...]:
         return self.elements[1:]
+
+    @cached_property
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """F_1..F_n flattened as an ``(n, d^2)`` stack, and their conjugates as
+        an ``(n, d, d)`` stack; built on first use, read-only like the elements."""
+        fs = np.asarray(self.traceless())
+        stacks = (fs.reshape(fs.shape[0], -1), fs.conj())
+        for m in stacks:
+            m.setflags(write=False)
+        return stacks
 
 
 def pauli_basis() -> HermitianBasis:
@@ -230,22 +240,6 @@ def _kron_superop(sa: np.ndarray, sb: np.ndarray, da: int, db: int) -> np.ndarra
     return (a * b).reshape(dd * dd, dd * dd)
 
 
-@lru_cache(maxsize=32)
-def _traceless_stack(basis: HermitianBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The traceless elements F_1..F_n of a basis as an ``(n, d^2)`` stack of
-    flattened elements, and their conjugates as an ``(n, d, d)`` stack.
-
-    Built once per basis object and read-only, like the basis elements
-    themselves.  The cache is keyed by identity and bounded, so bases that a
-    caller makes one per spec do not pile up.
-    """
-    fs = np.asarray(basis.traceless())
-    stacks = (fs.reshape(fs.shape[0], -1), fs.conj())
-    for m in stacks:
-        m.setflags(write=False)
-    return stacks
-
-
 def build_generator(spec: KossakowskiSpec) -> Generator:
     """Assemble full, noise and pseudo-Hamiltonian superoperators from a spec.
 
@@ -258,7 +252,7 @@ def build_generator(spec: KossakowskiSpec) -> Generator:
     validated when it was made, so nothing is checked again here.
     """
     d = spec.dim
-    flat, conj = _traceless_stack(spec.basis)
+    flat, conj = spec.basis._stacks
     x = spec.c_matrix.T @ flat
     noise = (conj.reshape(flat.shape).T @ x).reshape(d, d, d, d).transpose(0, 2, 1, 3)
     noise = noise.reshape(d * d, d * d)
@@ -294,10 +288,10 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
     """Semigroup element exp(t L) as a superoperator matrix.
 
     ``t`` must be finite and nonnegative, and so must every entry of t L
-    (``DomainError``).  A product generator is evolved factor by factor,
-    ``exp(t L1) (x) exp(t L2)``, with both factors' dense ``full`` matrices
-    exponentiated in one stacked call; any other generator by one dense
-    matrix exponential.  Every generator built here is trace preserving.
+    (``DomainError``).  Every generator is exponentiated as a stack in one
+    call: a product generator's two factors' dense ``full`` matrices, giving
+    ``exp(t L1) (x) exp(t L2)``, and any other generator's own.  Every
+    generator built here is trace preserving.
 
     Huge ``t`` is refused with ``NumericalError`` twice over.  A priori,
     from the 1-norm the exponential computes anyway: once the error model
@@ -305,25 +299,22 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
     factor, for a product) passes ``TRACE_PRESERVATION_TOL``, that is from
     ``||t L||_1 > 1e8``, nothing is exponentiated.  A posteriori, each
     exponential is checked for finite entries and for trace preservation
-    within ``TRACE_PRESERVATION_TOL``.
+    within ``TRACE_PRESERVATION_TOL`` relative to its largest entry.
     """
     if not 0.0 <= t < np.inf:
         raise DomainError(f"evolution time t must be finite and nonnegative, got {t}")
+    parts = gen.factors or (gen,)
+    d = parts[0].dim  # the factors of a product have equal dimensions
     with np.errstate(all="ignore"):
-        if gen.factors is None:
-            s = _gated_expm(t * gen.full, t)
-            _check_trace_preserving(s[None], gen.dim, t)
-            return s
-        g1, g2 = gen.factors
-        pair = _gated_expm(t * np.stack((g1.full, g2.full)), t)
-        _check_trace_preserving(pair, g1.dim, t)
-    return _kron_superop(pair[0], pair[1], g1.dim, g2.dim)
+        maps = _gated_expm(t * np.array([g.full for g in parts]), t)
+        _check_trace_preserving(maps, d, t)
+    return maps[0] if gen.factors is None else _kron_superop(*maps, d, d)
 
 
 def _gated_expm(stack: np.ndarray, t: float) -> np.ndarray:
-    """``matcore._expm`` of ``t L`` (or of a stack of them), refused with
-    ``NumericalError`` when the error model puts its trace loss above
-    ``TRACE_PRESERVATION_TOL``."""
+    """``matcore._expm`` of a stack of ``t L``, refused with ``NumericalError``
+    when the error model, made for maps of unit size and so absolute, puts its
+    trace loss above ``TRACE_PRESERVATION_TOL``."""
     norm1 = matcore._one_norms(stack)
     loss = TRACE_LOSS_PER_NORM * float(norm1.max())
     if loss > TRACE_PRESERVATION_TOL:
@@ -336,18 +327,22 @@ def _gated_expm(stack: np.ndarray, t: float) -> np.ndarray:
 
 def _check_trace_preserving(stack: np.ndarray, d: int, t: float) -> None:
     """Raise ``NumericalError`` unless every map in a ``(k, d^2, d^2)`` stack
-    has finite entries and preserves the trace within the tolerance.
+    has finite entries and preserves the trace within the tolerance, scaled
+    by the map's largest entry.
 
     Trace preservation reads ``vec(1)^dag S = vec(1)^dag``: the rows of S at
     the diagonal positions ``i*(d+1)`` must sum to ``vec(1)``.
     """
-    if not np.isfinite(stack).all():
-        fault = "has non-finite entries"
-    else:
-        dev = np.abs(stack[:, :: d + 1, :].sum(axis=1) - np.eye(d).reshape(-1)).max()
-        if dev <= TRACE_PRESERVATION_TOL:
+    fault = "has non-finite entries"
+    if np.isfinite(stack).all():
+        devs = np.abs(stack[:, :: d + 1, :].sum(axis=1) - np.eye(d).reshape(-1))
+        if devs.max() <= TRACE_PRESERVATION_TOL:
             return
-        fault = f"misses trace preservation by {dev:.3e} > {TRACE_PRESERVATION_TOL:.0e}"
+        bounds = [matcore._tol(TRACE_PRESERVATION_TOL, float(np.abs(s).max())) for s in stack]
+        misses = [(dev, tol) for dev, tol in zip(devs.max(axis=1).tolist(), bounds) if dev > tol]
+        if not misses:
+            return
+        fault = "misses trace preservation by {:.3e} > {:.3g}".format(*misses[0])
     raise matcore.NumericalError(
         f"exp(t L) at t = {t!r} {fault}: t L is too large for the exponential"
     )
@@ -403,13 +398,10 @@ def map_functional(s, psi, phi) -> float:
 
 def _functional(s: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     """Re <q| S[|p><p|] |q> for unit vectors and a trusted d^2 x d^2 S,
-    checking the imaginary part."""
+    checking the imaginary part at the scale of S."""
     d = p.size
     m = (s @ np.outer(p, p.conj()).T.reshape(-1)).reshape(d, d).T
-    val = np.vdot(q, m @ q)
-    if abs(val.imag) > 1e-10:
-        raise matcore.NumericalError(f"functional has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return matcore._real(np.vdot(q, m @ q), "functional", s)
 
 
 def basis_rotation_matrix(v, basis: HermitianBasis) -> np.ndarray:

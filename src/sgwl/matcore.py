@@ -6,7 +6,10 @@ take real ``float64`` arrays too.  This module fixes the conventions the
 rest of the package relies on:
 
 * vectorization is column-stacking, so ``vec(A X B) == kron(B.T, A) @ vec(X)``;
-* Hermitian inputs are gated at a relative tolerance and symmetrized;
+* every accept/reject test applies one tolerance rule (``_tol``): ``tol`` for
+  data of size at most 1, ``tol * size`` above, "size" being that of the data
+  the tested value came from, so L and c L (c > 0) get the same verdicts;
+* Hermitian inputs are gated at ``HERMITICITY_TOL`` by the rule and symmetrized;
 * a matrix counts as PSD when ``lmin >= -PSD_SLACK * max(1, ||X||_2)``, with
   ``||X||_2`` read off its spectrum; every PSD decision applies this one
   rule and reports the raw minimum eigenvalue alongside the verdict;
@@ -82,14 +85,28 @@ def as_hermitian(x) -> np.ndarray:
     return _as_hermitian(a)
 
 
+def _tol(tol: float, size: float) -> float:
+    """The tolerance rule: ``tol`` up to size 1, ``tol * size`` above."""
+    return tol * max(1.0, size)
+
+
+def _real(val: complex, what: str, *data: np.ndarray) -> float:
+    """Real part of a value real in exact arithmetic; its imaginary part may reach
+    1e-10 at the scale (product of largest entries) of the arrays it came from."""
+    imag = abs(val.imag)
+    if imag > 1e-10 and imag > _tol(1e-10, float(np.prod([np.abs(x).max() for x in data]))):
+        raise NumericalError(f"{what} has imaginary part {val.imag:.3e}")
+    return float(val.real)
+
+
 def _as_hermitian(a: np.ndarray) -> np.ndarray:
     """:func:`as_hermitian` of a square array that already passed :func:`as_cmatrix`."""
-    scale = max(np.abs(a).max(), 1.0)
+    size = np.abs(a).max()
     dev = np.abs(a - a.conj().T).max()
-    if dev > HERMITICITY_TOL * scale:
+    if dev > _tol(HERMITICITY_TOL, size):
         raise HermiticityError(
             f"matrix is not Hermitian: max |X - X^dag| = {dev:.3e} "
-            f"exceeds {HERMITICITY_TOL:.1e} * {scale:.3e}"
+            f"exceeds {HERMITICITY_TOL:.1e} * {max(size, 1.0):.3e}"
         )
     return (a + a.conj().T) / 2
 
@@ -149,7 +166,7 @@ def is_psd(h) -> tuple[bool, float]:
 def _psd_bound(w: np.ndarray) -> float:
     """Least eigenvalue a PSD matrix may show, given its ascending spectrum:
     ``-PSD_SLACK * max(1, ||X||_2)`` with ``||X||_2 = max(-w[0], w[-1])``."""
-    return -PSD_SLACK * max(1.0, -float(w[0]), float(w[-1]))
+    return -_tol(PSD_SLACK, max(-float(w[0]), float(w[-1])))
 
 
 def vectorize(x) -> np.ndarray:
@@ -242,8 +259,7 @@ def _expm(stack: np.ndarray, norm1: np.ndarray | None = None) -> np.ndarray:
     """
     if norm1 is None:
         norm1 = _one_norms(stack)
-    top = float(norm1.max())
-    if top <= _THETA13:
+    if float(norm1.max()) <= _THETA13:  # the bits of the path below, without its scaling cost
         return _pade13(stack)
     squarings = np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13)).astype(int)
     r = _pade13(stack / (2.0 ** squarings)[..., None, None])

@@ -208,7 +208,7 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
     the step falls below 1e-12, the gradient vanishes or it has taken
     ``SEARCH_MAX_ITER`` steps.  Once any start falls below -1e-8 only the
     lowest one goes on.  A violation is re-validated by ``functional``;
-    otherwise the spread of the best starts decides.
+    otherwise the spread of the best starts decides, both at the scale of L.
     """
     d = int(round(np.sqrt(l_mat.shape[0])))
     x = np.array([np.random.default_rng(seed + s).normal(size=2 * d) for s in range(budget)])
@@ -237,10 +237,12 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
         live[rej] = step[rej] >= 1e-12
 
     best = int(np.argmin(val))
-    if val[best] < -PSD_SLACK:
+    size = float(np.abs(l_mat).max())
+    slack = matcore._tol(PSD_SLACK, size)
+    if val[best] < -slack:
         psi = x[best, :d] + 1j * x[best, d:]
         value = functional(psi, phi[best])
-        if value < -PSD_SLACK:
+        if value < -slack:
             return PositivityVerdict(
                 status=STATUS_NOT_POSITIVE,
                 min_value=value,
@@ -249,9 +251,10 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
             )
     spread = _spread(val)
     status, reason = STATUS_POSITIVE_NOT_CP, None
-    if spread > SPREAD_TOL:
+    spread_tol = matcore._tol(SPREAD_TOL, size)
+    if spread > spread_tol:
         status = STATUS_UNDETERMINED
-        reason = f"the best starts disagree by {spread:.3e} > {SPREAD_TOL:.0e}"
+        reason = f"the best starts disagree by {spread:.3e} > {spread_tol:.3g}"
     return PositivityVerdict(
         status=status,
         min_value=float(val[best]),
@@ -347,17 +350,18 @@ def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
     trace preservation).  The pair at the minimizer n is written in closed
     form (:func:`_bloch_pair`) and f is evaluated at it directly, so the
     reported value is that of a pair, not of the quadratic; a positive
-    verdict also needs the dual lower bound within the slack.
+    verdict also needs the dual lower bound within the slack at the scale of M.
     """
     m = (_PAULI_VECS.conj().T @ gen.full @ _PAULI_VECS).real
+    slack = matcore._tol(PSD_SLACK, float(np.abs(m).max()))
     q = -(m[1:, 1:] + m[1:, 1:].T) / 8
     n, bound = _sphere_minimum(q, -m[1:, 0] / 4)
     pair = _bloch_pair(n)
     value = gksl._functional(gen.full, *pair)
-    if value < -PSD_SLACK:
+    if value < -slack:
         return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
                                  proof=PROOF_TRUST_REGION)
-    if bound < -PSD_SLACK * max(1.0, float(np.abs(m).max())):
+    if bound < -slack:
         return None
     if proved_cp:
         return PositivityVerdict(status=STATUS_CP, min_value=value, pair=pair, spread=0.0,
@@ -371,7 +375,7 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     """Decide positivity of the generated semigroup from the orthogonal-pair
     functional of the generator.
 
-    A qubit generator that is not a product is decided exactly: the minimum
+    A qubit generator is decided exactly (a product has d >= 4): the minimum
     of f over the Bloch sphere is a trust-region subproblem, its minimizer
     gives the pair, and the verdict is NotPositive (re-validated pair) or
     positive, proved by the dual bound; with C PSD it is CompletelyPositive
@@ -391,7 +395,7 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     """
     _check_search_args(budget, seed)
     proved_cp = _proved_cp(gen)
-    if gen.dim == 2 and gen.factors is None:
+    if gen.dim == 2:
         verdict = _qubit_check(gen, proved_cp)
         if verdict is not None:
             return verdict
@@ -423,10 +427,11 @@ def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:
     n, phi for -beta(n)) at its minimizer, or at n = -u/|u| where
     alpha_min = (u0 - |u|)/4 < 0, is written in closed form
     (:func:`_bloch_pair`) and the functional is evaluated at it directly.
-    A positive verdict needs alpha_min above the slack and the dual bound of
-    that quadratic over 16 alpha_min, a bound on alpha - |beta|, within it.
+    A positive verdict needs alpha_min above the slack, at the scale of M, and
+    the dual bound of that quadratic over 16 alpha_min (a bound on alpha - |beta|) within it.
     """
     m = (_PAULI_VECS.conj().T @ sm @ _PAULI_VECS).real
+    slack = matcore._tol(PSD_SLACK, float(np.abs(m).max()))
     u0, u, v0, v = m[0, 0], m[0, 1:], m[1:, 0], m[1:, 1:]
     n, dual = _sphere_minimum(np.outer(u, u) - v.T @ v, 2 * (u0 * u - v.T @ v0))
     r = float(np.linalg.norm(u))
@@ -438,13 +443,12 @@ def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:
         return gksl._functional(sm, *pair), pair
 
     value, pair = at(n)
-    if value >= -PSD_SLACK and alpha_min < 0 < r:
+    if value >= -slack and alpha_min < 0 < r:
         value, pair = at(-u / r)
-    if value < -PSD_SLACK:
+    if value < -slack:
         return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
                                  proof=PROOF_TRUST_REGION)
-    if alpha_min <= PSD_SLACK or ((dual + u0 * u0 - v0 @ v0) / (16 * alpha_min)
-                                  < -PSD_SLACK * max(1.0, float(np.abs(m).max()))):
+    if alpha_min <= slack or (dual + u0 * u0 - v0 @ v0) / (16 * alpha_min) < -slack:
         return None
     return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value, pair=pair,
                              spread=0.0, proof=PROOF_TRUST_REGION)
@@ -458,12 +462,8 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
     S is validated once and its Choi matrix gated for Hermiticity once.  CP
     maps short-circuit through the Choi check.  A map on M_2 is decided
     exactly, by a trust-region subproblem on the Bloch sphere, unless its
-    dual bound fails; other maps are searched.  When that exact route
-    decides, ``min_value`` is the value at the returned pair: the exact
-    minimum whenever
-    tr S[|psi><psi|] does not depend on psi (every trace-preserving or
-    trace-scaling map), otherwise only an upper bound on it (see
-    :class:`PositivityVerdict`).
+    dual bound fails; other maps are searched.  On that exact route
+    ``min_value`` is as :class:`PositivityVerdict` describes it.
     """
     _check_search_args(budget, seed)
     sm = as_cmatrix(s)

@@ -193,6 +193,80 @@ class TestDecompose:
         assert "max_iter" in captured.err
 
 
+def zeros(n):
+    return [[[0, 0]] * n for _ in range(n)]
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+QUTRIT = {"dim": 3, "H": zeros(3), "C": zeros(8)}
+RAGGED = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0]]]
+
+# argv (``{a}`` is a file holding ``doc``, ``{b}`` the depolarizing spec,
+# ``{q}`` a qutrit spec, ``{missing}`` no file), the spec in ``{a}``, and
+# the field or flag the message must name
+PARSE_ERRORS = [
+    pytest.param(["check", "{a}"], dict(DEPOL, C=[]), "C: expected a non-empty list",
+                 id="rows-empty"),
+    pytest.param(["check", "{a}"], dict(DEPOL, H=[1, 2]), "H[0]: expected a list",
+                 id="row-not-list"),
+    pytest.param(["check", "{a}"], dict(DEPOL, C=RAGGED), "C[1]: row length 2 != 3",
+                 id="ragged"),
+    pytest.param(["check", "{missing}"], DEPOL, "missing.json", id="missing-file"),
+    pytest.param(["check", "{a}"], [DEPOL], "top level must be an object", id="not-object"),
+    pytest.param(["check", "{a}"], without(DEPOL, "dim"), "dim: missing", id="dim-missing"),
+    pytest.param(["check", "{a}"], dict(DEPOL, dim=1), "dim: expected an integer >= 2",
+                 id="dim-below-2"),
+    pytest.param(["check", "{a}"], dict(DEPOL, basis="spin"), "basis: expected",
+                 id="unknown-basis"),
+    pytest.param(["check", "{a}"], dict(QUTRIT, basis="pauli"), "basis: 'pauli' requires dim = 2",
+                 id="pauli-qutrit"),
+    pytest.param(["check", "{a}"], without(DEPOL, "H"), "H: missing", id="h-missing"),
+    pytest.param(["check", "{a}"], without(DEPOL, "C"), "C: missing", id="c-missing"),
+    pytest.param(["check", "{a}"], dict(DEPOL, label=3), "label: expected a string",
+                 id="label-not-string"),
+    pytest.param(["check", "{a}", "--at-time", "-0.5"], DEPOL, "--at-time",
+                 id="check-negative-time"),
+    pytest.param(["decompose", "{a}", "{b}", "--at-time", "-0.5"], DEPOL, "--at-time",
+                 id="decompose-negative-time"),
+    pytest.param(["scan", "{a}", "{b}", "--t0", "1.0", "--t1", "1.0", "--steps", "3"], DEPOL,
+                 "--t1", id="t1-not-above-t0"),
+    pytest.param(["scan", "{a}", "{b}", "--t0", "0.1", "--t1", "1.0", "--steps", "1"], DEPOL,
+                 "--steps", id="one-step"),
+    pytest.param(["scan", "{a}", "{b}", "--t0", "0.1", "--t1", "1.0", "--steps", "3",
+                  "--criteria", " , "], DEPOL, "--criteria: no criteria", id="no-criteria"),
+    pytest.param(["scan", "{q}", "{q}", "--t0", "0.1", "--t1", "1.0", "--steps", "3",
+                  "--criteria", "pairing-rhobe"], DEPOL, "pairing-rhobe needs two qubit specs",
+                 id="rhobe-qutrit"),
+    pytest.param(["decompose", "{a}", "{b}", "{b}", "--at-time", "0.5"], DEPOL,
+                 "one or two spec files, got 3", id="three-specs"),
+]
+
+
+class TestErrors:
+    @pytest.mark.parametrize("argv, doc, message", PARSE_ERRORS)
+    def test_parse_error(self, tmp_path, capsys, argv, doc, message):
+        files = {name: tmp_path / f"{name}.json" for name in ("a", "b", "q", "missing")}
+        files["a"].write_text(json.dumps(doc))
+        files["b"].write_text(json.dumps(DEPOL))
+        files["q"].write_text(json.dumps(QUTRIT))
+        rc = cli.main([arg.format(**files) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_numerical_error(self, spec_files, capsys):
+        depol, _ = spec_files
+        rc = cli.main(["check", depol, "--at-time", "1e15"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERICAL
+        assert captured.out == ""
+        assert "t = 1000000000000000.0" in captured.err
+
+
 class TestReproduce:
     def test_full_run(self, tmp_path, capsys):
         out_dir = tmp_path / "reports"

@@ -123,7 +123,8 @@ def reference_feasibility(j, max_iter=50000, dtype=None):
         return matcore._partial_transpose(x, d, d)
 
     w, a, _ = parts(jm)
-    slack = -matcore._psd_bound(w)
+    norm = max(-w[0], w[-1])
+    slack = matcore._tol(matcore.PSD_SLACK, norm)
     if w[0] >= -slack:
         cert = decomp.DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
         return decomp.FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
@@ -154,7 +155,7 @@ def reference_feasibility(j, max_iter=50000, dtype=None):
     if best_lmin >= -slack:
         j1 = jm - pt(best_b)
         residual = float(np.linalg.norm(jm - j1 - pt(best_b)))
-        if residual <= matcore.FEASIBILITY_TOL:
+        if residual <= matcore._tol(matcore.FEASIBILITY_TOL, norm):
             cert = decomp.DecompositionCertificate(j1=j1, j2=best_b, residual=residual)
             return decomp.FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=it)
     candidates = [decomp._bell_matrices()[1]] if d == 4 else []
@@ -176,7 +177,11 @@ def reference_case(case):
     Cho-Kye-Lee's bc = (3 - a)^2 / 4, seeded random J, and negative-trace J,
     whose witness shift is computed on every iteration.  All but the
     flagship and Phi[a,b,c] cases are complex, and so is the flagship
-    conjugated by local phases, which keep its status."""
+    conjugated by local phases, which keep its status.  A ``1e9*`` prefix
+    scales a case's J by 1e9, which keeps its status."""
+    if case.startswith("1e9*"):
+        j, max_iter = reference_case(case[4:])
+        return 1e9 * j, max_iter
     kind, _, arg = case.rpartition("-")
     rng = np.random.default_rng([47, len(case)])
     if case.startswith("flagship"):
@@ -228,8 +233,9 @@ def result_bytes(res):
 def assert_certificate(j, res):
     cert = res.certificate
     d = int(round(np.sqrt(j.shape[0])))
+    norm = np.linalg.norm(j, 2)
     assert matcore.is_psd(cert.j1)[0] and matcore.is_psd(cert.j2)[0]
-    assert cert.residual <= matcore.FEASIBILITY_TOL
+    assert cert.residual <= matcore._tol(matcore.FEASIBILITY_TOL, norm)
     assert np.abs(cert.j1 + partial_transpose(cert.j2, d, d, "A") - j).max() < 1e-10
 
 
@@ -719,6 +725,7 @@ class TestFeasibility:
         "psd-2", "psd-3", "psd-4", "indefinite-2", "indefinite-3", "indefinite-4",
         "negative-trace-2", "negative-trace-3", "max-iter-3",
         "phased-flagship-0.2", "phased-flagship-1.0",
+        "1e9*flagship-1.0", "1e9*phased-flagship-0.2", "1e9*phi-2-non-decomposable",
     ])
     def test_bit_identical_to_reference(self, case):
         # every case ends within ACCELERATION_START iterations, so the
@@ -802,6 +809,11 @@ class TestFeasibility:
     def test_budget_below_one_rejected(self, max_iter):
         with pytest.raises(PreconditionError, match="max_iter"):
             decomposability_feasibility(choi(witness_product_map(1.0)), max_iter=max_iter)
+
+    def test_non_square_dimension_rejected(self):
+        # 6 is not d^2: there is no bipartite split to transpose
+        with pytest.raises(matcore.ShapeError, match="d\\^2 x d\\^2"):
+            decomposability_feasibility(np.eye(6))
 
 
 def real_symmetric(rng, n):
@@ -923,6 +935,10 @@ class TestThreshold:
         # finite ends whose distance overflows
         with pytest.raises(DomainError, match="width"):
             find_threshold(lambda t: t, lambda t: t - 0.3, -1e308, 1e308)
+        # an empty or reversed bracket
+        for t_lo, t_hi in ((0.5, 0.5), (1.0, 0.1)):
+            with pytest.raises(DomainError, match="invalid bracket"):
+                find_threshold(lambda t: t, lambda t: t - 0.3, t_lo, t_hi)
 
     def test_non_finite_criterion_rejected(self):
         # a NaN has no sign: it must not pass for a nonnegative value
