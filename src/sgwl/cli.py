@@ -193,10 +193,14 @@ def cmd_scan(args) -> int:
 
 def cmd_decompose(args) -> int:
     specs = [load_spec(p) for p in args.specs]
-    if len(specs) > 2:
+    if len(specs) == 1:
+        gen = gksl.build_generator(specs[0])
+    elif len(specs) == 2:
+        gen = gksl.product_generator(
+            gksl.build_generator(specs[0]), gksl.build_generator(specs[1])
+        )
+    else:
         raise SpecFormatError(f"expected one or two spec files, got {len(specs)}")
-    gens = [gksl.build_generator(spec) for spec in specs]
-    gen = gens[0] if len(gens) == 1 else gksl.product_generator(*gens)
     if args.at_time < 0:
         raise SpecFormatError(f"--at-time: must be nonnegative, got {args.at_time}")
     j = posmap.choi(gksl.evolve(gen, args.at_time))
@@ -306,7 +310,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFormatError, matcore.DomainError, matcore.ShapeError, matcore.HermiticityError,
+    except SpecFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (matcore.DomainError, matcore.ShapeError, matcore.HermiticityError,
             matcore.PreconditionError, matcore.SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -312,8 +312,11 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
 
     If the budget runs out first, the result is an honest MaxIterations
     with the gap ``max(0, -lmin J1)``.  A budget ``max_iter < 1`` is
-    rejected with ``PreconditionError``.  The loop runs in the field of the
-    gated ``J`` (see the module docstring).
+    rejected with ``PreconditionError``.
+
+    The loop runs in the field of ``J``: in float64 when the gated ``J``
+    has no nonzero imaginary entry, so every eigensolve is real symmetric,
+    and in complex128 otherwise.  Certificates come back as complex128.
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter must be >= 1, got {max_iter}")

@@ -375,12 +375,15 @@ def positivity_functional(gen: Generator, psi, phi) -> float:
     """Re <phi| L[|psi><psi|] |phi> for an orthonormal pair (phi re-orthogonalized).
 
     Nonnegativity of this functional over all orthonormal pairs is exactly
-    positivity of the generated semigroup for all times.
+    positivity of the generated semigroup for all times.  It is evaluated
+    on the noise part N: on an orthonormal pair the commutator and
+    anticommutator terms of L vanish, so the value and its roundoff do not
+    depend on H.
     """
     p, q = _orthonormalize_pair(psi, phi)
     if p.size != gen.dim:
         raise ShapeError(f"vectors of dimension {p.size} do not match generator dim {gen.dim}")
-    return _functional(gen.full, p, q)
+    return _functional(gen.noise, p, q)
 
 
 def map_functional(s, psi, phi) -> float:

@@ -8,7 +8,9 @@ rest of the package relies on:
 * vectorization is column-stacking, so ``vec(A X B) == kron(B.T, A) @ vec(X)``;
 * every accept/reject test applies one tolerance rule (``_tol``): ``tol`` for
   data of size at most 1, ``tol * size`` above, "size" being that of the data
-  the tested value came from, so L and c L (c > 0) get the same verdicts;
+  the tested value came from, so L and c L (c > 0) get the same verdicts
+  while both sizes are at least 1 (the search's descent heuristics stay
+  absolute);
 * Hermitian inputs are gated at ``HERMITICITY_TOL`` by the rule and symmetrized;
 * a matrix counts as PSD when ``lmin >= -PSD_SLACK * max(1, ||X||_2)``, with
   ``||X||_2`` read off its spectrum; every PSD decision applies this one
@@ -259,7 +261,8 @@ def _expm(stack: np.ndarray, norm1: np.ndarray | None = None) -> np.ndarray:
     """
     if norm1 is None:
         norm1 = _one_norms(stack)
-    if float(norm1.max()) <= _THETA13:  # the bits of the path below, without its scaling cost
+    top = float(norm1.max())
+    if top <= _THETA13:  # the bits of the path below, without its scaling cost
         return _pade13(stack)
     squarings = np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13)).astype(int)
     r = _pade13(stack / (2.0 ** squarings)[..., None, None])

@@ -199,7 +199,7 @@ def _spread(start_values: np.ndarray, k: int = 5) -> float:
 
 
 def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
-            seed: int) -> PositivityVerdict:
+            seed: int, size: float) -> PositivityVerdict:
     """Minimize the inner minimum over psi on the unit sphere and decide.
 
     All starts (start s drawn with seed + s) descend in lockstep, one
@@ -208,7 +208,8 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
     the step falls below 1e-12, the gradient vanishes or it has taken
     ``SEARCH_MAX_ITER`` steps.  Once any start falls below -1e-8 only the
     lowest one goes on.  A violation is re-validated by ``functional``;
-    otherwise the spread of the best starts decides, both at the scale of L.
+    otherwise the spread of the best starts decides, both at ``size``, the
+    largest entry of the data the minimized value depends on.
     """
     d = int(round(np.sqrt(l_mat.shape[0])))
     x = np.array([np.random.default_rng(seed + s).normal(size=2 * d) for s in range(budget)])
@@ -237,7 +238,6 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
         live[rej] = step[rej] >= 1e-12
 
     best = int(np.argmin(val))
-    size = float(np.abs(l_mat).max())
     slack = matcore._tol(PSD_SLACK, size)
     if val[best] < -slack:
         psi = x[best, :d] + 1j * x[best, d:]
@@ -347,17 +347,21 @@ def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
     With P = (1 + n.sigma)/2, psi spans the range of P and phi that of
     1 - P, so f = Tr((1 - P) L(P)) = n^T Q n + g^T n for M_jk = Tr(sigma_j L(sigma_k)),
     Q = -sym(M[1:, 1:]) / 4 and g = -M[1:, 0] / 4 (row 0 of M vanishes by
-    trace preservation).  The pair at the minimizer n is written in closed
-    form (:func:`_bloch_pair`) and f is evaluated at it directly, so the
-    reported value is that of a pair, not of the quadratic; a positive
-    verdict also needs the dual lower bound within the slack at the scale of M.
+    trace preservation).  H only adds an antisymmetric block to M[1:, 1:],
+    so the slack is taken at the scale of Q and g, never of H.  The pair at
+    the minimizer n is written in closed form (:func:`_bloch_pair`) and f is
+    evaluated at it directly, on the noise part as
+    :func:`gksl.positivity_functional` does, so the reported value is that
+    of a pair, not of the quadratic; a positive verdict also needs the dual
+    lower bound within the slack.
     """
     m = (_PAULI_VECS.conj().T @ gen.full @ _PAULI_VECS).real
-    slack = matcore._tol(PSD_SLACK, float(np.abs(m).max()))
     q = -(m[1:, 1:] + m[1:, 1:].T) / 8
-    n, bound = _sphere_minimum(q, -m[1:, 0] / 4)
+    g = -m[1:, 0] / 4
+    slack = matcore._tol(PSD_SLACK, 4 * max(map(abs, q.ravel().tolist() + g.tolist())))
+    n, bound = _sphere_minimum(q, g)
     pair = _bloch_pair(n)
-    value = gksl._functional(gen.full, *pair)
+    value = gksl._functional(gen.noise, *pair)
     if value < -slack:
         return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
                                  proof=PROOF_TRUST_REGION)
@@ -401,7 +405,9 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
             return verdict
     if proved_cp:
         return PositivityVerdict(status=STATUS_CP, min_value=0.0, proof=PROOF_KOSSAKOWSKI_PSD)
-    return _search(gen.full, partial(gksl.positivity_functional, gen), True, budget, seed)
+    # f depends on the noise part only, so H does not set the scale
+    return _search(gen.full, partial(gksl.positivity_functional, gen), True, budget, seed,
+                   float(np.abs(gen.noise).max()))
 
 
 def _proved_cp(gen: Generator) -> bool:
@@ -462,8 +468,12 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
     S is validated once and its Choi matrix gated for Hermiticity once.  CP
     maps short-circuit through the Choi check.  A map on M_2 is decided
     exactly, by a trust-region subproblem on the Bloch sphere, unless its
-    dual bound fails; other maps are searched.  On that exact route
-    ``min_value`` is as :class:`PositivityVerdict` describes it.
+    dual bound fails; other maps are searched.  When that exact route
+    decides, ``min_value`` is the value at the returned pair: the exact
+    minimum whenever
+    tr S[|psi><psi|] does not depend on psi (every trace-preserving or
+    trace-scaling map), otherwise only an upper bound on it (see
+    :class:`PositivityVerdict`).
     """
     _check_search_args(budget, seed)
     sm = as_cmatrix(s)
@@ -472,7 +482,8 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
         return cp
     verdict = _qubit_map_exact(sm) if sm.shape == (4, 4) else None
     if verdict is None:
-        verdict = _search(sm, partial(gksl.map_functional, sm), False, budget, seed)
+        verdict = _search(sm, partial(gksl.map_functional, sm), False, budget, seed,
+                          float(np.abs(sm).max()))
     verdict.choi_min_eig = cp.choi_min_eig
     return verdict
 

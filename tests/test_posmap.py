@@ -264,7 +264,8 @@ class TestQubitExact:
         # too close to the boundary for the search's stopping rule to resolve
         assume(not -1e-6 < exact.min_value < -posmap.PSD_SLACK)
         search = posmap._search(gen.full, partial(gksl.positivity_functional, gen), True,
-                                posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED)
+                                posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED,
+                                np.abs(gen.noise).max())
         assert (exact.status == STATUS_NOT_POSITIVE) == (search.status == STATUS_NOT_POSITIVE)
         if exact.status == STATUS_NOT_POSITIVE:
             psi, phi = exact.pair
@@ -364,7 +365,8 @@ class TestQubitMapExact:
             assert verdict.min_value >= -posmap.PSD_SLACK
         if family == 1:
             # the exact minimum of a trace-preserving map: no search start goes lower
-            search = posmap._search(s, partial(gksl.map_functional, s), False, 64, seed)
+            search = posmap._search(s, partial(gksl.map_functional, s), False, 64, seed,
+                                    np.abs(s).max())
             assert verdict.min_value <= search.min_value + 1e-9
 
     @pytest.mark.parametrize("excess,proof", [(0.5, posmap.PROOF_TRUST_REGION),

@@ -4,8 +4,10 @@ A generator L and its multiple c L (c > 0) generate the same maps at
 rescaled times, so positivity, complete positivity, decomposability and the
 witness pairing must come out the same for both.  Every accept/reject test
 applies ``tol`` unchanged to data of size at most 1 and ``tol * size``
-above that.  The cases below are rescaled inputs that an absolute threshold
-got wrong: rates near 1e6, the size of physical decay rates in 1/s.
+above that, so the verdicts agree while both sizes are at least 1: the
+scales below are 1 and up.  The cases below are rescaled inputs that an
+absolute threshold got wrong: rates near 1e6, the size of physical decay
+rates in 1/s.
 """
 
 import dataclasses
@@ -38,10 +40,11 @@ def trace_deviation(s):
     return np.abs(s[:: d + 1].sum(axis=0) - np.eye(d).reshape(-1)).max()
 
 
-def rank_one_qubit_generator(rng, scale):
+def rank_one_qubit_generator(rng, scale, h_scale=None):
     c = rng.normal(size=3) + 1j * rng.normal(size=3)
     h = random_hermitian(rng, 2)
-    return build_generator(qubit_spec(scale * np.outer(c, c.conj()), scale * h))
+    h_scale = scale if h_scale is None else h_scale
+    return build_generator(qubit_spec(scale * np.outer(c, c.conj()), h_scale * h))
 
 
 class TestRule:
@@ -106,12 +109,15 @@ class TestRescaledInputs:
     def test_large_map_trace_checked_relative(self):
         # ||t L||_1 is about 40, well inside the a-priori gate, but the map's
         # entries reach 4.9e8, so its trace misses by more than 1e-8
-        s = evolve(build_generator(qubit_spec(-np.eye(3))), 10.0)
+        gen = build_generator(qubit_spec(-np.eye(3)))
+        s = evolve(gen, 10.0)
         size = np.abs(s).max()
         assert size > 1e8
         assert gksl.TRACE_PRESERVATION_TOL < trace_deviation(s)
         assert trace_deviation(s) <= gksl.TRACE_PRESERVATION_TOL * size
         assert map_positivity_check(s).status == STATUS_NOT_POSITIVE
+        # a product is checked factor by factor, so it is accepted too
+        assert np.isfinite(evolve(gksl.product_generator(gen, gen), 10.0)).all()
 
     @pytest.mark.parametrize("scale", [1e6, 1e8])
     def test_scaled_rank_one_qubit_generators_cp(self, scale):
@@ -130,6 +136,35 @@ class TestRescaledInputs:
             verdict = kossakowski_positivity_check(build_generator(spec))
             assert verdict.status == STATUS_NOT_POSITIVE
             assert verdict.min_value < 0
+
+    def test_large_hamiltonian_sets_no_scale(self):
+        # -i[H, .] drops out of f, so H must not loosen the slack: the rates
+        # (1e3, -0.01, -0.01) have a pairwise sum of -0.02 and f_min = -0.01
+        hz = 1e9 * np.diag([0.5, -0.5])
+        gen = build_generator(qubit_spec(np.diag([1e3, -0.01, -0.01]), hz))
+        verdict = kossakowski_positivity_check(gen)
+        assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_TRUST_REGION)
+        assert verdict.min_value == pytest.approx(-0.01, rel=1e-9)
+        positive = build_generator(qubit_spec(np.diag([1.0, -0.5, 1.0]), hz))
+        verdict = kossakowski_positivity_check(positive)
+        assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP, posmap.PROOF_TRUST_REGION)
+        # the same through the search, on products with a CP first factor
+        cp = build_generator(qubit_spec(np.eye(3), hz))
+        verdict = kossakowski_positivity_check(gksl.product_generator(cp, gen), budget=16)
+        assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH)
+        assert verdict.min_value < -0.009
+        # the roundoff of -i[H, .] puts the search's best start at -5e-10;
+        # the violation, re-validated on the noise part, is not confirmed
+        verdict = kossakowski_positivity_check(gksl.product_generator(cp, positive), budget=16)
+        assert verdict.status != STATUS_NOT_POSITIVE
+
+    def test_large_hamiltonian_keeps_cp(self):
+        # f_min = 0 for rank-one C; evaluated on L instead of its noise part,
+        # the roundoff of -i[H, .] at 1e8 fell below the slack in 46 draws
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            verdict = kossakowski_positivity_check(rank_one_qubit_generator(rng, 1.0, 1e8))
+            assert verdict.status == STATUS_CP
 
     def test_scaled_product_search(self):
         # the best starts disagree by 8.3e-8 at this scale, below 1e-8 * max|L|
@@ -151,13 +186,6 @@ class TestTraceCheck:
             evolve(gen, 1e15)
         with pytest.raises(matcore.NumericalError, match="misses trace preservation"):
             evolve(gksl.product_generator(gen, gen), 1e15)
-
-    def test_large_entries_accepted(self):
-        gen = build_generator(qubit_spec(-np.eye(3)))
-        s = evolve(gen, 10.0)
-        assert trace_deviation(s) <= gksl.TRACE_PRESERVATION_TOL * np.abs(s).max()
-        prod = evolve(gksl.product_generator(gen, gen), 10.0)
-        assert np.isfinite(prod).all()
 
 
 class TestScaleInvariance:
@@ -204,6 +232,14 @@ class TestScaleInvariance:
         assert got.choi_min_eig == pytest.approx(scale * want.choi_min_eig, **tol)
         if want.min_value is not None:
             assert got.min_value == pytest.approx(scale * want.min_value, **tol)
+
+
+@pytest.mark.xfail(raises=matcore.HermiticityError, strict=True,
+                   reason="blocks of a scaled solve are Hermitian only at the scale of J")
+def test_scaled_certificate_blocks_hermitian():
+    res = decomposability_feasibility(1e6 * choi(choi_map(1.0, 1.0, 1.0)))
+    assert res.status == FEASIBLE
+    assert matcore.is_psd(res.certificate.j1)[0]
 
 
 def unscaled(res, scale):
