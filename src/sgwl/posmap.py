@@ -6,14 +6,16 @@ generated semigroup is decided through the sign of the two-vector functional
     f(psi, phi) = Re <phi| L[|psi><psi|] |phi>,   <phi|psi> = 0,
 
 which is nonnegative for all orthonormal pairs exactly when every map of
-the semigroup is positive.  A PSD Kossakowski matrix C proves complete
-positivity (f = w C w^dag >= 0) without a search.  On qubits, for a
-generator and for a map alike, positivity is a quadratic condition on the
-Bloch vector n of psi, so its minimum on |n| = 1 is a trust-region
-subproblem, solved exactly and certified by its Lagrangian dual bound.
-Everywhere else the checker minimizes f by projected gradient descent from
-many starts run in lockstep, with the exact gradient taken from the same
-batched Hermitian eigensolve that gives the inner minimum over phi.
+the semigroup is positive.  On such pairs -i[H, .] and the anticommutator
+drop out, so a generator check reads only the noise part N and the
+Kossakowski matrix C, never H; C >= 0 proves complete positivity
+(f = w C w^dag >= 0) without a search.  On qubits, for a generator and
+for a map alike, positivity is a quadratic condition on the Bloch vector
+n of psi, so its minimum on |n| = 1 is a trust-region subproblem, solved
+exactly and certified by its Lagrangian dual bound.  Everywhere else the
+checker minimizes f by projected gradient descent from many starts run in
+lockstep, with the exact gradient taken from the same batched Hermitian
+eigensolve that gives the inner minimum over phi.
 
 Every verdict names its ``proof``.  Violation reports are always
 re-validated by direct evaluation before being returned: on the qubit
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from . import gksl, matcore
 from .gksl import SIGMA, Generator, HermitianBasis
 from .matcore import (
     PSD_SLACK,
+    DomainError,
     PreconditionError,
     ShapeError,
     _as_hermitian,
@@ -69,7 +71,8 @@ class PositivityVerdict:
     or the best minimum found by the optimizer together with its per-start
     statistics.
     A verdict proved by C >= 0 off the qubit path reports ``min_value`` 0,
-    a lower bound, not a minimum.
+    a lower bound, not a minimum.  A generator's verdict is computed from
+    its C and N only, so no field of it depends on H.
 
     On the qubit routes ``min_value`` is the functional at ``pair``, the
     pair the trust-region subproblem gives, and ``pair`` is set whatever the
@@ -198,23 +201,23 @@ def _spread(start_values: np.ndarray, k: int = 5) -> float:
     return float(top[-1] - top[0])
 
 
-def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
-            seed: int, size: float) -> PositivityVerdict:
+def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> PositivityVerdict:
     """Minimize the inner minimum over psi on the unit sphere and decide.
 
-    All starts (start s drawn with seed + s) descend in lockstep, one
+    All starts (start k drawn with seed + k) descend in lockstep, one
     batched evaluation per stage.  A start grows its step by 1.5 (at most
     1) on an accepted trial and halves it on a rejected one; it stops when
     the step falls below 1e-12, the gradient vanishes or it has taken
     ``SEARCH_MAX_ITER`` steps.  Once any start falls below -1e-8 only the
-    lowest one goes on.  A violation is re-validated by ``functional``;
-    otherwise the spread of the best starts decides, both at ``size``, the
-    largest entry of the data the minimized value depends on.
+    lowest one goes on.  A violation is re-validated by evaluating the
+    functional of ``s`` directly at its pair, orthonormalized when
+    restricted and normalized otherwise; otherwise the spread of the best
+    starts decides, both at the scale of the largest entry of ``s``.
     """
-    d = int(round(np.sqrt(l_mat.shape[0])))
-    x = np.array([np.random.default_rng(seed + s).normal(size=2 * d) for s in range(budget)])
+    d = int(round(np.sqrt(s.shape[0])))
+    x = np.array([np.random.default_rng(seed + k).normal(size=2 * d) for k in range(budget)])
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    val, grad, phi = _evaluate(l_mat, x, restricted)
+    val, grad, phi = _evaluate(s, x, restricted)
     step = np.full(budget, 0.25)
     taken = np.zeros(budget, dtype=int)
     live = np.linalg.norm(grad, axis=1) >= 1e-12
@@ -227,7 +230,7 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
         # the gradient is orthogonal to x, so the trial row never vanishes
         xn = x[idx] - step[idx, None] * grad[idx]
         xn /= np.linalg.norm(xn, axis=1, keepdims=True)
-        vn, gn, pn = _evaluate(l_mat, xn, restricted)
+        vn, gn, pn = _evaluate(s, xn, restricted)
         ok = vn < val[idx] - 1e-15
         acc, rej = idx[ok], idx[~ok]
         x[acc], val[acc], grad[acc], phi[acc] = xn[ok], vn[ok], gn[ok], pn[ok]
@@ -238,10 +241,12 @@ def _search(l_mat: np.ndarray, functional, restricted: bool, budget: int,
         live[rej] = step[rej] >= 1e-12
 
     best = int(np.argmin(val))
+    size = float(np.abs(s).max())
     slack = matcore._tol(PSD_SLACK, size)
     if val[best] < -slack:
         psi = x[best, :d] + 1j * x[best, d:]
-        value = functional(psi, phi[best])
+        unit = gksl._orthonormalize_pair if restricted else gksl._unit_pair
+        value = gksl._functional(s, *unit(psi, phi[best]))
         if value < -slack:
             return PositivityVerdict(
                 status=STATUS_NOT_POSITIVE,
@@ -345,27 +350,26 @@ def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
     """Exact verdict for a qubit generator, or None if the bound fails.
 
     With P = (1 + n.sigma)/2, psi spans the range of P and phi that of
-    1 - P, so f = Tr((1 - P) L(P)) = n^T Q n + g^T n for M_jk = Tr(sigma_j L(sigma_k)),
-    Q = -sym(M[1:, 1:]) / 4 and g = -M[1:, 0] / 4 (row 0 of M vanishes by
-    trace preservation).  H only adds an antisymmetric block to M[1:, 1:],
-    so the slack is taken at the scale of Q and g, never of H.  The pair at
-    the minimizer n is written in closed form (:func:`_bloch_pair`) and f is
-    evaluated at it directly, on the noise part as
-    :func:`gksl.positivity_functional` does, so the reported value is that
-    of a pair, not of the quadratic; a positive verdict also needs the dual
-    lower bound within the slack.
+    1 - P, so f = Tr((1 - P) N(P)) = [M_00 + (M[0, 1:] - M[1:, 0]).n
+    - n^T M[1:, 1:] n] / 4 for M_jk = Tr(sigma_j N(sigma_k)); on |n| = 1
+    this is f of L, whose H and anticommutator terms vanish on the pair.
+    The slack is taken at the scale of M.  The pair at the minimizer
+    n is written in closed form (:func:`_bloch_pair`) and f is evaluated at
+    it directly, so the reported value is that of a pair, not of the
+    quadratic; a positive verdict also needs the dual lower bound, plus
+    M_00 / 4, within the slack.
     """
-    m = (_PAULI_VECS.conj().T @ gen.full @ _PAULI_VECS).real
+    m = (_PAULI_VECS.conj().T @ gen.noise @ _PAULI_VECS).real
     q = -(m[1:, 1:] + m[1:, 1:].T) / 8
-    g = -m[1:, 0] / 4
-    slack = matcore._tol(PSD_SLACK, 4 * max(map(abs, q.ravel().tolist() + g.tolist())))
+    g = (m[0, 1:] - m[1:, 0]) / 4
+    slack = matcore._tol(PSD_SLACK, float(np.abs(m).max()))
     n, bound = _sphere_minimum(q, g)
     pair = _bloch_pair(n)
     value = gksl._functional(gen.noise, *pair)
     if value < -slack:
         return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
                                  proof=PROOF_TRUST_REGION)
-    if bound < -slack:
+    if bound + m[0, 0] / 4 < -slack:
         return None
     if proved_cp:
         return PositivityVerdict(status=STATUS_CP, min_value=value, pair=pair, spread=0.0,
@@ -379,7 +383,9 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     """Decide positivity of the generated semigroup from the orthogonal-pair
     functional of the generator.
 
-    A qubit generator is decided exactly (a product has d >= 4): the minimum
+    It reads only C (for the CP proof) and the noise part N, never H or
+    ``gen.full``: on orthonormal pairs f of L is f of N.  A qubit
+    generator is decided exactly (a product has d >= 4): the minimum
     of f over the Bloch sphere is a trust-region subproblem, its minimizer
     gives the pair, and the verdict is NotPositive (re-validated pair) or
     positive, proved by the dual bound; with C PSD it is CompletelyPositive
@@ -388,9 +394,9 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     ``min_value`` 0, the lower bound that proof gives, and no search; so is
     a product whose factors all have a PSD C.
 
-    The rest are searched: each start draws psi uniformly on the unit
+    The rest are searched on N: each start draws psi uniformly on the unit
     sphere; the inner problem over phi is solved exactly as the minimal
-    eigenvalue of L[|psi><psi|] compressed to the orthogonal complement of
+    eigenvalue of N[|psi><psi|] compressed to the orthogonal complement of
     psi, and all starts run projected gradient descent in lockstep on the
     outer problem with the exact (envelope) gradient.  A NotPositive verdict
     always carries a re-validated pair; otherwise the verdict is
@@ -405,9 +411,7 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
             return verdict
     if proved_cp:
         return PositivityVerdict(status=STATUS_CP, min_value=0.0, proof=PROOF_KOSSAKOWSKI_PSD)
-    # f depends on the noise part only, so H does not set the scale
-    return _search(gen.full, partial(gksl.positivity_functional, gen), True, budget, seed,
-                   float(np.abs(gen.noise).max()))
+    return _search(gen.noise, True, budget, seed)
 
 
 def _proved_cp(gen: Generator) -> bool:
@@ -482,8 +486,7 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
         return cp
     verdict = _qubit_map_exact(sm) if sm.shape == (4, 4) else None
     if verdict is None:
-        verdict = _search(sm, partial(gksl.map_functional, sm), False, budget, seed,
-                          float(np.abs(sm).max()))
+        verdict = _search(sm, False, budget, seed)
     verdict.choi_min_eig = cp.choi_min_eig
     return verdict
 
@@ -502,7 +505,6 @@ class ProductConditionReport:
     min_eigenvalue: float
     v_matrix: np.ndarray
     necessary_ok: bool
-    sufficient_ok: bool | None = None
 
 
 def product_positivity_necessary(
@@ -527,9 +529,12 @@ def product_positivity_necessary(
 def product_positivity_sufficient(c1, c2) -> bool:
     """Sufficient condition for positivity of a product semigroup with both
     coefficient matrices diagonal: with at most one negative rate, in the
-    second factor only, every other rate must dominate its magnitude."""
+    second factor only, every other rate must dominate its magnitude.
+    Non-finite rates are rejected with ``DomainError``."""
     a1 = np.asarray(c1, dtype=float)
     a2 = np.asarray(c2, dtype=float)
+    if not np.isfinite(np.append(a1, a2)).all():
+        raise DomainError("rates must be finite")
     if a1.shape != a2.shape or a1.ndim != 1:
         raise ShapeError("c1 and c2 must be equal-length 1-d real arrays")
     if np.any(a1 < 0):
@@ -549,10 +554,13 @@ def qubit_product_positivity(c1, c2) -> bool:
     """Full qubit product criterion (the sufficient condition is also
     necessary in d = 2): all cross sums ``c1_i + c2_j`` must be nonnegative.
 
-    Both triples must individually pass the closed-form qubit test.
+    Both triples must individually pass the closed-form qubit test, and
+    non-finite rates are rejected with ``DomainError``.
     """
     a1 = np.asarray(c1, dtype=float)
     a2 = np.asarray(c2, dtype=float)
+    if not np.isfinite(np.append(a1, a2)).all():
+        raise DomainError("rates must be finite")
     if a1.shape != (3,) or a2.shape != (3,):
         raise ShapeError("expected two triples of real rates")
     for name, a in (("first", a1), ("second", a2)):

@@ -312,7 +312,7 @@ def test_criterion_13_propagation_guard():
             c = random_psd(rng, 3)
         spec = qubit_spec(c, hamiltonian=random_hermitian(rng, 2))
         gen = build_generator(spec)
-        rep = decomposability_propagation_check(gen, budget=8, max_iter=2000)
+        rep = decomposability_propagation_check(gen, max_iter=2000)
         if not rep.holds:
             continue
         accepted += 1

@@ -1064,29 +1064,30 @@ class TestThresholdCalls:
 
 class TestPropagation:
     def test_flagship_noise_fails(self):
-        rep = decomposability_propagation_check(witness_product_generator(), budget=8)
+        rep = decomposability_propagation_check(witness_product_generator())
         assert not rep.holds
         assert rep.noise_feasibility.status == INFEASIBLE_WITNESSED
         assert rep.noise_feasibility.pairing == pytest.approx(-1.0 / 12.0, abs=1e-9)
 
     def test_transpose_mixing_noise_not_positive(self):
         gen = build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))
-        rep = decomposability_propagation_check(gen, budget=16)
+        verdict = posmap.map_positivity_check(gen.noise)
+        assert verdict.status == posmap.STATUS_NOT_POSITIVE
+        assert verdict.min_value == pytest.approx(-0.5, abs=1e-9)
+        # a map that is not positive is not decomposable: no certificate
+        rep = decomposability_propagation_check(gen)
         assert not rep.holds
-        assert rep.noise_positivity.status == posmap.STATUS_NOT_POSITIVE
-        assert rep.noise_positivity.min_value == pytest.approx(-0.5, abs=1e-9)
+        assert rep.noise_feasibility.certificate is None
 
     def test_zero_budget_rejected(self):
         gen = build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))
-        with pytest.raises(PreconditionError):
-            decomposability_propagation_check(gen, budget=0)
         with pytest.raises(PreconditionError, match="max_iter"):
             decomposability_propagation_check(gen, max_iter=0)
 
     def test_cp_noise_holds(self):
         rng = np.random.default_rng(41)
         gen = build_generator(qubit_spec(random_psd(rng, 3), random_hermitian(rng, 2)))
-        rep = decomposability_propagation_check(gen, budget=4)
+        rep = decomposability_propagation_check(gen)
         assert rep.holds
         assert np.abs(rep.noise_feasibility.certificate.j2).max() == 0.0
 

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from sgwl import decomp, gksl, matcore, posmap
 from sgwl.gksl import SIGMA, build_generator, evolve, gell_mann_basis, pauli_basis, qubit_spec
-from sgwl.matcore import PreconditionError
+from sgwl.matcore import DomainError, PreconditionError
 from sgwl.posmap import (
     STATUS_CP,
     STATUS_NOT_POSITIVE,
@@ -263,9 +264,7 @@ class TestQubitExact:
         assert exact.proof in (posmap.PROOF_TRUST_REGION, posmap.PROOF_KOSSAKOWSKI_PSD)
         # too close to the boundary for the search's stopping rule to resolve
         assume(not -1e-6 < exact.min_value < -posmap.PSD_SLACK)
-        search = posmap._search(gen.full, partial(gksl.positivity_functional, gen), True,
-                                posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED,
-                                np.abs(gen.noise).max())
+        search = posmap._search(gen.noise, True, posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED)
         assert (exact.status == STATUS_NOT_POSITIVE) == (search.status == STATUS_NOT_POSITIVE)
         if exact.status == STATUS_NOT_POSITIVE:
             psi, phi = exact.pair
@@ -365,8 +364,7 @@ class TestQubitMapExact:
             assert verdict.min_value >= -posmap.PSD_SLACK
         if family == 1:
             # the exact minimum of a trace-preserving map: no search start goes lower
-            search = posmap._search(s, partial(gksl.map_functional, s), False, 64, seed,
-                                    np.abs(s).max())
+            search = posmap._search(s, False, 64, seed)
             assert verdict.min_value <= search.min_value + 1e-9
 
     @pytest.mark.parametrize("excess,proof", [(0.5, posmap.PROOF_TRUST_REGION),
@@ -603,6 +601,54 @@ class TestProofLabels:
                 assert verdict.start_values is not None
 
 
+def assert_identical(v1, v2):
+    # every field, arrays and pairs included, bit for bit
+    for f in dataclasses.fields(v1):
+        a, b = getattr(v1, f.name), getattr(v2, f.name)
+        assert (a is None) == (b is None), f.name
+        if a is not None:
+            assert np.array_equal(a, b), f.name
+
+
+class TestHamiltonianIndependence:
+    """The generator check reads C and the noise part N only: replacing H by
+    another Hermitian H' leaves every field of the verdict bit-identical."""
+
+    @staticmethod
+    def generators(rng, d, shift, scale):
+        # one C, two Hamiltonians; a product gets them on both factors
+        n = d * d - 1
+        a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+        c = a @ a.conj().T - shift * np.eye(n)
+        return [build_generator(gksl.KossakowskiSpec(d, scale * random_hermitian(rng, d), c,
+                                                     gell_mann_basis(d)))
+                for _ in range(2)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from([2, 3, 4, "product"]),
+           shift=st.floats(0.0, 1.5), scale=st.sampled_from([1.0, 1e3, 1e9]))
+    def test_verdict_ignores_hamiltonian(self, seed, kind, shift, scale):
+        rng = np.random.default_rng(seed)
+        if kind == "product":
+            first = self.generators(rng, 2, shift, scale)
+            second = self.generators(rng, 2, shift, scale)
+            gens = [gksl.product_generator(g1, g2) for g1, g2 in zip(first, second)]
+        else:
+            gens = self.generators(rng, kind, shift, scale)
+        v1, v2 = (kossakowski_positivity_check(g, budget=16) for g in gens)
+        assert_identical(v1, v2)
+
+    def test_large_hamiltonian_product(self):
+        # depolarizing (x) rates (1, -0.5, 1), both with H = 1e9 sigma_z / 2: the
+        # roundoff of -i[H, .] at this scale would split the best starts by 9e-6
+        hz = 1e9 * np.diag([0.5, -0.5])
+        g1 = build_generator(qubit_spec(np.eye(3), hz))
+        g2 = build_generator(qubit_spec(np.diag([1.0, -0.5, 1.0]), hz))
+        verdict = kossakowski_positivity_check(gksl.product_generator(g1, g2))
+        assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP, posmap.PROOF_SEARCH)
+        assert verdict.spread <= posmap.SPREAD_TOL
+
+
 class TestMapPositivity:
     def test_transposition_positive_not_cp(self):
         verdict = map_positivity_check(gksl.transpose_superop(2), budget=8)
@@ -725,6 +771,12 @@ class TestProductConditions:
     )
     def test_sufficient(self, c1, c2, expected):
         assert product_positivity_sufficient(c1, c2) is expected
+
+    @pytest.mark.parametrize("check", [product_positivity_sufficient, qubit_product_positivity])
+    @pytest.mark.parametrize("c2", [(np.nan, 1, 1), (np.inf, -1, 1)])
+    def test_non_finite_rates_rejected(self, check, c2):
+        with pytest.raises(DomainError):
+            check((1, 1, 1), c2)
 
     def test_sufficient_preconditions(self):
         with pytest.raises(PreconditionError):

@@ -153,10 +153,9 @@ class TestRescaledInputs:
         verdict = kossakowski_positivity_check(gksl.product_generator(cp, gen), budget=16)
         assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH)
         assert verdict.min_value < -0.009
-        # the roundoff of -i[H, .] puts the search's best start at -5e-10;
-        # the violation, re-validated on the noise part, is not confirmed
+        # searched on the noise part, the roundoff of -i[H, .] never enters
         verdict = kossakowski_positivity_check(gksl.product_generator(cp, positive), budget=16)
-        assert verdict.status != STATUS_NOT_POSITIVE
+        assert verdict.status == STATUS_POSITIVE_NOT_CP
 
     def test_large_hamiltonian_keeps_cp(self):
         # f_min = 0 for rank-one C; evaluated on L instead of its noise part,
