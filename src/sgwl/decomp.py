@@ -40,10 +40,11 @@ from functools import cache
 
 import numpy as np
 
-from . import gksl, matcore, posmap
+from . import gksl, matcore
 from .gksl import (
     Generator,
     SIGMA,
+    choi,
     identity_superop,
     kron_superop,
     qubit_spec,
@@ -60,7 +61,6 @@ from .matcore import (
     as_hermitian,
     partial_transpose,
 )
-from .posmap import choi
 
 FEASIBLE = "Feasible"
 INFEASIBLE_WITNESSED = "InfeasibleWitnessed"
@@ -144,7 +144,7 @@ def _bell_matrices() -> tuple[np.ndarray, np.ndarray]:
     bound-entangled state's matrix.  Both are exactly Hermitian, so the
     states built from them hold these same bits.  Built on first use; the
     arrays are shared and read-only."""
-    p = posmap.maximally_entangled_projector(4)
+    p = gksl.maximally_entangled_projector(4)
     projectors = np.empty((4, 4, 16, 16), dtype=complex)
     for mu in range(4):
         for nu in range(4):

@@ -240,6 +240,32 @@ def _kron_superop(sa: np.ndarray, sb: np.ndarray, da: int, db: int) -> np.ndarra
     return (a * b).reshape(dd * dd, dd * dd)
 
 
+def choi(s) -> np.ndarray:
+    """Choi matrix of a map on M_d: the image of the maximally entangled
+    projector under ``Lambda (x) id``, trace 1 for trace-preserving maps.
+
+    With column-stacking this is an index reshuffle of the superoperator.
+    """
+    return _choi(as_cmatrix(s))
+
+
+def _choi(sm: np.ndarray) -> np.ndarray:
+    """:func:`choi` of an array that already passed :func:`as_cmatrix`."""
+    d = int(round(np.sqrt(sm.shape[0])))
+    if sm.shape != (d * d, d * d):
+        raise ShapeError(f"superoperator must be d^2 x d^2, got {sm.shape}")
+    return sm.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
+
+
+def maximally_entangled_projector(d: int) -> np.ndarray:
+    """Rank-one trace-one projector onto sum_i |ii>/sqrt(d)."""
+    v = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        v[i * d + i] = 1.0
+    v /= np.sqrt(d)
+    return np.outer(v, v.conj())
+
+
 def build_generator(spec: KossakowskiSpec) -> Generator:
     """Assemble full, noise and pseudo-Hamiltonian superoperators from a spec.
 
