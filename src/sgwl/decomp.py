@@ -320,15 +320,20 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter must be >= 1, got {max_iter}")
-    jm = as_hermitian(j)
-    if not jm.imag.any():
-        jm = np.ascontiguousarray(jm.real)
-    return _feasibility(jm, max_iter)
+    return _feasibility(as_hermitian(j), max_iter)
 
 
 def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
-    """:func:`decomposability_feasibility` of a gated Hermitian matrix, in
-    the arithmetic of its dtype."""
+    """:func:`decomposability_feasibility` of a gated Hermitian matrix: in
+    float64 when it has no nonzero imaginary entry, in complex128 otherwise."""
+    if not jm.imag.any():
+        jm = np.ascontiguousarray(jm.real)
+    return _project(jm, max_iter)
+
+
+def _project(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
+    """The projection loop of :func:`decomposability_feasibility` on a gated
+    Hermitian matrix, in the arithmetic of its dtype."""
     n = jm.shape[0]
     d = int(round(np.sqrt(n)))
     if d * d != n:

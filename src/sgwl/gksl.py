@@ -258,11 +258,10 @@ def _choi(sm: np.ndarray) -> np.ndarray:
 
 
 def maximally_entangled_projector(d: int) -> np.ndarray:
-    """Rank-one trace-one projector onto sum_i |ii>/sqrt(d)."""
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    v /= np.sqrt(d)
+    """Rank-one trace-one projector onto sum_i |ii>/sqrt(d), for an integer d >= 1."""
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
+    v = vectorize(np.eye(d, dtype=complex)) / np.sqrt(d)
     return np.outer(v, v.conj())
 
 

@@ -1,7 +1,8 @@
 """Verdicts on maps and generators.
 
-Complete positivity is decided through the Choi matrix.  Positivity of a
-generated semigroup is decided through the sign of the two-vector functional
+Complete positivity is decided through the Choi matrix of ``gksl.choi``.
+Positivity of a generated semigroup is decided through the sign of the
+two-vector functional
 
     f(psi, phi) = Re <phi| L[|psi><psi|] |phi>,   <phi|psi> = 0,
 
@@ -15,7 +16,10 @@ n of psi, so its minimum on |n| = 1 is a trust-region subproblem, solved
 exactly and certified by its Lagrangian dual bound.  Everywhere else the
 checker minimizes f by projected gradient descent from many starts run in
 lockstep, with the exact gradient taken from the same batched Hermitian
-eigensolve that gives the inner minimum over phi.
+eigensolve that gives the inner minimum over phi.  A map that the search
+leaves without a violation gets one capped run of the decomposability loop
+of ``decomp`` on its Choi matrix: a decomposable map is positive, so a
+certificate whose blocks re-verify PSD proves it (proof ``decomposition``).
 
 Every verdict names its ``proof``.  Violation reports are always
 re-validated by direct evaluation before being returned: on the qubit
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gksl, matcore
+from . import decomp, gksl, matcore
 from .gksl import SIGMA, Generator, HermitianBasis, _choi, choi, maximally_entangled_projector
 from .matcore import (
     PSD_SLACK,
@@ -54,11 +58,16 @@ PROOF_CHOI = "choi"
 PROOF_KOSSAKOWSKI_PSD = "kossakowski-psd"
 PROOF_TRUST_REGION = "trust-region"
 PROOF_SEARCH = "search"
+PROOF_DECOMPOSITION = "decomposition"
 
 DEFAULT_BUDGET = 64
 DEFAULT_SEED = 0x5EED
 SPREAD_TOL = 1e-8
 SEARCH_MAX_ITER = 200
+# Projection-loop budget of the decomposability proof in map_positivity_check.
+# Past decomp.ACCELERATION_START: Phi[a,b,c] with b != c certify only after
+# the acceleration starts, in at most about 150 iterations for 0.1 <= b/c <= 10.
+DECOMPOSITION_MAX_ITER = 256
 
 
 @dataclass
@@ -85,9 +94,11 @@ class PositivityVerdict:
 
     ``proof`` names how the status was reached: ``choi`` (Choi spectrum),
     ``kossakowski-psd`` (C >= 0), ``trust-region`` (exact qubit minimum, of
-    a generator or of a map) or ``search``.  A search verdict is a proof
-    only when it is NotPositive, with its re-validated pair; ``reason`` says
-    why a verdict is Undetermined.
+    a generator or of a map), ``decomposition`` (a map's re-verified
+    decomposability certificate; the other fields are the search's) or
+    ``search``.  A search verdict is a proof only when it is NotPositive,
+    with its re-validated pair; ``reason`` says why a verdict is
+    Undetermined.
     """
 
     status: str
@@ -452,17 +463,40 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
     tr S[|psi><psi|] does not depend on psi (every trace-preserving or
     trace-scaling map), otherwise only an upper bound on it (see
     :class:`PositivityVerdict`).
+
+    A search that finds no violation is followed by one projection loop of
+    ``decomp`` on the gated Choi matrix, capped at ``DECOMPOSITION_MAX_ITER``
+    iterations.  If its certificate re-verifies, the verdict becomes
+    PositiveNotCP with proof ``decomposition`` and keeps the search's
+    ``min_value``; a witnessed or unfinished loop leaves the search verdict
+    as it was.
     """
     _check_search_args(budget, seed)
     sm = as_cmatrix(s)
-    cp = _cp_verdict(_as_hermitian(_choi(sm)))
+    j = _as_hermitian(_choi(sm))
+    cp = _cp_verdict(j)
     if cp.is_cp:
         return cp
     verdict = _qubit_map_exact(sm) if sm.shape == (4, 4) else None
     if verdict is None:
         verdict = _search(sm, False, budget, seed)
+        if verdict.status != STATUS_NOT_POSITIVE and _proved_decomposable(j):
+            verdict.status, verdict.proof, verdict.reason = (
+                STATUS_POSITIVE_NOT_CP, PROOF_DECOMPOSITION, None)
     verdict.choi_min_eig = cp.choi_min_eig
     return verdict
+
+
+def _proved_decomposable(j: np.ndarray) -> bool:
+    """True when one projection loop on the gated Choi matrix J, capped at
+    ``DECOMPOSITION_MAX_ITER`` iterations, returns a certificate whose blocks
+    both re-verify PSD at the scale ||J||_2; a decomposable map is positive."""
+    res = decomp._feasibility(j, DECOMPOSITION_MAX_ITER)
+    if res.status != decomp.FEASIBLE:
+        return False
+    bound = matcore._psd_bound(np.linalg.eigvalsh(j))
+    return all(np.linalg.eigvalsh((b + b.conj().T) / 2)[0] >= bound
+               for b in (res.certificate.j1, res.certificate.j2))
 
 
 def qubit_positivity_conditions(c1: float, c2: float, c3: float) -> bool:

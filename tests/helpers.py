@@ -44,6 +44,18 @@ def random_orthonormal_pair(rng, n):
     return psi, phi / np.linalg.norm(phi)
 
 
+def choi_map(a, b, c):
+    """Superoperator of the generalized Choi map on M_3,
+    Phi[a,b,c](X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
+    b x11 + c x22 + a x33) - X."""
+    mix = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
+    s = -np.eye(9, dtype=complex)
+    for i in range(3):
+        for k in range(3):
+            s[4 * k, 4 * i] += mix[k, i]  # vec index of |k><k| is 4 k
+    return s
+
+
 def counting(fn):
     """Wrap ``fn``; the wrapper's ``calls`` attribute counts its calls."""
     def counted(*args, **kwargs):

@@ -26,6 +26,7 @@ from sgwl.matcore import DomainError, NumericalError, PreconditionError, partial
 from sgwl.posmap import choi
 
 from helpers import (
+    choi_map,
     count_eigensolvers,
     count_validations,
     counting,
@@ -66,18 +67,6 @@ def w_closed_form(t, mu, nu):
     return 0.25 * (a * (mu == 0) + (1 - a) / 4) * (
         2 * (1 + a) * (nu == 0) + (1 - a) * (1 - 2 * (nu == 2))
     )
-
-
-def choi_map(a, b, c):
-    """Superoperator of the generalized Choi map on M_3,
-    Phi[a,b,c](X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
-    b x11 + c x22 + a x33) - X."""
-    mix = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
-    s = -np.eye(9, dtype=complex)
-    for i in range(3):
-        for k in range(3):
-            s[4 * k, 4 * i] += mix[k, i]  # vec index of |k><k| is 4 k
-    return s
 
 
 def choi_map_choi(a, p, spread):
@@ -825,7 +814,7 @@ def assert_matches_complex_arithmetic(j):
     """The float64 loop on a real J against the same loop on J in complex
     arithmetic; below ACCELERATION_START that is also the reference."""
     got = decomposability_feasibility(j)
-    ref = decomp._feasibility(matcore.as_hermitian(j), 50000)
+    ref = decomp._project(matcore.as_hermitian(j), 50000)
     if ref.iterations < decomp.ACCELERATION_START:
         assert result_bytes(ref) == result_bytes(reference_feasibility(j, dtype=complex))
     assert got.status == ref.status

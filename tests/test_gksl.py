@@ -11,6 +11,7 @@ from sgwl.gksl import (
     HermitianBasis,
     apply_superop,
     build_generator,
+    choi,
     evolve,
     gell_mann_basis,
     kron_superop,
@@ -111,6 +112,22 @@ class TestBases:
             assert not any(f.flags.writeable for f in b.elements)
             with pytest.raises(ValueError):
                 b.elements[1][0, 0] = 5.0
+
+
+class TestMaximallyEntangledProjector:
+    @pytest.mark.parametrize("d", [1, 2, 3, np.int64(4)])
+    def test_trace_one_projector(self, d):
+        p = gksl.maximally_entangled_projector(d)
+        assert p.shape == (d * d, d * d)
+        assert np.trace(p).real == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(p @ p - p).max() < 1e-15
+        assert np.abs(p - choi(np.eye(d * d))).max() < 1e-15
+
+    @pytest.mark.parametrize("d", [0, -1, 2.5])
+    def test_bad_dimension_rejected(self, d):
+        # 0 gave a 0 x 0 array, -1 NaN entries and 2.5 a bare TypeError
+        with pytest.raises(DomainError, match="integer >= 1"):
+            gksl.maximally_entangled_projector(d)
 
 
 class TestIdentityEquality:

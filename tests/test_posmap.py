@@ -25,6 +25,7 @@ from sgwl.posmap import (
 )
 
 from helpers import (
+    choi_map,
     random_density,
     random_hermitian,
     random_psd,
@@ -297,17 +298,19 @@ class TestQubitExact:
         assert bound <= value + 1e-14
         assert value - bound <= 1e-12
 
-    @pytest.mark.parametrize("check,arg,dual", [
+    @pytest.mark.parametrize("check,arg,dual,proof", [
         (kossakowski_positivity_check, build_generator(qubit_spec(np.diag([1.0, -0.5, 1.0]))),
-         -1.0),
-        # the map route's bound is (dual + u0^2 - |v0|^2) / (16 alpha_min) = (dual + 4) / 8
-        (map_positivity_check, gksl.transpose_superop(2), -100.0),
+         -1.0, posmap.PROOF_SEARCH),
+        # the map route's bound is (dual + u0^2 - |v0|^2) / (16 alpha_min) = (dual + 4) / 8;
+        # after the search, transposition is proved positive by its decomposition
+        (map_positivity_check, gksl.transpose_superop(2), -100.0, posmap.PROOF_DECOMPOSITION),
     ], ids=["generator", "map"])
-    def test_failed_bound_falls_back_to_search(self, monkeypatch, check, arg, dual):
+    def test_failed_bound_falls_back_to_search(self, monkeypatch, check, arg, dual, proof):
         monkeypatch.setattr(posmap, "_sphere_minimum", lambda q, g: (np.array([0, 0, 1.0]), dual))
         verdict = check(arg, budget=8)
         assert verdict.status == STATUS_POSITIVE_NOT_CP
-        assert verdict.proof == posmap.PROOF_SEARCH
+        assert verdict.start_values is not None  # the search ran
+        assert verdict.proof == proof
 
 
 def map_from_choi(j):
@@ -367,14 +370,18 @@ class TestQubitMapExact:
             search = posmap._search(s, False, 64, seed)
             assert verdict.min_value <= search.min_value + 1e-9
 
-    @pytest.mark.parametrize("excess,proof", [(0.5, posmap.PROOF_TRUST_REGION),
+    @pytest.mark.parametrize("excess,route", [(0.5, posmap.PROOF_TRUST_REGION),
                                               (1.5, posmap.PROOF_SEARCH)])
-    def test_bound_scale(self, monkeypatch, excess, proof):
+    def test_bound_scale(self, monkeypatch, excess, route):
         # transposition: u0 = 2, v0 = 0, alpha_min = 1/2 and max |M| = 2, so the
-        # bound (dual + 4) / 8 on alpha - |beta| must clear -2 PSD_SLACK
+        # bound (dual + 4) / 8 on alpha - |beta| must clear -2 PSD_SLACK; past it
+        # the search runs, and the decomposition of transposition proves it positive
         dual = -4.0 - excess * 16 * posmap.PSD_SLACK
         monkeypatch.setattr(posmap, "_sphere_minimum", lambda q, g: (np.array([0, 0, 1.0]), dual))
         verdict = map_positivity_check(gksl.transpose_superop(2), budget=8)
+        searched = route == posmap.PROOF_SEARCH
+        assert (verdict.start_values is not None) == searched
+        proof = posmap.PROOF_DECOMPOSITION if searched else route
         assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP, proof)
 
 
@@ -693,6 +700,78 @@ class TestMapPositivity:
         # rejected before any exact route, although neither of these would search
         with pytest.raises(PreconditionError, match="seed"):
             check(arg, seed=-1)
+
+
+def cho_kye_lee(a, b, c):
+    """(positive, decomposable) for Phi[a,b,c] with 1 <= a <= 3 and b, c >= 0
+    (Cho, Kye & Lee, Linear Algebra Appl. 171 (1992)): positive iff
+    a + b + c >= 3 and, when a < 2, bc >= (2 - a)^2; decomposable iff
+    bc >= (3 - a)^2 / 4."""
+    positive = a + b + c >= 3 and (a >= 2 or b * c >= (2 - a) ** 2)
+    return positive, b * c >= (3 - a) ** 2 / 4
+
+
+class TestDecompositionProof:
+    """Rung 0: a map the search leaves without a violation is proved positive
+    by one capped projection loop, when its certificate re-verifies."""
+
+    @pytest.mark.parametrize("abc,searched,status,proof", [
+        ((2.0, 0.6, 0.6), posmap.STATUS_UNDETERMINED, STATUS_POSITIVE_NOT_CP,
+         posmap.PROOF_DECOMPOSITION),
+        ((1.2, 1.0, 0.9), STATUS_POSITIVE_NOT_CP, STATUS_POSITIVE_NOT_CP,
+         posmap.PROOF_DECOMPOSITION),
+        # positive, not decomposable: the loop witnesses, the search verdict stands
+        ((2.0, 0.1, 1.2), posmap.STATUS_UNDETERMINED, posmap.STATUS_UNDETERMINED,
+         posmap.PROOF_SEARCH),
+        ((1.5, 1.2, 0.4), STATUS_POSITIVE_NOT_CP, STATUS_POSITIVE_NOT_CP, posmap.PROOF_SEARCH),
+    ])
+    def test_choi_maps(self, abc, searched, status, proof):
+        s = choi_map(*abc)
+        search = posmap._search(matcore.as_cmatrix(s), False, 16, posmap.DEFAULT_SEED)
+        verdict = map_positivity_check(s)
+        assert search.status == searched
+        assert (verdict.status, verdict.proof) == (status, proof)
+        assert verdict.min_value == search.min_value
+        assert verdict.choi_min_eig == is_completely_positive(s).choi_min_eig
+        assert (verdict.reason is None) == (status != posmap.STATUS_UNDETERMINED)
+
+    def test_violation_skips_the_loop(self, monkeypatch):
+        def refuse(j):
+            raise AssertionError("the loop ran after a violation")
+
+        monkeypatch.setattr(posmap, "_proved_decomposable", refuse)
+        verdict = map_positivity_check(choi_map(1.5, 0.3, 0.9))
+        assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH)
+
+    def test_budget_is_capped(self, monkeypatch):
+        # Phi[2, 0.6, 0.6] certifies in 64 iterations, not in 10
+        monkeypatch.setattr(posmap, "DECOMPOSITION_MAX_ITER", 10)
+        verdict = map_positivity_check(choi_map(2.0, 0.6, 0.6))
+        assert (verdict.status, verdict.proof) == (posmap.STATUS_UNDETERMINED, posmap.PROOF_SEARCH)
+
+    def test_certificate_is_reverified(self, monkeypatch):
+        # a Feasible result whose J1 = J is not PSD proves nothing
+        def unchecked(jm, max_iter):
+            cert = decomp.DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
+            return decomp.FeasibilityResult(status=decomp.FEASIBLE, certificate=cert)
+
+        monkeypatch.setattr(decomp, "_feasibility", unchecked)
+        verdict = map_positivity_check(choi_map(2.0, 0.6, 0.6))
+        assert (verdict.status, verdict.proof) == (posmap.STATUS_UNDETERMINED, posmap.PROOF_SEARCH)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1.0, 2.9), excess=st.floats(0.3, 4.0), log_ratio=st.floats(-2.3, 2.3))
+    def test_cho_kye_lee(self, a, excess, log_ratio):
+        # bc = excess times the decomposability boundary (3 - a)^2 / 4, b / c = e^log_ratio
+        p = excess * (3 - a) ** 2 / 4
+        b = np.sqrt(p * np.exp(log_ratio))
+        positive, decomposable = cho_kye_lee(a, b, p / b)
+        verdict = map_positivity_check(choi_map(a, b, p / b))
+        if verdict.proof == posmap.PROOF_DECOMPOSITION:
+            assert positive and decomposable
+            assert verdict.status == STATUS_POSITIVE_NOT_CP
+        if 1.2 <= excess <= 4.0:
+            assert verdict.proof == posmap.PROOF_DECOMPOSITION
 
 
 class TestExactGradient:
