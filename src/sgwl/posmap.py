@@ -10,7 +10,9 @@ which is nonnegative for all orthonormal pairs exactly when every map of
 the semigroup is positive.  On such pairs -i[H, .] and the anticommutator
 drop out, so a generator check reads only the noise part N and the
 Kossakowski matrix C, never H; C >= 0 proves complete positivity
-(f = w C w^dag >= 0) without a search.  On qubits, for a generator and
+(f = w C w^dag >= 0) without a search, and C < 0 makes every pair a
+violation; a product of two qubit generators with real symmetric C has
+the minimum of f in closed form.  On qubits, for a generator and
 for a map alike, positivity is a quadratic condition on the Bloch vector
 n of psi, so its minimum on |n| = 1 is a trust-region subproblem, solved
 exactly and certified by its Lagrangian dual bound.  Everywhere else the
@@ -57,6 +59,8 @@ STATUS_UNDETERMINED = "Undetermined"
 PROOF_CHOI = "choi"
 PROOF_KOSSAKOWSKI_PSD = "kossakowski-psd"
 PROOF_TRUST_REGION = "trust-region"
+PROOF_KOSSAKOWSKI_ND = "kossakowski-nd"
+PROOF_CLOSED_FORM = "closed-form"
 PROOF_SEARCH = "search"
 PROOF_DECOMPOSITION = "decomposition"
 
@@ -92,13 +96,20 @@ class PositivityVerdict:
     the smallest eigenvalue of S[|psi><psi|], and can lie well above it;
     the status is exact all the same.
 
+    A NotPositive generator verdict proved ``closed-form`` (a product of
+    two qubit generators with real symmetric C) reports the exact minimum,
+    half the least pair sum of the two spectra; one proved
+    ``kossakowski-nd`` (C negative definite) reports the functional at its
+    pair, somewhere in [lambda_min(C), lambda_max(C)].
+
     ``proof`` names how the status was reached: ``choi`` (Choi spectrum),
     ``kossakowski-psd`` (C >= 0), ``trust-region`` (exact qubit minimum, of
-    a generator or of a map), ``decomposition`` (a map's re-verified
-    decomposability certificate; the other fields are the search's) or
-    ``search``.  A search verdict is a proof only when it is NotPositive,
-    with its re-validated pair; ``reason`` says why a verdict is
-    Undetermined.
+    a generator or of a map), ``kossakowski-nd`` (C < 0, so every pair
+    violates), ``closed-form`` (a qubit product's exact minimum),
+    ``decomposition`` (a map's re-verified decomposability certificate; the
+    other fields are the search's) or ``search``.  A search verdict is a
+    proof only when it is NotPositive, with its re-validated pair;
+    ``reason`` says why a verdict is Undetermined.
     """
 
     status: str
@@ -363,6 +374,105 @@ def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
                              spread=0.0, proof=PROOF_TRUST_REGION)
 
 
+def _violation(noise: np.ndarray, value: float, pair, proof: str,
+               slack: float) -> PositivityVerdict | None:
+    """NotPositive for a built pair, or None unless ``value`` and the
+    functional of N evaluated at the pair both lie below -slack."""
+    if value < -slack and gksl._functional(noise, *pair) < -slack:
+        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
+                                 proof=proof)
+    return None
+
+
+def _orthogonal_to(p: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """The part orthogonal to the unit vector p, normalized, of the first of
+    two orthonormal candidates where that part has norm at least 1/2, else
+    of the second: their squared overlaps with p sum to at most 1, so the
+    second then keeps a norm above 0.7."""
+    for q in candidates:
+        q = q - np.vdot(p, q) * p
+        r = np.linalg.norm(q)
+        if r >= 0.5:
+            break
+    return q / r
+
+
+def _negative_definite_violation(gen: Generator, slack: float) -> PositivityVerdict | None:
+    """NotPositive without a search when the spec's C is negative definite:
+    lambda_max(C) below the PSD bound of its spectrum (matcore's rule).
+
+    On an orthonormal pair sum_a |w_a|^2 = 1, so f = w C w^dag lies in
+    [lambda_min(C), lambda_max(C)] and every pair violates.  With u the
+    lowest eigenvector of C, f = lambda_min exactly when |<phi|A|psi>| = 1
+    for A = sum_a u_a F_a, so psi and phi are taken from the top right and left
+    singular vectors of A, in both orders and for u and conj(u); phi is made
+    orthogonal to psi, falling back on the second singular vector when the
+    top ones are parallel.  The lowest of these four values is reported, the
+    functional at its pair, somewhere in [lambda_min(C), lambda_max(C)].
+    """
+    spec = gen.spec
+    if spec is None:
+        return None
+    w, v = np.linalg.eigh(spec.c_matrix)
+    if w[-1] >= matcore._psd_bound(w):
+        return None
+    d, flat = spec.dim, spec.basis._stacks[0]
+    best = None
+    for u in (v[:, 0], v[:, 0].conj()):
+        left, _, right = np.linalg.svd((u @ flat).reshape(d, d))
+        right = right.conj()
+        for p, others in ((right[0], left[:, :2].T), (left[:, 0], right[:2])):
+            pair = p, _orthogonal_to(p, others)
+            value = gksl._functional(gen.noise, *pair)
+            if best is None or value < best[0]:
+                best = value, pair
+    return _violation(gen.noise, *best, PROOF_KOSSAKOWSKI_ND, slack)
+
+
+def _qubit_product_violation(gen: Generator, slack: float) -> PositivityVerdict | None:
+    """NotPositive in closed form for a product of two qubit generators whose
+    C is real symmetric in the Pauli basis, when half the least of
+    S = {c_i + c_j (i != j) within a factor, c1_i + c2_j across} lies below
+    -slack; that half is the exact minimum of f and is reported as
+    ``min_value``.
+
+    On a pair f = w1 C1 w1^dag + w2 C2 w2^dag with w1_a = <phi|F_a (x) 1|psi>
+    and w2_b = <phi|1 (x) F_b|psi>, and a local unitary rotates each w by an
+    SO(3) element of its own, so min f depends only on the spectra c1, c2
+    (ascending, with eigenvectors v1, v2).  A within-factor sum c_0 + c_1 is
+    reached by that factor's qubit pair (:func:`_bloch_pair` of its top
+    eigenvector, the minimizer of its own trust-region problem) times |0> on
+    the other factor.  The cross sum c1_0 + c2_0 is reached by
+    psi = (1 (x) W)|Phi+> and phi = (n1.sigma (x) 1) psi with n1 = v1[:, 0]:
+    then w1 = n1 / sqrt(2) and w2 = R_W D n1 / sqrt(2), D = diag(1, -1, 1)
+    the Bloch image of transposition, so W is built to rotate D n1 onto
+    n2 = v2[:, 0].
+    """
+    g1, g2 = gen.factors
+    pauli = gksl.pauli_basis()
+    if not all(g.spec is not None and g.spec.basis is pauli and not g.spec.c_matrix.imag.any()
+               for g in (g1, g2)):
+        return None
+    (c1, v1), (c2, v2) = (np.linalg.eigh(g.spec.c_matrix.real) for g in (g1, g2))
+    sums = (c1[0] + c1[1], c2[0] + c2[1], c1[0] + c2[0])
+    k = int(np.argmin(sums))
+    if sums[k] / 2 >= -slack:
+        return None
+    if k < 2:
+        psi, phi = _bloch_pair((v1, v2)[k][:, 2])
+        chi = np.array([1.0, 0.0])
+        pair = (np.kron(psi, chi), np.kron(phi, chi)) if k == 0 else \
+            (np.kron(chi, psi), np.kron(chi, phi))
+    else:
+        n1 = v1[:, 0]
+        (a_up, a_down), (b_up, b_down) = _bloch_pair(n1 * [1.0, -1.0, 1.0]), _bloch_pair(v2[:, 0])
+        w = np.outer(b_up, a_up.conj()) + np.outer(b_down, a_down.conj())
+        # (A (x) B)|Phi+> is vec_row(A B^T) / sqrt(2) in the Kronecker order
+        psi = w.T / math.sqrt(2)
+        pair = psi.reshape(-1), (np.tensordot(n1, SIGMA[1:], axes=1) @ psi).reshape(-1)
+    return _violation(gen.noise, float(sums[k] / 2), pair, PROOF_CLOSED_FORM, slack)
+
+
 def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
                                  seed: int = DEFAULT_SEED) -> PositivityVerdict:
     """Decide positivity of the generated semigroup from the orthogonal-pair
@@ -378,6 +488,15 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     matrix C is PSD is CompletelyPositive at once (f = w C w^dag >= 0), with
     ``min_value`` 0, the lower bound that proof gives, and no search; so is
     a product whose factors all have a PSD C.
+
+    Two violations are built, not searched for, each re-validated on N at
+    the search's slack: a C that is negative definite makes every pair
+    violate (proof ``kossakowski-nd``, ``min_value`` the functional at the
+    pair built from C's lowest eigenvector), and a product of two qubit
+    generators with real symmetric C in the Pauli basis has its exact
+    minimum in closed form (proof ``closed-form``, ``min_value`` that
+    minimum).  A pair that fails re-validation leaves the generator to the
+    search, as a positive closed form does.
 
     The rest are searched on N: each start draws psi uniformly on the unit
     sphere; the inner problem over phi is solved exactly as the minimal
@@ -396,7 +515,12 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
             return verdict
     if proved_cp:
         return PositivityVerdict(status=STATUS_CP, min_value=0.0, proof=PROOF_KOSSAKOWSKI_PSD)
-    return _search(gen.noise, True, budget, seed)
+    slack = matcore._tol(PSD_SLACK, float(np.abs(gen.noise).max()))
+    if gen.factors is None:
+        verdict = _negative_definite_violation(gen, slack)
+    else:
+        verdict = _qubit_product_violation(gen, slack)
+    return verdict or _search(gen.noise, True, budget, seed)
 
 
 def _proved_cp(gen: Generator) -> bool:

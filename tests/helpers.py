@@ -44,6 +44,16 @@ def random_orthonormal_pair(rng, n):
     return psi, phi / np.linalg.norm(phi)
 
 
+def negative_definite_generator(rng, d, scale=1.0):
+    """A d-level generator with a random H and the Kossakowski matrix
+    -scale (A A^dag / n + 0.1), n = d^2 - 1: C < 0, so it is not positive."""
+    n = d * d - 1
+    a = random_complex(rng, n)
+    c = -(a @ a.conj().T / n + 0.1 * np.eye(n))
+    return gksl.build_generator(gksl.KossakowskiSpec(d, random_hermitian(rng, d), scale * c,
+                                                     gksl.gell_mann_basis(d)))
+
+
 def choi_map(a, b, c):
     """Superoperator of the generalized Choi map on M_3,
     Phi[a,b,c](X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,

@@ -26,6 +26,8 @@ from sgwl.posmap import (
 
 from helpers import (
     choi_map,
+    count_eigensolvers,
+    negative_definite_generator,
     random_density,
     random_hermitian,
     random_psd,
@@ -573,6 +575,116 @@ def qubit_check(rates):
     return kossakowski_positivity_check(build_generator(qubit_spec(np.diag(rates))))
 
 
+def half_least_sum(c1, c2):
+    # half the least of every pair sum within a factor and every cross sum
+    within = [c[i] + c[j] for c in (c1, c2) for i in range(3) for j in range(i + 1, 3)]
+    return min(within + [a + b for a in c1 for b in c2]) / 2
+
+
+def qubit_generator(rng, c, rotate=True):
+    r = gksl.basis_rotation_matrix(random_unitary(rng, 2), pauli_basis()) if rotate else np.eye(3)
+    return build_generator(qubit_spec(r.T @ c @ r, random_hermitian(rng, 2)))
+
+
+class TestQubitProductClosedForm:
+    """A NotPositive product of two qubit generators with real symmetric C
+    gets its pair in closed form, and half the least pair or cross sum of the
+    two spectra as its exact minimum; everything else is searched."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rotate=st.booleans(), swap=st.booleans())
+    def test_matches_search(self, seed, rotate, swap):
+        # about 40% of the draws are positive
+        rng = np.random.default_rng(seed)
+        c1, c2 = rng.uniform(-0.2, 1.5, size=3), rng.uniform(-0.6, 1.5, size=3)
+        if swap:
+            c1, c2 = c2, c1
+        least = half_least_sum(c1, c2)
+        assume(abs(least) >= 0.01)
+        gen = gksl.product_generator(qubit_generator(rng, np.diag(c1), rotate),
+                                     qubit_generator(rng, np.diag(c2), rotate))
+        verdict = kossakowski_positivity_check(gen)
+        searched = posmap._search(gen.noise, True, posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED)
+        if verdict.status == STATUS_CP:  # both factors have C >= 0
+            assert searched.is_positive
+        else:
+            assert verdict.status == searched.status
+        if verdict.status == STATUS_NOT_POSITIVE:
+            assert verdict.proof == posmap.PROOF_CLOSED_FORM
+            assert verdict.min_value == pytest.approx(least, abs=1e-10)
+            assert verdict.min_value <= searched.min_value + 1e-9
+            assert gksl.positivity_functional(gen, *verdict.pair) == pytest.approx(
+                verdict.min_value, abs=1e-10)
+        else:
+            assert verdict.proof != posmap.PROOF_CLOSED_FORM
+        if qubit_positivity_conditions(*c1) and qubit_positivity_conditions(*c2):
+            assert verdict.is_positive == qubit_product_positivity(c1, c2)
+
+    def test_outside_scope_searched(self):
+        # a C with an antisymmetric imaginary part, and a nested product; a
+        # positive product is searched as well (TestProofLabels, "product")
+        cp = build_generator(qubit_spec(np.eye(3)))
+        not_positive = gksl.product_generator(
+            cp, build_generator(qubit_spec(np.diag([1.0, -1.5, 1.0]))))
+        twisted = np.diag([-1.0, 1.5, 1.5]) + 0.2j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        for gen in (gksl.product_generator(build_generator(qubit_spec(np.diag([0.1, 1.0, 1.0]))),
+                                           build_generator(qubit_spec(twisted))),
+                    gksl.product_generator(not_positive, gksl.product_generator(cp, cp))):
+            verdict = kossakowski_positivity_check(gen, budget=4)
+            assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH)
+
+    def test_failed_revalidation_searched(self, monkeypatch):
+        # a built pair that does not re-evaluate below the slack proves nothing
+        monkeypatch.setattr(gksl, "_functional", lambda s, p, q: 0.0)
+        gen = gksl.product_generator(build_generator(qubit_spec(np.eye(3))),
+                                     build_generator(qubit_spec(np.diag([1.0, -1.5, 1.0]))))
+        verdict = kossakowski_positivity_check(gen, budget=4)
+        assert verdict.proof == posmap.PROOF_SEARCH
+        assert verdict.start_values is not None
+
+
+class TestNegativeDefinite:
+    """C < 0 makes every orthonormal pair violate: f = w C w^dag with
+    |w| = 1 lies in [lambda_min(C), lambda_max(C)]."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_built_pair(self, monkeypatch, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(5):
+            gen = negative_definite_generator(rng, d)
+            eigh, _, verdict = count_eigensolvers(
+                monkeypatch, lambda: kossakowski_positivity_check(gen))
+            assert eigh == 1  # the spectrum of C, no batched search eigh
+            assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE,
+                                                       posmap.PROOF_KOSSAKOWSKI_ND)
+            w = np.linalg.eigvalsh(gen.spec.c_matrix)
+            assert w[0] - 1e-12 <= verdict.min_value <= w[-1] < 0
+            psi, phi = verdict.pair
+            assert abs(np.vdot(psi, phi)) <= 1e-12
+            assert gksl.positivity_functional(gen, psi, phi) == pytest.approx(
+                verdict.min_value, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_real_diagonal(self, d):
+        # a real C makes the top singular vectors parallel; the second one serves
+        c = -np.diag(np.linspace(0.5, 2.0, d * d - 1))
+        gen = build_generator(gksl.KossakowskiSpec(d, np.zeros((d, d)), c, gell_mann_basis(d)))
+        verdict = kossakowski_positivity_check(gen)
+        assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE,
+                                                   posmap.PROOF_KOSSAKOWSKI_ND)
+        assert -2.0 - 1e-12 <= verdict.min_value <= -0.5
+        assert gksl.positivity_functional(gen, *verdict.pair) == pytest.approx(
+            verdict.min_value, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_semidefinite_searched(self, d):
+        # -diag(1, ..., 1, 0) has lambda_max = 0 exactly: not C < 0
+        c = -np.diag([1.0] * (d * d - 2) + [0.0])
+        gen = build_generator(gksl.KossakowskiSpec(d, np.zeros((d, d)), c, gell_mann_basis(d)))
+        verdict = kossakowski_positivity_check(gen, budget=8)
+        assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH)
+
+
 class TestProofLabels:
     @pytest.mark.parametrize("verdict,status,proof", [
         (lambda: map_positivity_check(gksl.trace_to_identity_superop(2)),
@@ -590,10 +702,17 @@ class TestProofLabels:
         (lambda: kossakowski_positivity_check(build_generator(gksl.KossakowskiSpec(
             3, np.zeros((3, 3)), np.eye(8), gell_mann_basis(3)))),
          STATUS_CP, posmap.PROOF_KOSSAKOWSKI_PSD),
+        (lambda: kossakowski_positivity_check(build_generator(gksl.KossakowskiSpec(
+            3, np.zeros((3, 3)), -np.eye(8), gell_mann_basis(3)))),
+         STATUS_NOT_POSITIVE, posmap.PROOF_KOSSAKOWSKI_ND),
         (lambda: kossakowski_positivity_check(flagship_product_generator(), budget=24),
          STATUS_POSITIVE_NOT_CP, posmap.PROOF_SEARCH),
+        (lambda: kossakowski_positivity_check(gksl.product_generator(
+            build_generator(qubit_spec(np.eye(3))),
+            build_generator(qubit_spec(np.diag([1.0, -1.5, 1.0]))))),
+         STATUS_NOT_POSITIVE, posmap.PROOF_CLOSED_FORM),
     ], ids=["cp-map", "transpose", "noise", "trace-sign", "qubit-cp", "qubit-pncp", "qubit-np",
-            "qutrit-cp", "product"])
+            "qutrit-cp", "qutrit-nd", "product", "product-np"])
     def test_every_path_labelled(self, verdict, status, proof):
         v = verdict()
         assert (v.status, v.proof) == (status, proof)
@@ -643,6 +762,15 @@ class TestHamiltonianIndependence:
         else:
             gens = self.generators(rng, kind, shift, scale)
         v1, v2 = (kossakowski_positivity_check(g, budget=16) for g in gens)
+        assert_identical(v1, v2)
+
+    def test_negative_definite_generator(self):
+        # C < 0 builds its pair from C and N alone, so H cannot reach it
+        rng = np.random.default_rng(37)
+        gens = self.generators(rng, 3, 8.0, 1e3)
+        assert np.linalg.eigvalsh(gens[0].spec.c_matrix)[-1] < 0
+        v1, v2 = (kossakowski_positivity_check(g) for g in gens)
+        assert v1.proof == posmap.PROOF_KOSSAKOWSKI_ND
         assert_identical(v1, v2)
 
     def test_large_hamiltonian_product(self):

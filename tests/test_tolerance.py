@@ -29,7 +29,7 @@ from sgwl.posmap import (
     map_positivity_check,
 )
 
-from helpers import random_hermitian
+from helpers import negative_definite_generator, random_hermitian
 from test_decomp import assert_certificate, assert_witness, choi_map
 
 SCALES = st.sampled_from([1.0, 1e3, 1e6, 1e8, 1e9])
@@ -132,10 +132,14 @@ class TestRescaledInputs:
         for _ in range(20):
             c = rng.normal(size=8) + 1j * rng.normal(size=8)
             cm = -np.outer(c, c.conj()) - 0.1 * np.eye(8)
-            spec = gksl.KossakowskiSpec(3, np.zeros((3, 3)), scale * cm, gell_mann_basis(3))
-            verdict = kossakowski_positivity_check(build_generator(spec))
-            assert verdict.status == STATUS_NOT_POSITIVE
-            assert verdict.min_value < 0
+            gen = build_generator(gksl.KossakowskiSpec(3, np.zeros((3, 3)), scale * cm,
+                                                       gell_mann_basis(3)))
+            # C < 0 decides without a search; the search on N agrees
+            for verdict in (kossakowski_positivity_check(gen),
+                            posmap._search(gen.noise, True, posmap.DEFAULT_BUDGET,
+                                           posmap.DEFAULT_SEED)):
+                assert verdict.status == STATUS_NOT_POSITIVE
+                assert verdict.min_value < 0
 
     def test_large_hamiltonian_sets_no_scale(self):
         # -i[H, .] drops out of f, so H must not loosen the slack: the rates
@@ -148,9 +152,14 @@ class TestRescaledInputs:
         positive = build_generator(qubit_spec(np.diag([1.0, -0.5, 1.0]), hz))
         verdict = kossakowski_positivity_check(positive)
         assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP, posmap.PROOF_TRUST_REGION)
-        # the same through the search, on products with a CP first factor
+        # the same on products with a CP first factor: in closed form, and
+        # through the search on the same noise part
         cp = build_generator(qubit_spec(np.eye(3), hz))
-        verdict = kossakowski_positivity_check(gksl.product_generator(cp, gen), budget=16)
+        product = gksl.product_generator(cp, gen)
+        verdict = kossakowski_positivity_check(product, budget=16)
+        assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_CLOSED_FORM)
+        assert verdict.min_value == pytest.approx(-0.01, rel=1e-9)
+        verdict = posmap._search(product.noise, True, 16, posmap.DEFAULT_SEED)
         assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH)
         assert verdict.min_value < -0.009
         # searched on the noise part, the roundoff of -i[H, .] never enters
@@ -197,6 +206,16 @@ class TestScaleInvariance:
         verdict = kossakowski_positivity_check(
             rank_one_qubit_generator(np.random.default_rng(seed), scale))
         assert verdict.status == STATUS_CP
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(scale=SCALES, seed=st.integers(0, 2**32 - 1), d=st.sampled_from([3, 4, 5]))
+    def test_negative_definite_generator(self, scale, seed, d):
+        # the pair built from C < 0 is that of c C, so min_value scales by c
+        want, got = (kossakowski_positivity_check(negative_definite_generator(
+            np.random.default_rng(seed), d, s)) for s in (1.0, scale))
+        assert (got.status, got.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_KOSSAKOWSKI_ND)
+        assert (want.status, want.proof) == (got.status, got.proof)
+        assert got.min_value == pytest.approx(scale * want.min_value, rel=1e-9)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(scale=SCALES, a=st.floats(1.0, 3.0), b=st.floats(0.0, 2.0), c=st.floats(0.0, 2.0))
