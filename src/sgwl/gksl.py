@@ -1,6 +1,6 @@
 """Hermitian operator bases, Kossakowski-form generators and their semigroups.
 
-A generator acting on ``M_d`` is stored as a dense ``d^2 x d^2`` matrix on
+A generator acting on ``M_d`` is a dense ``d^2 x d^2`` matrix on
 column-stacked vectorized operators.  It is assembled from a Hamiltonian
 ``H``, a Hermitian coefficient matrix ``C`` (the Kossakowski matrix) and an
 orthonormal Hermitian basis ``{F_0 = 1/sqrt(d), F_1, ..., F_{d^2-1}}`` as
@@ -9,14 +9,15 @@ orthonormal Hermitian basis ``{F_0 = 1/sqrt(d), F_1, ..., F_{d^2-1}}`` as
 
 with the double-operator sum running over the traceless elements only.  The
 noise part ``N[rho] = sum_ab C[a,b] F_a rho F_b`` and the remaining
-pseudo-Hamiltonian part are kept separately; they always recompose to the
-full generator exactly.  A product generator ``L1 (x) id + id (x) L2`` keeps
-its two factors and is evolved factor by factor, both in one stacked
-exponential.
+pseudo-Hamiltonian part are built separately, each on first read; they
+always recompose to the full generator exactly.  A product generator
+``L1 (x) id + id (x) L2`` keeps its two factors and is evolved factor by
+factor, both in one stacked exponential.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -164,21 +165,88 @@ def qubit_spec(c_matrix, hamiltonian=None, label: str = "") -> KossakowskiSpec:
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """Assembled generator: full = noise + pseudo_h, all d^2 x d^2 matrices.
+    """Generator of a semigroup, with parts full = noise + pseudo_h, all
+    d^2 x d^2 matrices.
 
-    ``k_matrix`` is the d x d matrix ``K = sum_ab C[a,b] F_b^dag F_a`` of the
-    anticommutator term.  ``spec`` is the data a generator was built from.
-    ``factors`` is set on a product generator ``L1 (x) id + id (x) L2`` and
-    holds ``(L1, L2)``; :func:`evolve` then works factor by factor.
+    A generator records only the data it comes from: ``spec``, the data it
+    was built from, or ``factors``, set on a product generator
+    ``L1 (x) id + id (x) L2`` to ``(L1, L2)``; :func:`evolve` then works
+    factor by factor.  Each part is built from that data on first read,
+    cached and read-only, like the basis stacks.  ``k_matrix`` is the d x d
+    matrix ``K = sum_ab C[a,b] F_b^dag F_a`` of the anticommutator term.
+    A positivity check reads C and ``noise`` only, so it never builds
+    ``k_matrix``, ``pseudo_h`` or ``full``; a product builds its dense parts
+    from its factors' parts, and only when a caller reads them.
     """
 
     dim: int
-    full: np.ndarray
-    noise: np.ndarray
-    pseudo_h: np.ndarray
-    k_matrix: np.ndarray
     spec: KossakowskiSpec | None = None
     factors: tuple[Generator, Generator] | None = None
+
+    @cached_property
+    def noise(self) -> np.ndarray:
+        """``N[rho] = sum_ab C[a,b] F_a rho F_b``, or ``N1 (x) id + id (x) N2``.
+
+        With ``X_b = sum_a C[a,b] F_a`` over the basis' cached traceless
+        stack, N is ``sum_b kron(conj(F_b), X_b)`` (the superoperator of
+        ``rho -> sum_b X_b rho F_b^dag``): one (d^2 x n)(n x d^2) product,
+        ``conj(F)^T X``, read with its row and column indices reshuffled.
+        """
+        if self.factors is not None:
+            return _lifted_sum(*(g.noise for g in self.factors))
+        d = self.dim
+        flat, conj = self.spec.basis._stacks
+        noise = conj.reshape(flat.shape).T @ _weighted_stack(self.spec)
+        noise = noise.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        return _read_only(noise.reshape(d * d, d * d))
+
+    @cached_property
+    def k_matrix(self) -> np.ndarray:
+        """``K = sum_b F_b^dag X_b``, a d x d contraction, or ``K1 (x) 1 + 1 (x) K2``."""
+        if self.factors is not None:
+            k1, k2 = (g.k_matrix for g in self.factors)
+            ident = np.eye(self.factors[0].dim)
+            return _read_only(np.kron(k1, ident) + np.kron(ident, k2))
+        conj = self.spec.basis._stacks[1]
+        return _read_only(np.einsum("bji,bjk->ik", conj,
+                                    _weighted_stack(self.spec).reshape(conj.shape)))
+
+    @cached_property
+    def pseudo_h(self) -> np.ndarray:
+        """``rho -> -i[H, rho] - {K, rho}/2`` as two broadcast products, or
+        ``P1 (x) id + id (x) P2``."""
+        if self.factors is not None:
+            return _lifted_sum(*(g.pseudo_h for g in self.factors))
+        d = self.dim
+        # -i[H, rho] - {K, rho}/2 = G rho + rho G' with G = -iH - K/2, G' = iH - K/2:
+        # kron(1, G) + kron(G'^T, 1), entry ((a, i), (b, j)) on column-stacked vectors
+        ident = np.eye(d)
+        h, k = self.spec.hamiltonian, self.k_matrix
+        pseudo = (ident[:, None, :, None] * (-1j * h - 0.5 * k)[None, :, None, :]
+                  + (1j * h - 0.5 * k).T[:, None, :, None] * ident[None, :, None, :])
+        return _read_only(pseudo.reshape(d * d, d * d))
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        """The generator L = noise + pseudo_h."""
+        return _read_only(self.noise + self.pseudo_h)
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
+def _weighted_stack(spec: KossakowskiSpec) -> np.ndarray:
+    """``X_b = sum_a C[a,b] F_a`` flattened as an ``(n, d^2)`` stack."""
+    return spec.c_matrix.T @ spec.basis._stacks[0]
+
+
+def _lifted_sum(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """``S1 (x) id + id (x) S2``, read-only, for two superoperators on M_d."""
+    d = math.isqrt(s1.shape[0])
+    ident = identity_superop(d)
+    return _read_only(_kron_superop(s1, ident, d, d) + _kron_superop(ident, s2, d, d))
 
 
 def apply_superop(s, x) -> np.ndarray:
@@ -266,47 +334,25 @@ def maximally_entangled_projector(d: int) -> np.ndarray:
 
 
 def build_generator(spec: KossakowskiSpec) -> Generator:
-    """Assemble full, noise and pseudo-Hamiltonian superoperators from a spec.
+    """The generator of a spec; its parts are built on first read.
 
-    With ``X_b = sum_a C[a,b] F_a`` over the basis' cached traceless stack,
-    the noise part ``sum_b kron(conj(F_b), X_b)`` (the superoperator of
-    ``rho -> sum_b X_b rho F_b^dag``) is one (d^2 x n)(n x d^2) product,
-    ``conj(F)^T X``, read with its row and column indices reshuffled.
-    ``K = sum_b F_b^dag X_b`` is a d x d contraction, and the
-    pseudo-Hamiltonian part two broadcast products.  The spec's H and C were
-    validated when it was made, so nothing is checked again here.
+    The spec's H and C were validated when it was made, so nothing is
+    checked again here.
     """
-    d = spec.dim
-    flat, conj = spec.basis._stacks
-    x = spec.c_matrix.T @ flat
-    noise = (conj.reshape(flat.shape).T @ x).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    noise = noise.reshape(d * d, d * d)
-    k = np.einsum("bji,bjk->ik", conj, x.reshape(conj.shape))
-    # -i[H, rho] - {K, rho}/2 = G rho + rho G' with G = -iH - K/2, G' = iH - K/2:
-    # kron(1, G) + kron(G'^T, 1), entry ((a, i), (b, j)) on column-stacked vectors
-    ident = np.eye(d)
-    h = spec.hamiltonian
-    pseudo = (ident[:, None, :, None] * (-1j * h - 0.5 * k)[None, :, None, :]
-              + (1j * h - 0.5 * k).T[:, None, :, None] * ident[None, :, None, :])
-    pseudo = pseudo.reshape(d * d, d * d)
-    return Generator(d, noise + pseudo, noise, pseudo, k, spec)
+    return Generator(spec.dim, spec)
 
 
 def product_generator(g1: Generator, g2: Generator) -> Generator:
     """Generator of the product semigroup, ``L1 (x) id + id (x) L2``.
 
-    The dense d^4 x d^4 parts are assembled, and the two factors are kept in
-    ``factors`` so that :func:`evolve` can use
-    ``exp(t (L1 (x) id + id (x) L2)) = exp(t L1) (x) exp(t L2)``.
+    The factors must have equal dimensions (``ShapeError``).  They are kept
+    in ``factors``, so that :func:`evolve` can use
+    ``exp(t (L1 (x) id + id (x) L2)) = exp(t L1) (x) exp(t L2)``; the dense
+    d^4 x d^4 parts are assembled from the factors' parts only when read.
     """
     if g1.dim != g2.dim:
         raise ShapeError(f"factor dimensions differ: {g1.dim} vs {g2.dim}")
-    d = g1.dim
-    ident = identity_superop(d)
-    noise = _kron_superop(g1.noise, ident, d, d) + _kron_superop(ident, g2.noise, d, d)
-    pseudo = _kron_superop(g1.pseudo_h, ident, d, d) + _kron_superop(ident, g2.pseudo_h, d, d)
-    k = np.kron(g1.k_matrix, np.eye(d)) + np.kron(np.eye(d), g2.k_matrix)
-    return Generator(d * d, noise + pseudo, noise, pseudo, k, None, (g1, g2))
+    return Generator(g1.dim * g1.dim, factors=(g1, g2))
 
 
 def evolve(gen: Generator, t: float) -> np.ndarray:

@@ -128,7 +128,59 @@ def reference_generator(spec):
     ident = np.eye(d)
     h = spec.hamiltonian
     pseudo = np.kron(ident, -1j * h - 0.5 * k) + np.kron((1j * h - 0.5 * k).T, ident)
-    return gksl.Generator(d, noise + pseudo, noise, pseudo, k, spec)
+    return generator_with_parts(d, noise, pseudo, k, spec)
+
+
+def generator_with_parts(dim, noise, pseudo, k, spec=None, factors=None):
+    """A ``gksl.Generator`` that carries the given, already assembled parts
+    and ``full = noise + pseudo``.  A cached part is looked up in the
+    instance dict first, so the arrays set there are the ones every reader
+    gets, and ``gksl`` computes none of them."""
+    gen = gksl.Generator(dim, spec, factors)
+    vars(gen).update(full=noise + pseudo, noise=noise, pseudo_h=pseudo, k_matrix=k)
+    return gen
+
+
+PARTS = ("noise", "k_matrix", "pseudo_h", "full")
+
+
+def built_parts(gen):
+    """The names of the parts that ``gen`` and, through nested products,
+    its factors have built so far."""
+    built = {part for part in PARTS if part in vars(gen)}
+    for factor in gen.factors or ():
+        built |= built_parts(factor)
+    return built
+
+
+def eager_generator(spec):
+    """``gksl.build_generator`` as it was when it assembled every part at
+    once: the same formulas in the same order, so every part must match the
+    parts built on first read bit for bit."""
+    d = spec.dim
+    flat, conj = spec.basis._stacks
+    x = spec.c_matrix.T @ flat
+    noise = (conj.reshape(flat.shape).T @ x).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    noise = noise.reshape(d * d, d * d)
+    k = np.einsum("bji,bjk->ik", conj, x.reshape(conj.shape))
+    ident = np.eye(d)
+    h = spec.hamiltonian
+    pseudo = (ident[:, None, :, None] * (-1j * h - 0.5 * k)[None, :, None, :]
+              + (1j * h - 0.5 * k).T[:, None, :, None] * ident[None, :, None, :])
+    pseudo = pseudo.reshape(d * d, d * d)
+    return generator_with_parts(d, noise, pseudo, k, spec)
+
+
+def eager_product_generator(g1, g2):
+    """``gksl.product_generator`` as it was when it assembled the dense
+    d^4 x d^4 parts at once, from the parts of ``g1`` and ``g2``."""
+    d = g1.dim
+    ident = gksl.identity_superop(d)
+    noise = gksl._kron_superop(g1.noise, ident, d, d) + gksl._kron_superop(ident, g2.noise, d, d)
+    pseudo = (gksl._kron_superop(g1.pseudo_h, ident, d, d)
+              + gksl._kron_superop(ident, g2.pseudo_h, d, d))
+    k = np.kron(g1.k_matrix, np.eye(d)) + np.kron(np.eye(d), g2.k_matrix)
+    return generator_with_parts(d * d, noise, pseudo, k, None, (g1, g2))
 
 
 def reference_bloch_pair(n):

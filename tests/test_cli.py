@@ -316,6 +316,17 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_reproduce_paper_needs_numpy_only(self, tmp_path):
+        # scipy and hypothesis come with the [test] extras only; a None entry
+        # in sys.modules makes every import of them raise ImportError
+        proc = self.python("-c", "import runpy, sys\n"
+                                 "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+                                 "sys.argv[1:] = ['reproduce-paper', '--out-dir', sys.argv[1]]\n"
+                                 "runpy.run_module('sgwl.cli', run_name='__main__', alter_sys=True)",
+                           str(tmp_path / "reports"))
+        assert proc.returncode == 0, proc.stderr
+        assert "overall: PASS" in proc.stdout.splitlines()
+
 
 class TestSeedOverride:
     def test_env_seed(self, spec_files, capsys, monkeypatch):

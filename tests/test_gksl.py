@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,11 @@ from sgwl.gksl import (
 from sgwl.matcore import DomainError, PreconditionError
 
 from helpers import (
+    PARTS,
+    built_parts,
     counting,
+    eager_generator,
+    eager_product_generator,
     random_complex,
     random_density,
     random_hermitian,
@@ -308,6 +313,87 @@ class TestProductGenerator:
         )
         with pytest.raises(matcore.ShapeError):
             product_generator(g2, g3)
+
+
+def assert_same_parts(gen, ref):
+    for part in PARTS:
+        got, want = getattr(gen, part), getattr(ref, part)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), part
+        assert got.tobytes() == want.tobytes(), part
+
+
+class TestPartsOnFirstUse:
+    """A generator records its spec or factors; each part is built on first
+    read from them, cached and read-only, with the bits of the assembly that
+    built every part at once."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           c_scale=st.sampled_from([1e-3, 1.0, 1e3]), h_scale=st.sampled_from([0.0, 1.0, 1e3]))
+    def test_bit_identical_to_eager_assembly(self, d, seed, c_scale, h_scale):
+        rng = np.random.default_rng(seed)
+        spec = gksl.KossakowskiSpec(d, h_scale * random_hermitian(rng, d),
+                                    c_scale * random_hermitian(rng, d * d - 1), gell_mann_basis(d))
+        assert_same_parts(build_generator(spec), eager_generator(spec))
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_product_bit_identical_to_eager_assembly(self, d):
+        rng = np.random.default_rng(230 + d)
+        specs = [gksl.KossakowskiSpec(d, random_hermitian(rng, d),
+                                      random_hermitian(rng, d * d - 1), gell_mann_basis(d))
+                 for _ in range(2)]
+        gp = product_generator(*map(build_generator, specs))
+        assert_same_parts(gp, eager_product_generator(*map(eager_generator, specs)))
+
+    def test_nested_product_bit_identical_to_eager_assembly(self):
+        rng = np.random.default_rng(234)
+        specs = [qubit_spec(random_hermitian(rng, 3), random_hermitian(rng, 2)) for _ in range(4)]
+        lazy = [build_generator(s) for s in specs]
+        eager = [eager_generator(s) for s in specs]
+        gp = product_generator(product_generator(*lazy[:2]), product_generator(*lazy[2:]))
+        ref = eager_product_generator(eager_product_generator(*eager[:2]),
+                                      eager_product_generator(*eager[2:]))
+        assert_same_parts(gp, ref)
+
+    def test_parts_built_on_first_read_and_cached(self):
+        gen = build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))
+        assert built_parts(gen) == set()
+        noise = gen.noise
+        assert built_parts(gen) == {"noise"} and gen.noise is noise
+        gen.full  # reads pseudo_h, which reads k_matrix
+        assert built_parts(gen) == set(PARTS)
+
+    def test_parts_read_only(self):
+        rng = np.random.default_rng(235)
+        g1, g2 = (build_generator(qubit_spec(random_hermitian(rng, 3), random_hermitian(rng, 2)))
+                  for _ in range(2))
+        for gen in (g1, product_generator(g1, g2)):
+            for part in PARTS:
+                m = getattr(gen, part)
+                assert not m.flags.writeable, part
+                with pytest.raises(ValueError, match="read-only"):
+                    m[0, 0] = 1.0
+
+    def test_evolve_builds_no_product_part(self):
+        rng = np.random.default_rng(236)
+        g1, g2 = (random_generator(rng, 3, 0.3) for _ in range(2))
+        gp = product_generator(g1, g2)
+        evolve(gp, 0.5)
+        assert not PARTS & vars(gp).keys()
+        assert {"full"} <= vars(g1).keys() & vars(g2).keys()
+
+    def test_product_allocates_no_dense_part(self):
+        rng = np.random.default_rng(237)
+        g1, g2 = (random_generator(rng, 5) for _ in range(2))
+        g1.full, g2.full  # built before tracing: only the product's own work is traced
+        tracemalloc.start()
+        try:
+            gp = product_generator(g1, g2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gp.factors == (g1, g2)
+        assert peak < 5**8 * np.dtype(complex).itemsize  # one d^4 x d^4 complex part
 
 
 class TestEvolve:

@@ -25,6 +25,7 @@ from sgwl.posmap import (
 )
 
 from helpers import (
+    built_parts,
     choi_map,
     count_eigensolvers,
     negative_definite_generator,
@@ -736,6 +737,34 @@ def assert_identical(v1, v2):
             assert np.array_equal(a, b), f.name
 
 
+class TestPartsRead:
+    """The check reads C and the noise part N only: it never builds K, the
+    pseudo-Hamiltonian part or the full generator, and builds nothing when
+    C >= 0 proves CP at d >= 3."""
+
+    @pytest.mark.parametrize("make,proof,built", [
+        (lambda rng: build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0]),
+                                                random_hermitian(rng, 2))),
+         posmap.PROOF_TRUST_REGION, {"noise"}),
+        *((lambda rng, d=d: build_generator(gksl.KossakowskiSpec(
+            d, random_hermitian(rng, d), random_psd(rng, d * d - 1), gell_mann_basis(d))),
+           posmap.PROOF_KOSSAKOWSKI_PSD, set()) for d in (3, 4, 5)),
+        (lambda rng: negative_definite_generator(rng, 3), posmap.PROOF_KOSSAKOWSKI_ND, {"noise"}),
+        (lambda rng: gksl.product_generator(
+            build_generator(qubit_spec(np.eye(3), random_hermitian(rng, 2))),
+            build_generator(qubit_spec(np.diag([1.0, -1.5, 1.0]), random_hermitian(rng, 2)))),
+         posmap.PROOF_CLOSED_FORM, {"noise"}),
+        (lambda rng: build_generator(gksl.KossakowskiSpec(
+            3, random_hermitian(rng, 3), random_hermitian(rng, 8), gell_mann_basis(3))),
+         posmap.PROOF_SEARCH, {"noise"}),
+    ], ids=["qubit", "cp-3", "cp-4", "cp-5", "nd-3", "qubit-product", "searched-3"])
+    def test_builds_only_noise(self, make, proof, built):
+        gen = make(np.random.default_rng(240))
+        verdict = kossakowski_positivity_check(gen, budget=8)
+        assert verdict.proof == proof
+        assert built_parts(gen) == built
+
+
 class TestHamiltonianIndependence:
     """The generator check reads C and the noise part N only: replacing H by
     another Hermitian H' leaves every field of the verdict bit-identical."""
@@ -900,6 +929,29 @@ class TestDecompositionProof:
             assert verdict.status == STATUS_POSITIVE_NOT_CP
         if 1.2 <= excess <= 4.0:
             assert verdict.proof == posmap.PROOF_DECOMPOSITION
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1.0, 2.9), excess=st.floats(1.0, 1.5),
+           log_ratio=st.floats(np.log(0.1), np.log(10.0)))
+    def test_budget_certifies_near_boundary(self, a, excess, log_ratio):
+        # decomposable Phi[a,b,c] between 1 and 1.5 times the boundary product,
+        # the region of decomp's accelerated tests, with 0.1 <= b/c <= 10: the
+        # loop certifies within DECOMPOSITION_MAX_ITER, as its comment states
+        p = excess * (3 - a) ** 2 / 4
+        b = np.sqrt(p * np.exp(log_ratio))
+        assert cho_kye_lee(a, b, p / b) == (True, True)
+        verdict = map_positivity_check(choi_map(a, b, p / b))
+        assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP,
+                                                   posmap.PROOF_DECOMPOSITION)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "b/c = 100: the loop certifies only after 643 iterations, past "
+        "DECOMPOSITION_MAX_ITER = 256; the acceleration schedule of ROADMAP item 3"))
+    def test_lopsided_ratio_certified(self):
+        # bc at 1.2 times the boundary (3 - a)^2 / 4 = 1, b/c = 100: decomposable
+        verdict = map_positivity_check(choi_map(1.0, 10.954, 0.1095))
+        assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP,
+                                                   posmap.PROOF_DECOMPOSITION)
 
 
 class TestExactGradient:
