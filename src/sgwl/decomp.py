@@ -162,8 +162,8 @@ def bell_state_projector(mu: int, nu: int) -> WitnessState:
     twisting the entangled projector with ``sigma_mu (x) sigma_nu`` on the
     second subsystem.  The 16 of them are rank one and mutually orthogonal.
     """
-    if not (0 <= mu <= 3 and 0 <= nu <= 3):
-        raise DomainError(f"indices must be in 0..3, got ({mu}, {nu})")
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i <= 3 for i in (mu, nu)):
+        raise DomainError(f"indices must be integers in 0..3, got ({mu!r}, {nu!r})")
     return WitnessState(_bell_matrices()[0][mu, nu], ppt_checked=False)
 
 

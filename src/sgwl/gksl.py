@@ -85,16 +85,22 @@ def pauli_basis() -> HermitianBasis:
     return gell_mann_basis(2)
 
 
-@cache
 def gell_mann_basis(d: int) -> HermitianBasis:
     """Generalized Gell-Mann basis in (symmetric, antisymmetric, diagonal) order.
 
     For d = 2 this is the Pauli basis.  Built once per dimension: every call
     with the same ``d`` returns the same object, and its element arrays are
     read-only, so a caller that needs to modify one must copy it first.
+    ``d`` must be an integer >= 2 (``DomainError``), checked before the cache,
+    which would take 2.0 for 2.
     """
-    if d < 2:
-        raise DomainError(f"basis dimension must be >= 2, got {d}")
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise DomainError(f"basis dimension must be an integer >= 2, got {d!r}")
+    return _gell_mann_basis(int(d))
+
+
+@cache
+def _gell_mann_basis(d: int) -> HermitianBasis:
     elems = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):

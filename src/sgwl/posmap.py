@@ -10,26 +10,28 @@ which is nonnegative for all orthonormal pairs exactly when every map of
 the semigroup is positive.  On such pairs -i[H, .] and the anticommutator
 drop out, so a generator check reads only the noise part N and the
 Kossakowski matrix C, never H; C >= 0 proves complete positivity
-(f = w C w^dag >= 0) without a search, and C < 0 makes every pair a
-violation; a product of two qubit generators with real symmetric C has
-the minimum of f in closed form.  On qubits, for a generator and
-for a map alike, positivity is a quadratic condition on the Bloch vector
-n of psi, so its minimum on |n| = 1 is a trust-region subproblem, solved
-exactly and certified by its Lagrangian dual bound.  Everywhere else the
-checker minimizes f by projected gradient descent from many starts run in
-lockstep, with the exact gradient taken from the same batched Hermitian
-eigensolve that gives the inner minimum over phi.  A map that the search
-leaves without a violation gets one capped run of the decomposability loop
-of ``decomp`` on its Choi matrix: a decomposable map is positive, so a
-certificate whose blocks re-verify PSD proves it (proof ``decomposition``).
+(f = w C w^dag >= 0) without a search, and C < 0 makes every pair, the
+basis pair (e_0, e_1) among them, a violation; a product of two qubit
+generators with real symmetric C has the minimum of f in closed form.  On
+qubits, for a generator and for a map alike, positivity is a quadratic
+condition on the Bloch vector n of psi, so its minimum on |n| = 1 is a
+trust-region subproblem, solved exactly and certified by its Lagrangian
+dual bound.  Everywhere else the checker minimizes f by projected
+gradient descent from many starts run in lockstep, with the exact gradient
+taken from the same batched Hermitian eigensolve that gives the inner
+minimum over phi.  A map that the search leaves without a violation gets
+one capped run of the decomposability loop of ``decomp`` on its Choi
+matrix: a decomposable map is positive, so a certificate whose blocks
+re-verify PSD proves it (proof ``decomposition``).
 
 Every verdict names its ``proof``.  Violation reports are always
 re-validated by direct evaluation before being returned: on the qubit
 routes the pair is written in closed form from the Bloch vectors and the
-functional is evaluated at it directly.  A "positive" outcome of the search
-(proof ``search``) is a statement about the search, not a proof (hence the
-Undetermined status when starts disagree).  Public entries validate their
-inputs once; the internal routes work on the arrays those entries checked.
+functional is evaluated at it directly; the other routes share one check.
+A "positive" outcome of the search (proof ``search``) is a statement about
+the search, not a proof (hence the Undetermined status when starts
+disagree).  Public entries validate their inputs once; the internal routes
+work on the arrays those entries checked.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ DEFAULT_BUDGET = 64
 DEFAULT_SEED = 0x5EED
 SPREAD_TOL = 1e-8
 SEARCH_MAX_ITER = 200
-# Projection-loop budget of the decomposability proof in map_positivity_check.
-# Past decomp.ACCELERATION_START: Phi[a,b,c] with b != c certify only after
-# the acceleration starts, in at most about 150 iterations for 0.1 <= b/c <= 10.
-DECOMPOSITION_MAX_ITER = 256
+# Projection-loop budget of the decomposability proof in map_positivity_check:
+# decomposable Phi[a,b,c] with b/c up to 100 certify within it, lopsided ones in
+# hundreds of iterations (742 for Phi[1, 10.954, 0.1095]); b/c = 1000 may not.
+DECOMPOSITION_MAX_ITER = 1024
 
 
 @dataclass
@@ -99,8 +101,8 @@ class PositivityVerdict:
     A NotPositive generator verdict proved ``closed-form`` (a product of
     two qubit generators with real symmetric C) reports the exact minimum,
     half the least pair sum of the two spectra; one proved
-    ``kossakowski-nd`` (C negative definite) reports the functional at its
-    pair, somewhere in [lambda_min(C), lambda_max(C)].
+    ``kossakowski-nd`` (C negative definite) reports the functional at the
+    basis pair (e_0, e_1), somewhere in [lambda_min(C), lambda_max(C)].
 
     ``proof`` names how the status was reached: ``choi`` (Choi spectrum),
     ``kossakowski-psd`` (C >= 0), ``trust-region`` (exact qubit minimum, of
@@ -205,10 +207,10 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
     1) on an accepted trial and halves it on a rejected one; it stops when
     the step falls below 1e-12, the gradient vanishes or it has taken
     ``SEARCH_MAX_ITER`` steps.  Once any start falls below -1e-8 only the
-    lowest one goes on.  A violation is re-validated by evaluating the
-    functional of ``s`` directly at its pair, orthonormalized when
-    restricted and normalized otherwise; otherwise the spread of the best
-    starts decides, both at the scale of the largest entry of ``s``.
+    lowest one goes on.  A violation is re-validated (:func:`_violation`) at
+    the best start's pair, orthonormalized when restricted and normalized
+    otherwise, and that pair is the one reported; otherwise the spread of
+    the best starts decides, both at the scale of the largest entry of ``s``.
     """
     d = int(round(np.sqrt(s.shape[0])))
     x = np.array([np.random.default_rng(seed + k).normal(size=2 * d) for k in range(budget)])
@@ -240,16 +242,12 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
     size = float(np.abs(s).max())
     slack = matcore._tol(PSD_SLACK, size)
     if val[best] < -slack:
-        psi = x[best, :d] + 1j * x[best, d:]
         unit = gksl._orthonormalize_pair if restricted else gksl._unit_pair
-        value = gksl._functional(s, *unit(psi, phi[best]))
-        if value < -slack:
-            return PositivityVerdict(
-                status=STATUS_NOT_POSITIVE,
-                min_value=value,
-                pair=(psi, phi[best]),
-                start_values=val,
-            )
+        verdict = _violation(s, unit(x[best, :d] + 1j * x[best, d:], phi[best]), PROOF_SEARCH,
+                             slack)
+        if verdict is not None:
+            verdict.start_values = val
+            return verdict
     spread = _spread(val)
     status, reason = STATUS_POSITIVE_NOT_CP, None
     spread_tol = matcore._tol(SPREAD_TOL, size)
@@ -374,27 +372,16 @@ def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
                              spread=0.0, proof=PROOF_TRUST_REGION)
 
 
-def _violation(noise: np.ndarray, value: float, pair, proof: str,
-               slack: float) -> PositivityVerdict | None:
-    """NotPositive for a built pair, or None unless ``value`` and the
-    functional of N evaluated at the pair both lie below -slack."""
-    if value < -slack and gksl._functional(noise, *pair) < -slack:
-        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
-                                 proof=proof)
+def _violation(s: np.ndarray, pair, proof: str, slack: float,
+               value: float | None = None) -> PositivityVerdict | None:
+    """NotPositive at a unit pair, or None unless the functional of ``s``
+    evaluated there lies below -slack; ``min_value`` is ``value`` when given
+    (an exact minimum), else that functional."""
+    f = gksl._functional(s, *pair)
+    if f < -slack:
+        return PositivityVerdict(status=STATUS_NOT_POSITIVE,
+                                 min_value=f if value is None else value, pair=pair, proof=proof)
     return None
-
-
-def _orthogonal_to(p: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """The part orthogonal to the unit vector p, normalized, of the first of
-    two orthonormal candidates where that part has norm at least 1/2, else
-    of the second: their squared overlaps with p sum to at most 1, so the
-    second then keeps a norm above 0.7."""
-    for q in candidates:
-        q = q - np.vdot(p, q) * p
-        r = np.linalg.norm(q)
-        if r >= 0.5:
-            break
-    return q / r
 
 
 def _negative_definite_violation(gen: Generator, slack: float) -> PositivityVerdict | None:
@@ -402,31 +389,18 @@ def _negative_definite_violation(gen: Generator, slack: float) -> PositivityVerd
     lambda_max(C) below the PSD bound of its spectrum (matcore's rule).
 
     On an orthonormal pair sum_a |w_a|^2 = 1, so f = w C w^dag lies in
-    [lambda_min(C), lambda_max(C)] and every pair violates.  With u the
-    lowest eigenvector of C, f = lambda_min exactly when |<phi|A|psi>| = 1
-    for A = sum_a u_a F_a, so psi and phi are taken from the top right and left
-    singular vectors of A, in both orders and for u and conj(u); phi is made
-    orthogonal to psi, falling back on the second singular vector when the
-    top ones are parallel.  The lowest of these four values is reported, the
-    functional at its pair, somewhere in [lambda_min(C), lambda_max(C)].
+    [lambda_min(C), lambda_max(C)] and every pair violates; the basis pair
+    (e_0, e_1) is reported.  As max|N| <= ||C||_2, f lies below the search's
+    slack too, but for roundoff at the boundary, where the search takes over.
     """
     spec = gen.spec
     if spec is None:
         return None
-    w, v = np.linalg.eigh(spec.c_matrix)
+    w = np.linalg.eigvalsh(spec.c_matrix)
     if w[-1] >= matcore._psd_bound(w):
         return None
-    d, flat = spec.dim, spec.basis._stacks[0]
-    best = None
-    for u in (v[:, 0], v[:, 0].conj()):
-        left, _, right = np.linalg.svd((u @ flat).reshape(d, d))
-        right = right.conj()
-        for p, others in ((right[0], left[:, :2].T), (left[:, 0], right[:2])):
-            pair = p, _orthogonal_to(p, others)
-            value = gksl._functional(gen.noise, *pair)
-            if best is None or value < best[0]:
-                best = value, pair
-    return _violation(gen.noise, *best, PROOF_KOSSAKOWSKI_ND, slack)
+    e = np.eye(spec.dim, dtype=complex)
+    return _violation(gen.noise, (e[0], e[1]), PROOF_KOSSAKOWSKI_ND, slack)
 
 
 def _qubit_product_violation(gen: Generator, slack: float) -> PositivityVerdict | None:
@@ -470,7 +444,7 @@ def _qubit_product_violation(gen: Generator, slack: float) -> PositivityVerdict 
         # (A (x) B)|Phi+> is vec_row(A B^T) / sqrt(2) in the Kronecker order
         psi = w.T / math.sqrt(2)
         pair = psi.reshape(-1), (np.tensordot(n1, SIGMA[1:], axes=1) @ psi).reshape(-1)
-    return _violation(gen.noise, float(sums[k] / 2), pair, PROOF_CLOSED_FORM, slack)
+    return _violation(gen.noise, pair, PROOF_CLOSED_FORM, slack, float(sums[k] / 2))
 
 
 def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
@@ -492,7 +466,7 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     Two violations are built, not searched for, each re-validated on N at
     the search's slack: a C that is negative definite makes every pair
     violate (proof ``kossakowski-nd``, ``min_value`` the functional at the
-    pair built from C's lowest eigenvector), and a product of two qubit
+    basis pair (e_0, e_1)), and a product of two qubit
     generators with real symmetric C in the Pauli basis has its exact
     minimum in closed form (proof ``closed-form``, ``min_value`` that
     minimum).  A pair that fails re-validation leaves the generator to the

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -326,6 +327,26 @@ class TestModuleEntry:
                            str(tmp_path / "reports"))
         assert proc.returncode == 0, proc.stderr
         assert "overall: PASS" in proc.stdout.splitlines()
+
+    def test_readme_quick_start(self):
+        # the README's library example prints what its comments say, with
+        # numpy only; a comment ending in "..." gives a prefix of the output
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library quick start", 1)[1]
+        block = block.split("```python\n", 1)[1].split("```", 1)[0]
+        expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, flags=re.MULTILINE)
+        assert len(expected) == 4
+        proc = self.python("-c", "import sys\n"
+                                 "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+                                 + block)
+        assert proc.returncode == 0, proc.stderr
+        printed = proc.stdout.splitlines()
+        assert len(printed) == len(expected)
+        for line, comment in zip(printed, expected):
+            if comment.endswith("..."):
+                assert line.startswith(comment[:-3]), (line, comment)
+            else:
+                assert line == comment
 
 
 class TestSeedOverride:

@@ -321,6 +321,14 @@ class TestBellProjectors:
         assert rho.tobytes() == ref
         assert bound_entangled_state().mat.tobytes() == ref
 
+    @pytest.mark.parametrize("mu,nu", [(1.5, 0), (0, 2.0), (4, 0), (0, -1)])
+    def test_bad_indices_rejected(self, mu, nu):
+        # (1.5, 0) raised numpy's IndexError
+        with pytest.raises(DomainError, match="integers in 0..3"):
+            bell_state_projector(mu, nu)
+        assert np.array_equal(bell_state_projector(np.int64(1), 2).mat,
+                              bell_state_projector(1, 2).mat)
+
     def test_cached_arrays_shared_and_read_only(self):
         projectors, rho = decomp._bell_matrices()
         assert decomp._bell_matrices()[0] is projectors

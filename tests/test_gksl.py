@@ -109,6 +109,14 @@ class TestBases:
         with pytest.raises(DomainError):
             gell_mann_basis(1)
 
+    @pytest.mark.parametrize("d", [2.0, 2.5, "3"])
+    def test_non_integer_dimension_rejected(self, d):
+        # 2.0 gave a bare TypeError, or the cached d = 2 basis after a call with 2
+        gell_mann_basis(2)
+        with pytest.raises(DomainError, match="integer >= 2"):
+            gell_mann_basis(d)
+        assert gell_mann_basis(np.int64(3)) is gell_mann_basis(3)
+
     def test_shared_and_read_only(self):
         assert pauli_basis() is gell_mann_basis(2)
         for d in (2, 3, 4):

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from sgwl import decomp, gksl, matcore, posmap
@@ -28,6 +28,7 @@ from helpers import (
     built_parts,
     choi_map,
     count_eigensolvers,
+    counting,
     negative_definite_generator,
     random_density,
     random_hermitian,
@@ -651,11 +652,14 @@ class TestNegativeDefinite:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_built_pair(self, monkeypatch, d):
         rng = np.random.default_rng(40 + d)
+        svd = counting(np.linalg.svd)
+        monkeypatch.setattr(np.linalg, "svd", svd)
         for _ in range(5):
             gen = negative_definite_generator(rng, d)
             eigh, _, verdict = count_eigensolvers(
                 monkeypatch, lambda: kossakowski_positivity_check(gen))
-            assert eigh == 1  # the spectrum of C, no batched search eigh
+            # the spectrum of C only: no eigenvectors, no search, no SVD
+            assert (eigh, svd.calls) == (0, 0)
             assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE,
                                                        posmap.PROOF_KOSSAKOWSKI_ND)
             w = np.linalg.eigvalsh(gen.spec.c_matrix)
@@ -667,7 +671,7 @@ class TestNegativeDefinite:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_real_diagonal(self, d):
-        # a real C makes the top singular vectors parallel; the second one serves
+        # a real diagonal C: the basis pair's value lies in its spectrum
         c = -np.diag(np.linspace(0.5, 2.0, d * d - 1))
         gen = build_generator(gksl.KossakowskiSpec(d, np.zeros((d, d)), c, gell_mann_basis(d)))
         verdict = kossakowski_positivity_check(gen)
@@ -813,6 +817,88 @@ class TestHamiltonianIndependence:
         assert verdict.spread <= posmap.SPREAD_TOL
 
 
+def proved(verdict):
+    # a re-validated violation proves its status whatever the route
+    return verdict.proof != posmap.PROOF_SEARCH or verdict.status == STATUS_NOT_POSITIVE
+
+
+def assert_proved_agree(v, w):
+    """Statuses proved on both sides agree; a status left to the search may
+    move, and the property's statistics record that it did, beside the
+    routes taken."""
+    event(f"routes: {v.proof} -> {w.proof}")
+    if proved(v) and proved(w):
+        assert v.status == w.status, (v.proof, w.proof)
+    elif v.status != w.status:
+        event(f"search status moved: {v.status} by {v.proof} -> {w.status} by {w.proof}")
+
+
+def rotated_basis_spec(spec, u):
+    # the same generator in the basis conjugated by u, as test_gksl's
+    # test_basis_independence builds it
+    basis = spec.basis
+    r = gksl.basis_rotation_matrix(u, basis)
+    rotated = gksl.HermitianBasis(
+        spec.dim, (basis.elements[0],) + tuple(u @ f @ u.conj().T for f in basis.traceless()))
+    return gksl.KossakowskiSpec(spec.dim, spec.hamiltonian, r @ spec.c_matrix @ r.T, rotated)
+
+
+def replaced_hamiltonian_spec(rng, spec):
+    return gksl.KossakowskiSpec(spec.dim, 10.0 * random_hermitian(rng, spec.dim), spec.c_matrix,
+                                spec.basis)
+
+
+class TestMetamorphic:
+    """Transforms that keep positivity, applied to an input whose structure
+    picks one proof route, often send it down another (a rotated basis takes
+    a qubit product off the closed form and onto the search).  Every status
+    proved on both sides agrees."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["qubit", "qutrit", "negative-definite", "product"]))
+    def test_generators(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "product":
+            c1, c2 = rng.uniform(-0.2, 1.5, size=3), rng.uniform(-0.6, 1.5, size=3)
+            g1, g2 = qubit_generator(rng, np.diag(c1)), qubit_generator(rng, np.diag(c2))
+            gen = gksl.product_generator(g1, g2)
+            rotated = [build_generator(rotated_basis_spec(g.spec, random_unitary(rng, 2)))
+                       for g in (g1, g2)]
+            new_h = [build_generator(replaced_hamiltonian_spec(rng, g.spec)) for g in (g1, g2)]
+            transformed = [gksl.product_generator(g2, g1), gksl.product_generator(*rotated),
+                           gksl.product_generator(*new_h)]
+        else:
+            if kind == "negative-definite":
+                spec = negative_definite_generator(rng, int(rng.integers(3, 5))).spec
+            else:
+                spec = sample_spec(rng, 2 if kind == "qubit" else 3)
+            gen = build_generator(spec)
+            u = random_unitary(rng, spec.dim)
+            transformed = [build_generator(rotated_basis_spec(spec, u)),
+                           build_generator(replaced_hamiltonian_spec(rng, spec))]
+        verdict = kossakowski_positivity_check(gen, budget=16)
+        for other in transformed:
+            assert_proved_agree(verdict, kossakowski_positivity_check(other, budget=16))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["qubit", "choi-map"]),
+           log_scale=st.floats(np.log(1e-2), np.log(1e3)))
+    def test_maps(self, seed, kind, log_scale):
+        # S -> Ad_U o S o Ad_V for random unitaries U, V, and S -> c S for c > 0
+        rng = np.random.default_rng(seed)
+        if kind == "qubit":
+            c = np.diag(rng.uniform(-1.0, 1.5, size=3))
+            s, d = evolve(qubit_generator(rng, c), rng.uniform(0.05, 1.0)), 2
+        else:
+            s, d = choi_map(rng.uniform(1.0, 2.9), *rng.uniform(0.2, 2.0, size=2)), 3
+        u, v = random_unitary(rng, d), random_unitary(rng, d)
+        ad_u, ad_v = (gksl.conjugation_superop(w, w.conj().T) for w in (u, v))
+        verdict = map_positivity_check(s)
+        for other in (ad_u @ s @ ad_v, np.exp(log_scale) * s):
+            assert_proved_agree(verdict, map_positivity_check(other))
+
+
 class TestMapPositivity:
     def test_transposition_positive_not_cp(self):
         verdict = map_positivity_check(gksl.transpose_superop(2), budget=8)
@@ -944,12 +1030,32 @@ class TestDecompositionProof:
         assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP,
                                                    posmap.PROOF_DECOMPOSITION)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "b/c = 100: the loop certifies only after 643 iterations, past "
-        "DECOMPOSITION_MAX_ITER = 256; the acceleration schedule of ROADMAP item 3"))
     def test_lopsided_ratio_certified(self):
         # bc at 1.2 times the boundary (3 - a)^2 / 4 = 1, b/c = 100: decomposable
         verdict = map_positivity_check(choi_map(1.0, 10.954, 0.1095))
+        assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP,
+                                                   posmap.PROOF_DECOMPOSITION)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "b/c = 1000 at 1.05 times the boundary: the loop does not certify within "
+        "6000 iterations, far past DECOMPOSITION_MAX_ITER = 1024"))
+    def test_lopsided_ratio_1000_certified(self):
+        # bc at 1.05 times the boundary (3 - a)^2 / 4 = 1, b/c = 1000: decomposable
+        b = np.sqrt(1.05 * 1000)
+        verdict = map_positivity_check(choi_map(1.0, b, 1.05 / b))
+        assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP,
+                                                   posmap.PROOF_DECOMPOSITION)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1.0, 2.9), excess=st.floats(1.05, 2.0),
+           log_ratio=st.floats(np.log(10.0), np.log(100.0)))
+    def test_budget_certifies_lopsided(self, a, excess, log_ratio):
+        # decomposable Phi[a,b,c] with 10 <= b/c <= 100 can need hundreds of
+        # iterations, still within DECOMPOSITION_MAX_ITER
+        p = excess * (3 - a) ** 2 / 4
+        b = np.sqrt(p * np.exp(log_ratio))
+        assert cho_kye_lee(a, b, p / b) == (True, True)
+        verdict = map_positivity_check(choi_map(a, b, p / b))
         assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP,
                                                    posmap.PROOF_DECOMPOSITION)
 
