@@ -19,10 +19,12 @@ trust-region subproblem, solved exactly and certified by its Lagrangian
 dual bound.  Everywhere else the checker minimizes f by projected
 gradient descent from many starts run in lockstep, with the exact gradient
 taken from the same batched Hermitian eigensolve that gives the inner
-minimum over phi.  A map that the search leaves without a violation gets
-one capped run of the decomposability loop of ``decomp`` on its Choi
-matrix: a decomposable map is positive, so a certificate whose blocks
-re-verify PSD proves it (proof ``decomposition``).
+minimum over phi; the map is prepared once per search, so that a stage
+costs two products with it and that one eigensolve.  A map that the search
+leaves without a violation gets one capped run of the decomposability loop
+of ``decomp`` on its Choi matrix: a decomposable map is positive, so a
+certificate whose blocks re-verify PSD proves it (proof
+``decomposition``).
 
 Every verdict names its ``proof``.  Violation reports are always
 re-validated by direct evaluation before being returned: on the qubit
@@ -156,42 +158,64 @@ def _cp_verdict(j: np.ndarray) -> PositivityVerdict:
     )
 
 
-def _batch_images(l_mat: np.ndarray, psi: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian matrices L[|psi><psi|] for a batch of unit vectors."""
-    proj = psi[:, :, None] * psi[:, None, :].conj()
-    vecs = proj.transpose(0, 2, 1).reshape(psi.shape[0], d * d)
-    imgs = (vecs @ l_mat.T).reshape(psi.shape[0], d, d).transpose(0, 2, 1)
-    return (imgs + imgs.conj().transpose(0, 2, 1)) / 2
+def _prepare(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The search's operator, built once per search: (images, adjoint).
 
-
-def _evaluate(l_mat: np.ndarray, xs: np.ndarray, restricted: bool):
-    """Inner minimum over phi at a batch of rows x, psi = (x[:d] + i x[d:]) / |x|.
-
-    One batched eigh of M = herm L[|psi><psi|] gives the value and the
-    minimizing phi; when restricted, M is compressed to the complement of
-    psi and psi is shifted above the spectrum instead of building a basis.
-    By the envelope theorem the gradient is L^dag[|phi><phi|] psi, less
-    phi <phi|M|psi> for the constraint <phi|psi> = 0 when restricted; it is
-    returned in x coordinates.  Returns (values, gradients, phi).
+    ``rows @ images`` maps row-major vec(X) rows to row-major
+    vec((S[X] + S[X]^dag) / 2) for Hermitian X, and ``rows @ adjoint`` does
+    the same for the Hilbert-Schmidt adjoint of S.  S acts on column-stacked
+    vectors, so in row-major layout it is S with both index pairs swapped,
+    and X -> S[X^dag]^dag, the hermitizing term, is conj(S) entry by entry.
+    The sum is linear in X, and its adjoint hermitizes the images of S^dag
+    in the same way, so the images and gradients are those of herm S for
+    every S, whether or not S preserves Hermiticity.
     """
-    d = xs.shape[1] // 2
-    raw = xs[:, :d] + 1j * xs[:, d:]
-    r = np.linalg.norm(raw, axis=1, keepdims=True)
-    psi = raw / r
-    m = _batch_images(l_mat, psi, d)
+    d = int(round(math.sqrt(s.shape[0])))
+    row = s.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+    herm = (row + s.conj()) / 2
+    return herm.T, herm.conj()
+
+
+def _sq_norms(z: np.ndarray) -> np.ndarray:
+    """Squared norms of the complex rows of ``z``."""
+    return np.einsum("ni,ni->n", z.conj(), z).real
+
+
+def _evaluate(op, psi: np.ndarray, restricted: bool):
+    """Inner minimum over phi at a batch of unit rows psi of the prepared
+    operator ``op`` (:func:`_prepare`).
+
+    One batched eigh of M = herm S[|psi><psi|] gives the value and the
+    minimizing phi; when restricted, M is compressed to the complement of
+    psi and psi is shifted above the spectrum, by 1 + 2 ||M||_F row by row,
+    instead of building a basis.  With P = |psi><psi| and u = M psi the
+    compression (1 - P) M (1 - P) is M - |psi><u| - |u><psi| + <psi|u> P.
+    By the envelope theorem the gradient is S^dag[|phi><phi|] psi, less
+    phi <phi|u> for the constraint <phi|psi> = 0 when restricted, projected
+    on the tangent space of the sphere at psi; its real and imaginary parts
+    are the derivatives along Re psi and Im psi.  Returns (values,
+    gradients, phi).
+    """
+    images, adjoint = op
+    n, d = psi.shape
+    proj = psi[:, :, None] * psi[:, None, :].conj()
+    m = (proj.reshape(n, d * d) @ images).reshape(n, d, d)
     if restricted:
-        proj = psi[:, :, None] * psi[:, None, :].conj()
-        comp = np.eye(d) - proj
-        shift = 1.0 + 2.0 * np.linalg.norm(m, axis=(-2, -1))
-        w, v = np.linalg.eigh(comp @ m @ comp + shift[:, None, None] * proj)
+        u = np.einsum("nij,nj->ni", m, psi)
+        psi_u = psi[:, :, None] * u.conj()[:, None, :]
+        shift = (1.0 + 2.0 * np.sqrt(_sq_norms(m.reshape(n, d * d)))
+                 + np.einsum("ni,ni->n", psi.conj(), u).real)
+        w, v = np.linalg.eigh(m - psi_u - psi_u.conj().transpose(0, 2, 1)
+                              + shift[:, None, None] * proj)
     else:
         w, v = np.linalg.eigh(m)
     phi = v[:, :, 0]
-    g = np.einsum("nij,nj->ni", _batch_images(l_mat.conj().T, phi, d), psi)
+    back = (phi[:, :, None] * phi[:, None, :].conj()).reshape(n, d * d) @ adjoint
+    g = np.einsum("nij,nj->ni", back.reshape(n, d, d), psi)
     if restricted:
-        g -= phi * np.einsum("ni,nij,nj->n", phi.conj(), m, psi)[:, None]
-    g = 2.0 * (g - psi * np.einsum("ni,ni->n", psi.conj(), g).real[:, None]) / r
-    return w[:, 0], np.concatenate([g.real, g.imag], axis=1), phi
+        g -= phi * np.einsum("ni,ni->n", phi.conj(), u)[:, None]
+    g -= psi * np.einsum("ni,ni->n", psi.conj(), g).real[:, None]
+    return w[:, 0], 2.0 * g, phi
 
 
 def _spread(start_values: np.ndarray, k: int = 5) -> float:
@@ -202,39 +226,42 @@ def _spread(start_values: np.ndarray, k: int = 5) -> float:
 def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> PositivityVerdict:
     """Minimize the inner minimum over psi on the unit sphere and decide.
 
-    All starts (start k drawn with seed + k) descend in lockstep, one
-    batched evaluation per stage.  A start grows its step by 1.5 (at most
-    1) on an accepted trial and halves it on a rejected one; it stops when
-    the step falls below 1e-12, the gradient vanishes or it has taken
-    ``SEARCH_MAX_ITER`` steps.  Once any start falls below -1e-8 only the
+    All starts (start k drawn with seed + k) descend in lockstep as complex
+    unit rows psi, one batched evaluation (:func:`_evaluate`) per stage on
+    the operator prepared once (:func:`_prepare`).  A start grows its step
+    by 1.5 (at most 1) on an accepted trial and halves it on a rejected
+    one; it stops when the step falls below 1e-12, the gradient vanishes or
+    it has taken ``SEARCH_MAX_ITER`` steps.  Once any start falls below -1e-8 only the
     lowest one goes on.  A violation is re-validated (:func:`_violation`) at
     the best start's pair, orthonormalized when restricted and normalized
     otherwise, and that pair is the one reported; otherwise the spread of
     the best starts decides, both at the scale of the largest entry of ``s``.
     """
-    d = int(round(np.sqrt(s.shape[0])))
+    d = int(round(math.sqrt(s.shape[0])))
+    op = _prepare(s)
     x = np.array([np.random.default_rng(seed + k).normal(size=2 * d) for k in range(budget)])
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    val, grad, phi = _evaluate(s, x, restricted)
+    psi = x[:, :d] + 1j * x[:, d:]
+    psi /= np.sqrt(_sq_norms(psi))[:, None]
+    val, grad, phi = _evaluate(op, psi, restricted)
     step = np.full(budget, 0.25)
     taken = np.zeros(budget, dtype=int)
-    live = np.linalg.norm(grad, axis=1) >= 1e-12
+    live = _sq_norms(grad) >= 1e-24
     while True:
         if np.any(val < -1e-8):
             live &= np.arange(budget) == np.argmin(val)
         if not live.any():
             break
         idx = np.flatnonzero(live)
-        # the gradient is orthogonal to x, so the trial row never vanishes
-        xn = x[idx] - step[idx, None] * grad[idx]
-        xn /= np.linalg.norm(xn, axis=1, keepdims=True)
-        vn, gn, pn = _evaluate(s, xn, restricted)
+        # the gradient is orthogonal to psi, so the trial row never vanishes
+        pn = psi[idx] - step[idx, None] * grad[idx]
+        pn /= np.sqrt(_sq_norms(pn))[:, None]
+        vn, gn, phin = _evaluate(op, pn, restricted)
         ok = vn < val[idx] - 1e-15
         acc, rej = idx[ok], idx[~ok]
-        x[acc], val[acc], grad[acc], phi[acc] = xn[ok], vn[ok], gn[ok], pn[ok]
+        psi[acc], val[acc], grad[acc], phi[acc] = pn[ok], vn[ok], gn[ok], phin[ok]
         step[acc] = np.minimum(step[acc] * 1.5, 1.0)
         taken[acc] += 1
-        live[acc] = (taken[acc] < SEARCH_MAX_ITER) & (np.linalg.norm(gn[ok], axis=1) >= 1e-12)
+        live[acc] = (taken[acc] < SEARCH_MAX_ITER) & (_sq_norms(gn[ok]) >= 1e-24)
         step[rej] /= 2
         live[rej] = step[rej] >= 1e-12
 
@@ -243,8 +270,7 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
     slack = matcore._tol(PSD_SLACK, size)
     if val[best] < -slack:
         unit = gksl._orthonormalize_pair if restricted else gksl._unit_pair
-        verdict = _violation(s, unit(x[best, :d] + 1j * x[best, d:], phi[best]), PROOF_SEARCH,
-                             slack)
+        verdict = _violation(s, unit(psi[best], phi[best]), PROOF_SEARCH, slack)
         if verdict is not None:
             verdict.start_values = val
             return verdict
@@ -264,10 +290,12 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
 
 
 def _check_search_args(budget: int, seed: int) -> None:
-    if budget < 1:
-        raise PreconditionError(f"budget must be >= 1, got {budget}")
-    if seed < 0:
-        raise PreconditionError(f"seed must be >= 0, got {seed}")
+    """Python or numpy integers, budget >= 1 and seed >= 0; bools are not integers here."""
+    for name, value, low in (("budget", budget, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise PreconditionError(f"{name} must be >= {low}, got {value}")
 
 
 # Column-stacked Pauli matrices: Tr(sigma_j X) = vec(sigma_j)^dag vec(X).
@@ -384,22 +412,19 @@ def _violation(s: np.ndarray, pair, proof: str, slack: float,
     return None
 
 
-def _negative_definite_violation(gen: Generator, slack: float) -> PositivityVerdict | None:
+def _negative_definite_violation(gen: Generator, spectrum: np.ndarray | None,
+                                 slack: float) -> PositivityVerdict | None:
     """NotPositive without a search when the spec's C is negative definite:
-    lambda_max(C) below the PSD bound of its spectrum (matcore's rule).
+    lambda_max(C) below the PSD bound of its ``spectrum`` (matcore's rule).
 
     On an orthonormal pair sum_a |w_a|^2 = 1, so f = w C w^dag lies in
     [lambda_min(C), lambda_max(C)] and every pair violates; the basis pair
     (e_0, e_1) is reported.  As max|N| <= ||C||_2, f lies below the search's
     slack too, but for roundoff at the boundary, where the search takes over.
     """
-    spec = gen.spec
-    if spec is None:
+    if spectrum is None or spectrum[-1] >= matcore._psd_bound(spectrum):
         return None
-    w = np.linalg.eigvalsh(spec.c_matrix)
-    if w[-1] >= matcore._psd_bound(w):
-        return None
-    e = np.eye(spec.dim, dtype=complex)
+    e = np.eye(gen.dim, dtype=complex)
     return _violation(gen.noise, (e[0], e[1]), PROOF_KOSSAKOWSKI_ND, slack)
 
 
@@ -482,7 +507,8 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     than the spread tolerance.
     """
     _check_search_args(budget, seed)
-    proved_cp = _proved_cp(gen)
+    spectrum = _c_spectrum(gen)
+    proved_cp = _proved_cp(gen, spectrum)
     if gen.dim == 2:
         verdict = _qubit_check(gen, proved_cp)
         if verdict is not None:
@@ -491,22 +517,25 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
         return PositivityVerdict(status=STATUS_CP, min_value=0.0, proof=PROOF_KOSSAKOWSKI_PSD)
     slack = matcore._tol(PSD_SLACK, float(np.abs(gen.noise).max()))
     if gen.factors is None:
-        verdict = _negative_definite_violation(gen, slack)
+        verdict = _negative_definite_violation(gen, spectrum, slack)
     else:
         verdict = _qubit_product_violation(gen, slack)
     return verdict or _search(gen.noise, True, budget, seed)
 
 
-def _proved_cp(gen: Generator) -> bool:
-    """C >= 0 proves the semigroup CP; a product is CP when every factor is
-    (exp(t L1) (x) exp(t L2) of CP maps), checked through nested products."""
+def _c_spectrum(gen: Generator) -> np.ndarray | None:
+    """The spectrum of the spec's C, or None without a spec (a product); the
+    spec's C passed the Hermiticity gate when the spec was made."""
+    return None if gen.spec is None else np.linalg.eigvalsh(gen.spec.c_matrix)
+
+
+def _proved_cp(gen: Generator, spectrum: np.ndarray | None) -> bool:
+    """C >= 0, read from its ``spectrum``, proves the semigroup CP; a
+    product is CP when every factor is (exp(t L1) (x) exp(t L2) of CP maps),
+    checked through nested products."""
     if gen.factors is not None:
-        return all(_proved_cp(g) for g in gen.factors)
-    if gen.spec is None:
-        return False
-    # the spec's C passed the Hermiticity gate when the spec was made
-    w = np.linalg.eigvalsh(gen.spec.c_matrix)
-    return bool(w[0] >= matcore._psd_bound(w))
+        return all(_proved_cp(g, _c_spectrum(g)) for g in gen.factors)
+    return spectrum is not None and bool(spectrum[0] >= matcore._psd_bound(spectrum))
 
 
 def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:

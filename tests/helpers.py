@@ -189,3 +189,36 @@ def reference_bloch_pair(n):
     _, v = np.linalg.eigh(np.tensordot(np.asarray(n, dtype=float), np.array(gksl.SIGMA[1:]),
                                        axes=1))
     return v[:, 1], v[:, 0]
+
+
+def _reference_images(l_mat, psi, d):
+    """Hermitian matrices L[|psi><psi|] for a batch of unit vectors."""
+    proj = psi[:, :, None] * psi[:, None, :].conj()
+    vecs = proj.transpose(0, 2, 1).reshape(psi.shape[0], d * d)
+    imgs = (vecs @ l_mat.T).reshape(psi.shape[0], d, d).transpose(0, 2, 1)
+    return (imgs + imgs.conj().transpose(0, 2, 1)) / 2
+
+
+def reference_evaluate(l_mat, xs, restricted):
+    """The search's stage as it was before the operator was prepared once per
+    search: real rows x, psi = (x[:d] + i x[d:]) / |x|, the column-stacked
+    superoperator transposed and every image hermitized on each call, and
+    the gradient returned in x coordinates.  Returns (values, gradients, phi)."""
+    d = xs.shape[1] // 2
+    raw = xs[:, :d] + 1j * xs[:, d:]
+    r = np.linalg.norm(raw, axis=1, keepdims=True)
+    psi = raw / r
+    m = _reference_images(l_mat, psi, d)
+    if restricted:
+        proj = psi[:, :, None] * psi[:, None, :].conj()
+        comp = np.eye(d) - proj
+        shift = 1.0 + 2.0 * np.linalg.norm(m, axis=(-2, -1))
+        w, v = np.linalg.eigh(comp @ m @ comp + shift[:, None, None] * proj)
+    else:
+        w, v = np.linalg.eigh(m)
+    phi = v[:, :, 0]
+    g = np.einsum("nij,nj->ni", _reference_images(l_mat.conj().T, phi, d), psi)
+    if restricted:
+        g -= phi * np.einsum("ni,nij,nj->n", phi.conj(), m, psi)[:, None]
+    g = 2.0 * (g - psi * np.einsum("ni,ni->n", psi.conj(), g).real[:, None]) / r
+    return w[:, 0], np.concatenate([g.real, g.imag], axis=1), phi

@@ -29,12 +29,15 @@ from helpers import (
     choi_map,
     count_eigensolvers,
     counting,
+    eigensolver_calls,
     negative_definite_generator,
+    random_complex,
     random_density,
     random_hermitian,
     random_psd,
     random_unitary,
     reference_bloch_pair,
+    reference_evaluate,
     reference_generator,
 )
 
@@ -180,9 +183,9 @@ class TestKossakowskiCheck:
                                     gell_mann_basis(d))
         gen = build_generator(spec)
 
-        def canned(l_mat, xs, restricted):
+        def canned(op, psi, restricted):
             # both starts settle at once: zero gradient
-            return np.array([0.3, 0.7]), np.zeros_like(xs), np.zeros((2, d), dtype=complex)
+            return np.array([0.3, 0.7]), np.zeros_like(psi), np.zeros((2, d), dtype=complex)
 
         monkeypatch.setattr(posmap, "_evaluate", canned)
         verdict = kossakowski_positivity_check(gen, budget=2)
@@ -656,10 +659,10 @@ class TestNegativeDefinite:
         monkeypatch.setattr(np.linalg, "svd", svd)
         for _ in range(5):
             gen = negative_definite_generator(rng, d)
-            eigh, _, verdict = count_eigensolvers(
+            eigh, eigvalsh, verdict = count_eigensolvers(
                 monkeypatch, lambda: kossakowski_positivity_check(gen))
-            # the spectrum of C only: no eigenvectors, no search, no SVD
-            assert (eigh, svd.calls) == (0, 0)
+            # the spectrum of C only, taken once: no eigenvectors, no search, no SVD
+            assert (eigh, eigvalsh, svd.calls) == (0, 1, 0)
             assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE,
                                                        posmap.PROOF_KOSSAKOWSKI_ND)
             w = np.linalg.eigvalsh(gen.spec.c_matrix)
@@ -885,7 +888,9 @@ class TestMetamorphic:
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["qubit", "choi-map"]),
            log_scale=st.floats(np.log(1e-2), np.log(1e3)))
     def test_maps(self, seed, kind, log_scale):
-        # S -> Ad_U o S o Ad_V for random unitaries U, V, and S -> c S for c > 0
+        # S -> Ad_U o S o Ad_V for random unitaries U, V, S -> c S for c > 0, and
+        # S -> T o S o T, S with its entries conjugated (Choi matrix conj(J)); it is
+        # applied to the rotated map, since a real S such as Phi[a,b,c] is its own image
         rng = np.random.default_rng(seed)
         if kind == "qubit":
             c = np.diag(rng.uniform(-1.0, 1.5, size=3))
@@ -894,8 +899,10 @@ class TestMetamorphic:
             s, d = choi_map(rng.uniform(1.0, 2.9), *rng.uniform(0.2, 2.0, size=2)), 3
         u, v = random_unitary(rng, d), random_unitary(rng, d)
         ad_u, ad_v = (gksl.conjugation_superop(w, w.conj().T) for w in (u, v))
+        t = gksl.transpose_superop(d)
+        rotated = ad_u @ s @ ad_v
         verdict = map_positivity_check(s)
-        for other in (ad_u @ s @ ad_v, np.exp(log_scale) * s):
+        for other in (rotated, np.exp(log_scale) * s, t @ rotated @ t):
             assert_proved_agree(verdict, map_positivity_check(other))
 
 
@@ -943,6 +950,31 @@ class TestMapPositivity:
         # rejected before any exact route, although neither of these would search
         with pytest.raises(PreconditionError, match="seed"):
             check(arg, seed=-1)
+
+    @pytest.mark.parametrize("check,arg", [
+        (map_positivity_check, gksl.transpose_superop(2)),
+        (kossakowski_positivity_check, build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))),
+    ])
+    @pytest.mark.parametrize("name", ["budget", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0), "4"])
+    def test_non_integer_search_args_rejected(self, check, arg, name, value):
+        # 2.5 raised a TypeError from np.full (budget) or SeedSequence (seed) when
+        # a search ran, and passed silently when an exact route decided
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+            check(arg, **{name: value})
+
+    @pytest.mark.parametrize("check,arg", [
+        (map_positivity_check, choi_map(2.0, 0.6, 0.6)),
+        (kossakowski_positivity_check, build_generator(gksl.KossakowskiSpec(
+            3, np.zeros((3, 3)), np.diag([1.0] * 7 + [-0.2]), gell_mann_basis(3)))),
+    ])
+    def test_numpy_integer_search_args(self, check, arg):
+        # both of these search; numpy integers give the verdict Python integers give
+        expected = check(arg, budget=4, seed=7)
+        verdict = check(arg, budget=np.int64(4), seed=np.uint32(7))
+        assert (verdict.status, verdict.proof, verdict.min_value) == (
+            expected.status, expected.proof, expected.min_value)
+        assert len(verdict.start_values) == 4
 
 
 def cho_kye_lee(a, b, c):
@@ -1064,20 +1096,77 @@ class TestExactGradient:
     @pytest.mark.parametrize("restricted", [True, False])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_central_differences(self, d, restricted):
+        # the gradient of f(psi / |psi|) at unit rows psi, in the real
+        # coordinates (Re psi, Im psi)
         rng = np.random.default_rng(36 + d)
         n = d * d - 1
         basis = pauli_basis() if d == 2 else gell_mann_basis(d)
         spec = gksl.KossakowskiSpec(d, random_hermitian(rng, d), random_hermitian(rng, n), basis)
-        l_mat = build_generator(spec).full
+        op = posmap._prepare(build_generator(spec).full)
         xs = rng.normal(size=(4, 2 * d))
-        _, grad, _ = posmap._evaluate(l_mat, xs, restricted)
+        psi = unit_rows(xs[:, :d] + 1j * xs[:, d:])
+        _, grad, _ = posmap._evaluate(op, psi, restricted)
         h = 1e-6
         for k in range(2 * d):
-            e = np.zeros(2 * d)
-            e[k] = h
-            hi = posmap._evaluate(l_mat, xs + e, restricted)[0]
-            lo = posmap._evaluate(l_mat, xs - e, restricted)[0]
-            assert np.abs((hi - lo) / (2 * h) - grad[:, k]).max() <= 1e-6
+            e = np.zeros(d, dtype=complex)
+            e[k % d] = h if k < d else 1j * h
+            hi = posmap._evaluate(op, unit_rows(psi + e), restricted)[0]
+            lo = posmap._evaluate(op, unit_rows(psi - e), restricted)[0]
+            part = grad[:, k].real if k < d else grad[:, k - d].imag
+            assert np.abs((hi - lo) / (2 * h) - part).max() <= 1e-6
+
+
+def unit_rows(z):
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+class TestPreparedKernel:
+    """One stage of the search on the operator prepared once per search
+    agrees with the earlier formulation, which transposed and hermitized
+    every image on each call (``helpers.reference_evaluate``)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), rows=st.integers(1, 64),
+           restricted=st.booleans(), kind=st.sampled_from(["noise", "evolved", "any"]),
+           log_scale=st.floats(np.log(1e-2), np.log(1e3)))
+    def test_matches_reference(self, seed, d, rows, restricted, kind, log_scale):
+        rng = np.random.default_rng(seed)
+        n = d * d - 1
+        basis = pauli_basis() if d == 2 else gell_mann_basis(d)
+        c = np.exp(log_scale) * random_hermitian(rng, n)
+        gen = build_generator(gksl.KossakowskiSpec(d, random_hermitian(rng, d), c, basis))
+        if kind == "noise":
+            s = gen.noise
+        elif kind == "evolved":
+            s = evolve(gen, rng.uniform(0.05, 1.0) / np.exp(log_scale))
+        else:  # a d^2 x d^2 matrix that need not preserve Hermiticity
+            s = np.exp(log_scale) * random_complex(rng, d * d)
+        x = rng.normal(size=(rows, 2 * d))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        psi = x[:, :d] + 1j * x[:, d:]
+        value, grad, phi = posmap._evaluate(posmap._prepare(s), psi, restricted)
+        ref_value, ref_grad, _ = reference_evaluate(s, x, restricted)
+        tol = matcore._tol(1e-12, float(np.abs(s).max()))
+        assert np.abs(value - ref_value).max() <= tol
+        assert np.abs(grad - (ref_grad[:, :d] + 1j * ref_grad[:, d:])).max() <= tol
+        # phi attains the value Re <phi|S[|psi><psi|]|phi>, orthogonal to psi when restricted
+        for p, q, v in zip(psi, phi, value):
+            assert abs(np.vdot(q, gksl.apply_superop(s, np.outer(p, p.conj())) @ q).real - v) <= tol
+            assert not restricted or abs(np.vdot(p, q)) <= 1e-12
+
+    @pytest.mark.parametrize("restricted,s", [
+        (True, build_generator(gksl.KossakowskiSpec(
+            3, np.zeros((3, 3)), np.diag([1.0] * 7 + [-0.2]), gell_mann_basis(3))).noise),
+        (False, choi_map(2.0, 0.1, 1.2)),
+    ])
+    def test_one_batched_eigh_per_stage(self, monkeypatch, restricted, s):
+        stages = counting(posmap._evaluate)
+        monkeypatch.setattr(posmap, "_evaluate", stages)
+        calls, verdict = eigensolver_calls(
+            monkeypatch, lambda: posmap._search(s, restricted, 16, posmap.DEFAULT_SEED))
+        assert stages.calls > 1
+        assert calls == [("eigh", np.dtype(np.complex128))] * stages.calls
+        assert len(verdict.start_values) == 16
 
 
 class TestQubitConditions:
