@@ -215,9 +215,7 @@ def cmd_decompose(args) -> int:
             "j1_b64": _b64_matrix(cert.j1),
             "j2_b64": _b64_matrix(cert.j2),
         }
-        print(json.dumps(out, indent=2))
-        return EXIT_OK
-    if result.status == decomp.INFEASIBLE_WITNESSED:
+    elif result.status == decomp.INFEASIBLE_WITNESSED:
         out = {
             "status": "infeasible",
             "dim": gen.dim,
@@ -225,11 +223,10 @@ def cmd_decompose(args) -> int:
             "iterations": result.iterations,
             "witness": _encode_complex_matrix(result.witness.mat),
         }
-        print(json.dumps(out, indent=2))
-        return EXIT_OK
-    out = {"status": "max_iterations", "gap": result.gap, "iterations": result.iterations}
+    else:
+        out = {"status": "max_iterations", "gap": result.gap, "iterations": result.iterations}
     print(json.dumps(out, indent=2))
-    return EXIT_INCONCLUSIVE
+    return EXIT_INCONCLUSIVE if result.status == decomp.MAX_ITERATIONS else EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
@@ -296,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_dec = sub.add_parser(name, help="decomposability certificate or witness")
         p_dec.add_argument("specs", nargs="+", help="one spec, or two for a product")
         p_dec.add_argument("--at-time", type=float, required=True)
-        p_dec.add_argument("--max-iter", type=int, default=50000)
+        p_dec.add_argument("--max-iter", type=int, default=decomp.DEFAULT_MAX_ITER)
         p_dec.set_defaults(func=cmd_decompose)
 
     p_rep = sub.add_parser("reproduce-paper", help="run the bundled scenario suite")
@@ -310,11 +307,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (matcore.DomainError, matcore.ShapeError, matcore.HermiticityError,
-            matcore.PreconditionError, matcore.SizeError) as exc:
+    except (SpecFormatError, matcore.DomainError, matcore.ShapeError,
+            matcore.HermiticityError, matcore.PreconditionError, matcore.SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (matcore.NumericalError, OSError) as exc:

@@ -71,6 +71,7 @@ THRESHOLD_ZERO_TOL = 1e-12
 # number of past iterates it mixes.
 ACCELERATION_START = 128
 ANDERSON_MEMORY = 5
+DEFAULT_MAX_ITER = 50000  # the projection loop's budget, unless a caller sets one
 
 
 @dataclass
@@ -162,8 +163,7 @@ def bell_state_projector(mu: int, nu: int) -> WitnessState:
     twisting the entangled projector with ``sigma_mu (x) sigma_nu`` on the
     second subsystem.  The 16 of them are rank one and mutually orthogonal.
     """
-    if not all(isinstance(i, (int, np.integer)) and 0 <= i <= 3 for i in (mu, nu)):
-        raise DomainError(f"indices must be integers in 0..3, got ({mu!r}, {nu!r})")
+    mu, nu = matcore._int(mu, "mu", 0, 3), matcore._int(nu, "nu", 0, 3)
     return WitnessState(_bell_matrices()[0][mu, nu], ppt_checked=False)
 
 
@@ -280,7 +280,7 @@ class _Anderson:
         return y if np.isfinite(y).all() else g
 
 
-def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
+def decomposability_feasibility(j, max_iter: int = DEFAULT_MAX_ITER) -> FeasibilityResult:
     """Decide whether a Choi matrix belongs to the decomposable cone.
 
     Block-coordinate projection alternates ``A <- P+(J - PT B)`` and
@@ -311,15 +311,14 @@ def decomposability_feasibility(j, max_iter: int = 50000) -> FeasibilityResult:
       ties within 1e-11, so certificates are reproducible.
 
     If the budget runs out first, the result is an honest MaxIterations
-    with the gap ``max(0, -lmin J1)``.  A budget ``max_iter < 1`` is
-    rejected with ``PreconditionError``.
+    with the gap ``max(0, -lmin J1)``.  A budget ``max_iter`` that is not
+    an integer >= 1 is rejected with ``PreconditionError``.
 
     The loop runs in the field of ``J``: in float64 when the gated ``J``
     has no nonzero imaginary entry, so every eigensolve is real symmetric,
     and in complex128 otherwise.  Certificates come back as complex128.
     """
-    if max_iter < 1:
-        raise PreconditionError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = matcore._int(max_iter, "max_iter", 1, error=PreconditionError)
     return _feasibility(as_hermitian(j), max_iter)
 
 

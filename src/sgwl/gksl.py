@@ -94,9 +94,7 @@ def gell_mann_basis(d: int) -> HermitianBasis:
     ``d`` must be an integer >= 2 (``DomainError``), checked before the cache,
     which would take 2.0 for 2.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise DomainError(f"basis dimension must be an integer >= 2, got {d!r}")
-    return _gell_mann_basis(int(d))
+    return _gell_mann_basis(matcore._int(d, "d", 2))
 
 
 @cache
@@ -133,8 +131,9 @@ def standard_basis(d: int) -> HermitianBasis:
 class KossakowskiSpec:
     """Input data for a generator: dimension, Hamiltonian, Kossakowski matrix.
 
-    ``c_matrix`` is ``(d^2-1) x (d^2-1)`` Hermitian, indexed by the traceless
-    basis elements in the basis' fixed order.
+    ``dim`` is an integer >= 2 (``DomainError``); ``c_matrix`` is
+    ``(d^2-1) x (d^2-1)`` Hermitian, indexed by the traceless basis elements
+    in the basis' fixed order.
     """
 
     dim: int
@@ -144,6 +143,7 @@ class KossakowskiSpec:
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", matcore._int(self.dim, "dim", 2))
         h = as_hermitian(self.hamiltonian)
         c = as_hermitian(self.c_matrix)
         check_spec_shapes(self.dim, h, c)
@@ -266,11 +266,12 @@ def apply_superop(s, x) -> np.ndarray:
 
 
 def identity_superop(d: int) -> np.ndarray:
-    return np.eye(d * d, dtype=complex)
+    return np.eye(matcore._int(d, "d", 1) ** 2, dtype=complex)
 
 
 def transpose_superop(d: int) -> np.ndarray:
     """The map X -> X^T in the computational basis (a permutation matrix)."""
+    d = matcore._int(d, "d", 1)
     s = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
@@ -280,7 +281,7 @@ def transpose_superop(d: int) -> np.ndarray:
 
 def trace_to_identity_superop(d: int) -> np.ndarray:
     """The map X -> Tr(X) * identity (completely positive, trace-scaling)."""
-    v = vectorize(np.eye(d, dtype=complex))
+    v = vectorize(np.eye(matcore._int(d, "d", 1), dtype=complex))
     return np.outer(v, v.conj())
 
 
@@ -299,6 +300,7 @@ def kron_superop(sa, sb, da: int, db: int) -> np.ndarray:
     """
     sam = as_cmatrix(sa)
     sbm = as_cmatrix(sb)
+    da, db = matcore._int(da, "da", 1), matcore._int(db, "db", 1)
     if sam.shape != (da * da, da * da) or sbm.shape != (db * db, db * db):
         raise ShapeError("factor superoperators do not match the stated dimensions")
     return _kron_superop(sam, sbm, da, db)
@@ -333,8 +335,7 @@ def _choi(sm: np.ndarray) -> np.ndarray:
 
 def maximally_entangled_projector(d: int) -> np.ndarray:
     """Rank-one trace-one projector onto sum_i |ii>/sqrt(d), for an integer d >= 1."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
+    d = matcore._int(d, "d", 1)
     v = vectorize(np.eye(d, dtype=complex)) / np.sqrt(d)
     return np.outer(v, v.conj())
 

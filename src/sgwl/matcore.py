@@ -11,6 +11,9 @@ rest of the package relies on:
   the tested value came from, so L and c L (c > 0) get the same verdicts
   while both sizes are at least 1 (the search's descent heuristics stay
   absolute);
+* every integer argument (a dimension, an index, a count) passes one integer
+  rule (``_int``): a Python or numpy integer, never a bool, within its
+  bounds, or the caller's error naming the argument;
 * Hermitian inputs are gated at ``HERMITICITY_TOL`` by the rule and symmetrized;
 * a matrix counts as PSD when ``lmin >= -PSD_SLACK * max(1, ||X||_2)``, with
   ``||X||_2`` read off its spectrum; every PSD decision applies this one
@@ -90,6 +93,18 @@ def as_hermitian(x) -> np.ndarray:
 def _tol(tol: float, size: float) -> float:
     """The tolerance rule: ``tol`` up to size 1, ``tol * size`` above."""
     return tol * max(1.0, size)
+
+
+def _int(value, name: str, low: int, high: int | None = None,
+         error: type[ValueError] = DomainError) -> int:
+    """The integer rule: a Python or numpy integer, not a bool, in ``[low, high]``
+    (unbounded above without ``high``), returned as ``int``; anything else
+    raises ``error`` naming the argument."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    span = f"an integer >= {low}" if high is None else f"one of the integers in {low}..{high}"
+    raise error(f"{name} must be {span}, got {value!r}")
 
 
 def _real(val: complex, what: str, *data: np.ndarray) -> float:
@@ -179,8 +194,7 @@ def vectorize(x) -> np.ndarray:
 def devectorize(v, dim: int | None = None) -> np.ndarray:
     """Inverse of :func:`vectorize`."""
     vv = np.asarray(v, dtype=complex).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(vv.size)))
+    dim = int(round(np.sqrt(vv.size))) if dim is None else _int(dim, "dim", 1)
     if dim * dim != vv.size:
         raise ShapeError(f"vector of length {vv.size} is not a stacked {dim}x{dim} matrix")
     return vv.reshape(dim, dim).T
@@ -193,6 +207,7 @@ def partial_transpose(x, dim_a: int, dim_b: int, side: str = "A") -> np.ndarray:
     one).  Involutive: applying it twice is the identity.
     """
     xm = as_cmatrix(x)
+    dim_a, dim_b = _int(dim_a, "dim_a", 1), _int(dim_b, "dim_b", 1)
     n = dim_a * dim_b
     if xm.shape != (n, n):
         raise ShapeError(f"expected {n}x{n} matrix for dims ({dim_a},{dim_b}), got {xm.shape}")

@@ -289,15 +289,6 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
     )
 
 
-def _check_search_args(budget: int, seed: int) -> None:
-    """Python or numpy integers, budget >= 1 and seed >= 0; bools are not integers here."""
-    for name, value, low in (("budget", budget, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise PreconditionError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise PreconditionError(f"{name} must be >= {low}, got {value}")
-
-
 # Column-stacked Pauli matrices: Tr(sigma_j X) = vec(sigma_j)^dag vec(X).
 _PAULI_VECS = np.stack([s.T.reshape(-1) for s in SIGMA], axis=1)
 
@@ -506,7 +497,8 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
     PositiveNotCP, or Undetermined when the best starts disagree by more
     than the spread tolerance.
     """
-    _check_search_args(budget, seed)
+    budget = matcore._int(budget, "budget", 1, error=PreconditionError)
+    seed = matcore._int(seed, "seed", 0, error=PreconditionError)
     spectrum = _c_spectrum(gen)
     proved_cp = _proved_cp(gen, spectrum)
     if gen.dim == 2:
@@ -598,7 +590,8 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
     ``min_value``; a witnessed or unfinished loop leaves the search verdict
     as it was.
     """
-    _check_search_args(budget, seed)
+    budget = matcore._int(budget, "budget", 1, error=PreconditionError)
+    seed = matcore._int(seed, "seed", 0, error=PreconditionError)
     sm = as_cmatrix(s)
     j = _as_hermitian(_choi(sm))
     cp = _cp_verdict(j)

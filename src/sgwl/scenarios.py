@@ -83,8 +83,8 @@ def scenario_product_closed_forms(seed: int = 7) -> ScenarioReport:
     not completely positive.
     """
     rng = np.random.default_rng(seed)
-    g1 = gksl.build_generator(qubit_spec(np.diag([1.0, 1.0, 1.0])))
-    g2 = gksl.build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0])))
+    product = decomp.witness_product_generator()
+    g1, g2 = product.factors
     times = (0.1, 0.5, 1.0, 2.0)
     checks = []
 
@@ -131,9 +131,7 @@ def scenario_product_closed_forms(seed: int = 7) -> ScenarioReport:
     checks.append(CheckResult("sufficient_condition_holds", float(hypothesis), 1.0, 0.0,
                               "rate comparison: all rates dominate the negative one"))
 
-    verdict = posmap.kossakowski_positivity_check(
-        gksl.product_generator(g1, g2), budget=24, seed=posmap.DEFAULT_SEED
-    )
+    verdict = posmap.kossakowski_positivity_check(product, budget=24, seed=posmap.DEFAULT_SEED)
     checks.append(CheckResult("product_positive_search", float(verdict.is_positive), 1.0, 0.0,
                               "multistart functional search finds no violation"))
     checks.append(CheckResult("product_functional_min", float(max(-verdict.min_value, 0.0)),

@@ -865,6 +865,30 @@ class TestField:
         assert np.linalg.eigvalsh(j)[0] < 0
         assert_matches_complex_arithmetic(j)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", ["flagship-0.2", "flagship-1.0", "phi-2-0.6-0.6", "phi-2-0-1"])
+    def test_local_rotation_keeps_status(self, case, seed):
+        # a real J runs the float64 loop; (U (x) V) J (U (x) V)^dag is complex and
+        # runs the complex128 one.  A local unitary maps the decomposable cone and
+        # the PPT states onto themselves, so the status holds.
+        if case.startswith("flagship"):
+            j, d = choi(witness_product_map(float(case.split("-")[1]))), 4
+        else:
+            j, d = choi(choi_map(*map(float, case.split("-")[1:]))), 3
+        rng = np.random.default_rng(seed)
+        u = np.kron(random_unitary(rng, d), random_unitary(rng, d))
+        rotated = u @ j @ u.conj().T
+        assert not j.imag.any() and np.abs(rotated.imag).max() > 0.01
+        results = [decomposability_feasibility(m) for m in (j, rotated)]
+        assert results[0].status == results[1].status
+        assert abs(results[0].iterations - results[1].iterations) <= 5
+        for m, res in zip((j, rotated), results):
+            if res.status == FEASIBLE:
+                assert_certificate(m, res)
+            else:
+                assert res.status == INFEASIBLE_WITNESSED
+                assert_witness(m, res)
+
     def test_real_feasible_dtypes(self, monkeypatch):
         j = choi(witness_product_map(1.0))
         calls, res = eigensolver_calls(monkeypatch, lambda: decomposability_feasibility(j))

@@ -8,6 +8,9 @@ form and no module needs a lazy import inside a function:
 ``gksl`` holds the Choi conventions that ``decomp`` and ``posmap`` share,
 so ``decomp`` does not import ``posmap``, and ``posmap`` may call the
 decomposability loop.
+
+Whether an argument is an integer is decided by one rule in ``matcore``, so
+``np.integer`` is named there and nowhere else.
 """
 
 import ast
@@ -63,3 +66,19 @@ def test_no_lazy_imports(name):
     tree = parse(name)
     nested = [node for node in ast.walk(tree) if node not in tree.body and sgwl_imports(node)]
     assert nested == []
+
+
+def names_numpy_integer(node) -> bool:
+    """``np.integer`` (or ``numpy.integer``), or ``integer`` imported from numpy."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "integer" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy" and any(a.name == "integer" for a in node.names)
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_integer_rule_only_in_matcore(name):
+    hits = [node.lineno for node in ast.walk(parse(name)) if names_numpy_integer(node)]
+    assert (hits != []) == (name == "matcore")
