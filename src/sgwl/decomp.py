@@ -22,7 +22,8 @@ Non-decomposability is certified through the duality pairing
 
 decomposable maps pair nonnegatively with every PPT state, so a PPT state
 with a negative pairing simultaneously proves the map non-decomposable and
-the state bound-entangled.
+the state bound-entangled.  At d = 4 the paper's bound-entangled state is
+scored first and, when it pairs below the slack, decides before the loop.
 
 The loop runs in the field of ``J``.  The decomposable cone is closed under
 entrywise conjugation, so for a real ``J`` (real symmetric, as the flagship
@@ -307,8 +308,9 @@ def decomposability_feasibility(j, max_iter: int = DEFAULT_MAX_ITER) -> Feasibil
       stays above the slack while both are nonnegative, so ``lmin Z`` is
       computed only when one is negative.  Once the pairing is below the
       slack and has stopped improving, the map is certified non-decomposable.
-      For d = 4 the canonical bound-entangled state is also scored and wins
-      ties within 1e-11, so certificates are reproducible.
+      For d = 4 the bound-entangled state is scored first and, below the
+      slack, is the witness after no iterations, with the gap at ``B = 0``,
+      ``max(0, -lmin J)``: a proof, not necessarily the most negative one.
 
     If the budget runs out first, the result is an honest MaxIterations
     with the gap ``max(0, -lmin J1)``.  A budget ``max_iter`` that is not
@@ -343,6 +345,11 @@ def _project(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     if w[0] >= -slack:
         cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
         return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
+    rho = _bell_matrices()[1] if d == 4 else None
+    value = 0.0 if rho is None else _pairing(jm, rho)
+    if value < -slack:  # J does not change in the loop: rho witnesses now or never
+        return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value, gap=-float(w[0]),
+                                 witness=WitnessState(rho, ppt_checked=True))
     a = (v * np.maximum(w, 0.0)) @ v.conj().T  # the PSD part, as in _spectral_parts
 
     def pt(x):
@@ -389,20 +396,10 @@ def _project(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
             cert = DecompositionCertificate(j1=j1, j2=best_b, residual=residual)
             return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=it)
 
-    candidates = [_bell_matrices()[1]] if d == 4 else []
-    if best_x is not None:
-        candidates.append(best_x)
-    scored = [(_pairing(jm, mat), mat) for mat in candidates]
-    vmin = min((val for val, _ in scored), default=0.0)
-    if vmin < -slack:
-        value, mat = next((val, mat) for val, mat in scored if val <= vmin + 1e-11)
-        return FeasibilityResult(
-            status=INFEASIBLE_WITNESSED,
-            witness=WitnessState(mat, ppt_checked=True),
-            pairing=value,
-            gap=gap,
-            iterations=it,
-        )
+    value = 0.0 if best_x is None else _pairing(jm, best_x)
+    if value < -slack:
+        return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value, gap=gap,
+                                 iterations=it, witness=WitnessState(best_x, ppt_checked=True))
     return FeasibilityResult(status=MAX_ITERATIONS, gap=gap, iterations=it)
 
 

@@ -265,13 +265,19 @@ def apply_superop(s, x) -> np.ndarray:
     return devectorize(sm @ vectorize(xm), d)
 
 
+def _side(d) -> int:
+    """The integer rule for the d of a d^2 x d^2 matrix: ``SizeError`` above 64."""
+    d = matcore._int(d, "d", 1)
+    return matcore._int(d, "d", 1, math.isqrt(matcore.MAX_DIM), matcore.SizeError)
+
+
 def identity_superop(d: int) -> np.ndarray:
-    return np.eye(matcore._int(d, "d", 1) ** 2, dtype=complex)
+    return np.eye(_side(d) ** 2, dtype=complex)
 
 
 def transpose_superop(d: int) -> np.ndarray:
     """The map X -> X^T in the computational basis (a permutation matrix)."""
-    d = matcore._int(d, "d", 1)
+    d = _side(d)
     s = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
@@ -281,7 +287,7 @@ def transpose_superop(d: int) -> np.ndarray:
 
 def trace_to_identity_superop(d: int) -> np.ndarray:
     """The map X -> Tr(X) * identity (completely positive, trace-scaling)."""
-    v = vectorize(np.eye(matcore._int(d, "d", 1), dtype=complex))
+    v = vectorize(np.eye(_side(d), dtype=complex))
     return np.outer(v, v.conj())
 
 
@@ -334,8 +340,8 @@ def _choi(sm: np.ndarray) -> np.ndarray:
 
 
 def maximally_entangled_projector(d: int) -> np.ndarray:
-    """Rank-one trace-one projector onto sum_i |ii>/sqrt(d), for an integer d >= 1."""
-    d = matcore._int(d, "d", 1)
+    """Rank-one trace-one projector onto sum_i |ii>/sqrt(d), for an integer d in 1..64."""
+    d = _side(d)
     v = vectorize(np.eye(d, dtype=complex)) / np.sqrt(d)
     return np.outer(v, v.conj())
 

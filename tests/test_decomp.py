@@ -166,8 +166,9 @@ def reference_case(case):
     Cho-Kye-Lee's bc = (3 - a)^2 / 4, seeded random J, and negative-trace J,
     whose witness shift is computed on every iteration.  All but the
     flagship and Phi[a,b,c] cases are complex, and so is the flagship
-    conjugated by local phases, which keep its status.  A ``1e9*`` prefix
-    scales a case's J by 1e9, which keeps its status."""
+    conjugated by local phases, which keep its status; the flagship rotated
+    by a real local orthogonal stays real.  A ``1e9*`` prefix scales a
+    case's J by 1e9, which keeps its status."""
     if case.startswith("1e9*"):
         j, max_iter = reference_case(case[4:])
         return 1e9 * j, max_iter
@@ -177,6 +178,8 @@ def reference_case(case):
         return choi(witness_product_map(float(arg))), 50000
     if kind == "phased-flagship":
         return phased(choi(witness_product_map(float(arg)))), 50000
+    if kind == "rotated-flagship":
+        return real_rotated(choi(witness_product_map(float(arg)))), 50000
     if case.startswith("phi"):
         a, b, c = {
             "phi-2-decomposable": (2.0, 1.0, 0.3),
@@ -209,6 +212,22 @@ def phased(j):
     return jc
 
 
+def orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def real_rotated(j):
+    """``O J O^T`` with a seeded real local orthogonal ``O = O1 (x) O2`` on a
+    4 (x) 4 Choi matrix: J stays real and keeps its status, since a local
+    orthogonal maps the decomposable cone and the PPT states onto themselves.
+    The bound-entangled state pairs positively with the rotated flagship, so
+    below ln(3)/2 the projection loop decides it, not that state."""
+    rng = np.random.default_rng(48)
+    o = np.kron(orthogonal(rng, 4), orthogonal(rng, 4))
+    return o @ j @ o.T
+
+
 def result_bytes(res):
     """Everything a FeasibilityResult reports, floats and arrays as raw bytes."""
     cert, wit = res.certificate, res.witness
@@ -217,6 +236,16 @@ def result_bytes(res):
         None if cert is None else (cert.j1.tobytes(), cert.j2.tobytes(), repr(cert.residual)),
         None if wit is None else (wit.mat.tobytes(), wit.ppt_checked),
     )
+
+
+def decided_first(res):
+    """Whether the bound-entangled state decided ``res`` before the loop."""
+    return res.status == INFEASIBLE_WITNESSED and res.iterations == 0
+
+
+def witnessed_bytes(res):
+    """What a witnessed result reports apart from its iterations and gap."""
+    return res.status, repr(res.pairing), res.witness.mat.tobytes(), res.witness.ppt_checked
 
 
 def assert_certificate(j, res):
@@ -360,7 +389,8 @@ class TestValidationCount:
 
     @pytest.mark.parametrize("t,status", [(0.2, INFEASIBLE_WITNESSED), (1.0, FEASIBLE)])
     def test_flagship_feasibility(self, monkeypatch, t, status):
-        j = choi(witness_product_map(t))
+        # rotated, so that the loop decides on both sides of ln(3)/2
+        j = real_rotated(choi(witness_product_map(t)))
         n, res = count_validations(monkeypatch, lambda: decomposability_feasibility(j))
         assert res.status == status and res.iterations > 30
         assert n <= 12
@@ -448,13 +478,18 @@ class TestEigensolverCount:
         assert n_eigvalsh == 0
 
     def test_witnessed_flagship(self, monkeypatch):
-        j = choi(witness_product_map(0.2))
+        j = real_rotated(choi(witness_product_map(0.2)))
         n_eigh, n_eigvalsh, res = count_eigensolvers(
             monkeypatch, lambda: decomposability_feasibility(j))
         assert res.status == INFEASIBLE_WITNESSED and res.iterations > 30
         assert n_eigh <= 2 * res.iterations + 1
         # WitnessState validation takes two of them
         assert n_eigvalsh <= res.iterations + 2
+        # unrotated, the bound-entangled state decides after the first eigh
+        n_eigh, n_eigvalsh, res = count_eigensolvers(
+            monkeypatch, lambda: decomposability_feasibility(choi(witness_product_map(0.2))))
+        assert decided_first(res)
+        assert (n_eigh, n_eigvalsh) == (1, 2)
 
     def test_accelerated_choi_map(self, monkeypatch):
         j = choi(choi_map(2.0, 1.0, 0.3))
@@ -722,16 +757,23 @@ class TestFeasibility:
         "psd-2", "psd-3", "psd-4", "indefinite-2", "indefinite-3", "indefinite-4",
         "negative-trace-2", "negative-trace-3", "max-iter-3",
         "phased-flagship-0.2", "phased-flagship-1.0",
+        "rotated-flagship-0.2", "rotated-flagship-0.5",
         "1e9*flagship-1.0", "1e9*phased-flagship-0.2", "1e9*phi-2-non-decomposable",
     ])
     def test_bit_identical_to_reference(self, case):
         # every case ends within ACCELERATION_START iterations, so the
         # accelerated loop takes exactly the plain loop's steps, in the
-        # same field
+        # same field; the flagship below ln(3)/2 is decided before the loop
         j, max_iter = reference_case(case)
         got = decomposability_feasibility(j, max_iter=max_iter)
         assert got.iterations <= decomp.ACCELERATION_START
-        assert result_bytes(got) == result_bytes(reference_feasibility(j, max_iter=max_iter))
+        ref = reference_feasibility(j, max_iter=max_iter)
+        if decided_first(got):
+            # the flagship below ln(3)/2: the reference's loop ends on the same witness
+            assert case in ("flagship-0.2", "flagship-0.5")
+            assert witnessed_bytes(got) == witnessed_bytes(ref)
+        else:
+            assert result_bytes(got) == result_bytes(ref)
 
     @pytest.mark.parametrize("case", ["phi-2-decomposable", "phi-1.5-decomposable"])
     def test_accelerated_against_reference(self, case):
@@ -820,10 +862,17 @@ def real_symmetric(rng, n):
 
 def assert_matches_complex_arithmetic(j):
     """The float64 loop on a real J against the same loop on J in complex
-    arithmetic; below ACCELERATION_START that is also the reference."""
+    arithmetic; below ACCELERATION_START that is also the reference.  Where
+    the bound-entangled state decides before the loop, both fields report
+    the same status, witness bytes and pairing bits after no iterations."""
     got = decomposability_feasibility(j)
     ref = decomp._project(matcore.as_hermitian(j), 50000)
-    if ref.iterations < decomp.ACCELERATION_START:
+    if decided_first(ref):
+        # the reference scores that state after its loop, which off the
+        # flagship may end on a more negative witness
+        assert ref.status == reference_feasibility(j, dtype=complex).status
+        assert decided_first(got) and witnessed_bytes(got) == witnessed_bytes(ref)
+    elif ref.iterations < decomp.ACCELERATION_START:
         assert result_bytes(ref) == result_bytes(reference_feasibility(j, dtype=complex))
     assert got.status == ref.status
     assert abs(got.iterations - ref.iterations) <= 5
@@ -835,6 +884,47 @@ def assert_matches_complex_arithmetic(j):
         assert got.pairing == pytest.approx(ref.pairing, abs=1e-12)
 
 
+class TestBoundEntangledFirst:
+    """At d = 4 the bound-entangled state is scored before the loop and, when
+    it pairs with J below the slack, is the witness after no iterations."""
+
+    @pytest.mark.parametrize("case", [0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.54, "noise"])
+    def test_flagship_matches_reference(self, case):
+        # the earlier formulation scored that state after 37-57 iterations
+        # and returned it with the same bits
+        gen = witness_product_generator()
+        j = choi(gen.noise if case == "noise" else witness_product_map(case))
+        got = decomposability_feasibility(j)
+        ref = reference_feasibility(j)
+        assert got.iterations == 0 < ref.iterations
+        assert witnessed_bytes(got) == witnessed_bytes(ref)
+        assert got.witness.mat.tobytes() == bound_entangled_state().mat.tobytes()
+        # the gap at B = 0, from the loop's first eigh, in the field of J
+        lmin = np.linalg.eigh(np.ascontiguousarray(matcore.as_hermitian(j).real))[0][0]
+        assert repr(got.gap) == repr(max(0.0, -float(lmin)))
+        if case == "noise":
+            rep = decomposability_propagation_check(gen)
+            assert repr(rep.noise_feasibility.pairing) == repr(noise_pairing_table()[1])
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_policy_off_the_flagship(self, field):
+        # a random J that the state witnesses keeps the reference's status,
+        # with the state's own pairing in place of the loop's more negative one
+        rng = np.random.default_rng(54)
+        j = real_symmetric(rng, 16) if field == "real" else random_hermitian(rng, 16)
+        got = decomposability_feasibility(j)
+        ref = reference_feasibility(j)
+        assert got.status == ref.status == INFEASIBLE_WITNESSED
+        assert got.iterations == 0 < ref.iterations
+        rho = decomp._bell_matrices()[1]
+        jm = matcore.as_hermitian(j)
+        jm = jm if field == "complex" else np.ascontiguousarray(jm.real)
+        assert got.witness.mat.tobytes() == rho.tobytes()
+        assert repr(got.pairing) == repr(decomp._pairing(jm, rho))
+        assert ref.pairing < got.pairing
+        assert_witness(j, got)
+
+
 class TestField:
     """The loop runs in the field of J: float64 for a real J, whose iterates,
     certificate and witness are all real (the decomposable cone is closed
@@ -843,7 +933,10 @@ class TestField:
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(t=st.floats(0.05, 2.0))
     def test_flagship_matches_complex(self, t):
-        assert_matches_complex_arithmetic(choi(witness_product_map(t)))
+        j = choi(witness_product_map(t))
+        assert_matches_complex_arithmetic(j)
+        # below ln(3)/2 the loop runs only on the rotated flagship
+        assert_matches_complex_arithmetic(real_rotated(j))
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(a=st.floats(1.2, 2.9), share=st.floats(0.5, 0.999), decomposable=st.booleans())
@@ -872,7 +965,10 @@ class TestField:
         # runs the complex128 one.  A local unitary maps the decomposable cone and
         # the PPT states onto themselves, so the status holds.
         if case.startswith("flagship"):
-            j, d = choi(witness_product_map(float(case.split("-")[1]))), 4
+            t = float(case.split("-")[1])
+            j, d = choi(witness_product_map(t)), 4
+            if t < np.log(3.0) / 2.0:
+                j = real_rotated(j)  # the loop decides it, not the bound-entangled state
         else:
             j, d = choi(choi_map(*map(float, case.split("-")[1:]))), 3
         rng = np.random.default_rng(seed)
@@ -888,6 +984,22 @@ class TestField:
             else:
                 assert res.status == INFEASIBLE_WITNESSED
                 assert_witness(m, res)
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 0.4, 0.5])
+    def test_rotated_flagship_pairs_as_bound_entangled_state(self, t):
+        # a real local orthogonal (float64 loop) and a complex local unitary
+        # (complex128 loop) hide the flagship from the bound-entangled state;
+        # the loop then witnesses with a pairing next to that state's
+        j = choi(witness_product_map(t))
+        first = decomposability_feasibility(j)
+        assert decided_first(first)
+        rng = np.random.default_rng([49, int(100 * t)])
+        u = np.kron(random_unitary(rng, 4), random_unitary(rng, 4))
+        for m in (real_rotated(j), u @ j @ u.conj().T):
+            res = decomposability_feasibility(m)
+            assert res.status == INFEASIBLE_WITNESSED and res.iterations > 30
+            assert_witness(m, res)
+            assert res.pairing == pytest.approx(first.pairing, rel=1e-5)
 
     def test_real_feasible_dtypes(self, monkeypatch):
         j = choi(witness_product_map(1.0))

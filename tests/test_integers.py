@@ -4,7 +4,9 @@ A dimension, an index or a count is a Python or numpy integer, never a bool,
 within its bounds, and comes back from the rule as ``int``.  Anything else
 raises the documented error, which names the argument: ``DomainError`` for
 dimensions and indices, ``PreconditionError`` for ``budget``, ``seed`` and
-``max_iter``.
+``max_iter``.  The d of a map on M_d whose d^2 x d^2 matrix is built has a
+size bound too: above d = 64 that matrix exceeds ``MAX_DIM``, and ``SizeError``
+is raised before it is allocated.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from sgwl import decomp, gksl, matcore, posmap
-from sgwl.matcore import DomainError, PreconditionError
+from sgwl.matcore import DomainError, PreconditionError, SizeError
 
 from helpers import choi_map
 
@@ -31,6 +33,7 @@ class Argument:
     out_of_range: tuple
     call: Callable = one_argument  # (entry, value) -> entry called with the argument at value
     error: type = DomainError
+    too_large: tuple = ()  # values that raise SizeError
 
     def __call__(self, value):
         return self.call(self.entry, value)
@@ -49,10 +52,10 @@ ARGUMENTS = [
     Argument(matcore.partial_transpose, "dim_a", 2, (0, -2), lambda f, v: f(np.eye(6), v, 3)),
     Argument(matcore.partial_transpose, "dim_b", 3, (0, -3), lambda f, v: f(np.eye(6), 2, v)),
     Argument(gksl.gell_mann_basis, "d", 3, (1, 0)),
-    Argument(gksl.identity_superop, "d", 2, (0, -2)),
-    Argument(gksl.transpose_superop, "d", 3, (0, -1)),
-    Argument(gksl.trace_to_identity_superop, "d", 2, (0, -1)),
-    Argument(gksl.maximally_entangled_projector, "d", 2, (0, -1)),
+    Argument(gksl.identity_superop, "d", 2, (0, -2), too_large=(65, 10**4)),
+    Argument(gksl.transpose_superop, "d", 3, (0, -1), too_large=(65, 10**4)),
+    Argument(gksl.trace_to_identity_superop, "d", 2, (0, -1), too_large=(65, 10**4)),
+    Argument(gksl.maximally_entangled_projector, "d", 2, (0, -1), too_large=(65, 10**4)),
     Argument(gksl.kron_superop, "da", 2, (0, -2), lambda f, v: f(np.eye(4), np.eye(9), v, 3)),
     Argument(gksl.kron_superop, "db", 3, (0, -3), lambda f, v: f(np.eye(4), np.eye(9), 2, v)),
     Argument(gksl.KossakowskiSpec, "dim", 2, (1, 0),
@@ -98,10 +101,11 @@ def test_integer_argument(arg):
     expected = fingerprint(arg(arg.good))
     for kind in (np.int64, np.int32, np.uint8):
         assert fingerprint(arg(kind(arg.good))) == expected
-    for value in NOT_INTEGERS + arg.out_of_range:
-        with pytest.raises(arg.error, match=f"^{arg.name} must be ") as info:
+    cases = [(value, arg.error) for value in NOT_INTEGERS + arg.out_of_range]
+    for value, error in cases + [(value, SizeError) for value in arg.too_large]:
+        with pytest.raises(error, match=f"^{arg.name} must be ") as info:
             arg(value)
-        assert type(info.value) is arg.error
+        assert type(info.value) is error
 
 
 def test_rule_returns_int():
