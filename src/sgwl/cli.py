@@ -8,7 +8,7 @@ Subcommands:
 * ``witness``    -- alias of decompose (named for the infeasible outcome)
 * ``reproduce-paper`` -- run the bundled scenario suite and write reports
 
-Exit codes: 0 ok, 2 parse/validation error, 3 numerical or I/O failure,
+Exit codes: 0 ok, 2 parse/validation error, 3 numerical, memory or I/O failure,
 4 inconclusive (iteration budget exhausted), 5 scenario check failure.
 The environment variable ``SGWL_SEED`` (decimal integer >= 0) overrides the
 default optimizer seed.
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
             matcore.HermiticityError, matcore.PreconditionError, matcore.SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (matcore.NumericalError, OSError) as exc:
+    except (matcore.NumericalError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

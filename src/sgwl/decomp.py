@@ -42,16 +42,7 @@ from functools import cache
 import numpy as np
 
 from . import gksl, matcore
-from .gksl import (
-    Generator,
-    SIGMA,
-    choi,
-    identity_superop,
-    kron_superop,
-    qubit_spec,
-    trace_to_identity_superop,
-    transpose_superop,
-)
+from .gksl import SIGMA, Generator, choi, qubit_spec
 from .matcore import (
     FEASIBILITY_TOL,
     DomainError,
@@ -75,9 +66,10 @@ ANDERSON_MEMORY = 5
 DEFAULT_MAX_ITER = 50000  # the projection loop's budget, unless a caller sets one
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WitnessState:
-    """A trace-one PSD state on the doubled system, optionally PPT-checked."""
+    """A trace-one PSD state on the doubled system, optionally PPT-checked;
+    ``mat`` holds the validated, symmetrized matrix, read-only."""
 
     mat: np.ndarray
     ppt_checked: bool = False
@@ -97,10 +89,10 @@ class WitnessState:
                 raise DomainError(
                     f"state marked PPT has partial-transpose min eigenvalue {lmin:.3e}"
                 )
-        self.mat = m
+        object.__setattr__(self, "mat", gksl._read_only(m))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DecompositionCertificate:
     """PSD Choi blocks realizing ``J = J1 + (T (x) id)[J2]``, held as complex128."""
 
@@ -109,11 +101,11 @@ class DecompositionCertificate:
     residual: float
 
     def __post_init__(self):
-        self.j1 = np.asarray(self.j1, dtype=complex)
-        self.j2 = np.asarray(self.j2, dtype=complex)
+        object.__setattr__(self, "j1", np.asarray(self.j1, dtype=complex))
+        object.__setattr__(self, "j2", np.asarray(self.j2, dtype=complex))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     status: str
     certificate: DecompositionCertificate | None = None
@@ -141,58 +133,70 @@ def pairing(s, x) -> float:
 
 
 @cache
-def _bell_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """The 16 entangled basis projectors, stacked as ``[mu, nu]``, and the
-    bound-entangled state's matrix.  Both are exactly Hermitian, so the
-    states built from them hold these same bits.  Built on first use; the
-    arrays are shared and read-only."""
+def _bell_states() -> tuple[tuple[WitnessState, ...], WitnessState]:
+    """The 16 entangled basis projector states, ``mu``-major, and the
+    bound-entangled state, each validated once, on first use, and shared.
+    Their matrices are exactly Hermitian, so symmetrizing keeps their bits."""
     p = gksl.maximally_entangled_projector(4)
-    projectors = np.empty((4, 4, 16, 16), dtype=complex)
+    mats = []
     for mu in range(4):
         for nu in range(4):
             u = np.kron(np.eye(4, dtype=complex), np.kron(SIGMA[mu], SIGMA[nu]))
-            projectors[mu, nu] = u @ p @ u
+            mats.append(u @ p @ u)
     support = [(0, 2), (1, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
-    rho = sum(projectors[mu, nu] for mu, nu in support) / 6.0
-    projectors.setflags(write=False)
-    rho.setflags(write=False)
-    return projectors, rho
+    rho = sum(mats[4 * mu + nu] for mu, nu in support) / 6.0
+    return tuple(WitnessState(m) for m in mats), WitnessState(rho, ppt_checked=True)
 
 
 def bell_state_projector(mu: int, nu: int) -> WitnessState:
     """Maximally entangled basis projector of the 4 (x) 4 system obtained by
     twisting the entangled projector with ``sigma_mu (x) sigma_nu`` on the
-    second subsystem.  The 16 of them are rank one and mutually orthogonal.
+    second subsystem.  The 16 of them are rank one and mutually orthogonal;
+    each is built once and every call returns that shared state.
     """
     mu, nu = matcore._int(mu, "mu", 0, 3), matcore._int(nu, "nu", 0, 3)
-    return WitnessState(_bell_matrices()[0][mu, nu], ppt_checked=False)
+    return _bell_states()[0][4 * mu + nu]
 
 
 def bound_entangled_state() -> WitnessState:
     """The 4 (x) 4 bound-entangled state: an equal mixture of six of the
     entangled basis projectors, PPT yet orthogonal to the entangled
-    projector itself."""
-    return WitnessState(_bell_matrices()[1], ppt_checked=True)
+    projector itself.  Built once; every call returns that shared state."""
+    return _bell_states()[1]
 
 
+@cache
 def witness_product_generator() -> Generator:
     """Generator of the flagship two-qubit product semigroup: a depolarizing
-    factor (all rates 1) times a transpose-mixing factor (rates 1, -1, 1)."""
+    factor (all rates 1) times a transpose-mixing factor (rates 1, -1, 1).
+    Built once; every call returns that shared generator."""
     g1 = gksl.build_generator(qubit_spec(np.diag([1.0, 1.0, 1.0]), label="depolarizing"))
     g2 = gksl.build_generator(qubit_spec(np.diag([1.0, -1.0, 1.0]), label="transpose-mixing"))
     return gksl.product_generator(g1, g2)
 
 
+@cache
+def _qubit_blocks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The M_2 identity, trace-to-identity and transpose superoperators of the
+    flagship's closed forms, built once, on first use, and read-only."""
+    return tuple(gksl._read_only(block(2)) for block in (
+        gksl.identity_superop, gksl.trace_to_identity_superop, gksl.transpose_superop))
+
+
+def _closed_form(t: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """``a = exp(-2t)`` and :func:`_qubit_blocks` for a time t >= 0 (``DomainError``)."""
+    if t < 0:
+        raise DomainError(f"time must be nonnegative, got {t}")
+    return (np.exp(-2.0 * t), *_qubit_blocks())
+
+
 def witness_product_map(t: float) -> np.ndarray:
     """The flagship product semigroup at time t, assembled from its closed
     form: (a id + (1-a)/2 Tr) (x) ((1+a)/2 id + (1-a)/2 T), a = exp(-2t)."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    a = np.exp(-2.0 * t)
-    ident = identity_superop(2)
-    first = a * ident + (1 - a) / 2 * trace_to_identity_superop(2)
-    second = (1 + a) / 2 * ident + (1 - a) / 2 * transpose_superop(2)
-    return kron_superop(first, second, 2, 2)
+    a, ident, tr2, tp = _closed_form(t)
+    first = a * ident + (1 - a) / 2 * tr2
+    second = (1 + a) / 2 * ident + (1 - a) / 2 * tp
+    return gksl._kron_superop(first, second, 2, 2)
 
 
 def explicit_decomposition(t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -201,19 +205,15 @@ def explicit_decomposition(t: float) -> tuple[np.ndarray, np.ndarray]:
     S1 is completely positive for every t; S2 is completely positive only
     once exp(-2t) <= 1/3, which is where the family becomes decomposable.
     """
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    a = np.exp(-2.0 * t)
-    ident = identity_superop(2)
-    tr2 = trace_to_identity_superop(2)
-    s1 = kron_superop((1 + a) / 2 * (a * ident + (1 - a) / 2 * tr2), ident, 2, 2)
-    s2 = kron_superop((1 - a) / 2 * (a * transpose_superop(2) + (1 - a) / 2 * tr2), ident, 2, 2)
+    a, ident, tr2, tp = _closed_form(t)
+    s1 = gksl._kron_superop((1 + a) / 2 * (a * ident + (1 - a) / 2 * tr2), ident, 2, 2)
+    s2 = gksl._kron_superop((1 - a) / 2 * (a * tp + (1 - a) / 2 * tr2), ident, 2, 2)
     return s1, s2
 
 
 def _bell_pairings(j: np.ndarray) -> np.ndarray:
     """Pairings of a 4 (x) 4 Choi matrix with the 16 entangled basis projectors."""
-    return np.array([[_pairing(j, x) for x in row] for row in _bell_matrices()[0]])
+    return np.array([_pairing(j, x.mat) for x in _bell_states()[0]]).reshape(4, 4)
 
 
 def pairing_table(t: float) -> np.ndarray:
@@ -235,7 +235,7 @@ def noise_pairing_table() -> tuple[np.ndarray, float]:
     part ``-2 <id, .>``.
     """
     j = choi(witness_product_generator().noise)
-    return _bell_pairings(j), _pairing(j, _bell_matrices()[1])
+    return _bell_pairings(j), _pairing(j, bound_entangled_state().mat)
 
 
 def _spectral_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,7 +345,7 @@ def _project(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     if w[0] >= -slack:
         cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
         return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
-    rho = _bell_matrices()[1] if d == 4 else None
+    rho = bound_entangled_state().mat if d == 4 else None
     value = 0.0 if rho is None else _pairing(jm, rho)
     if value < -slack:  # J does not change in the loop: rho witnesses now or never
         return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value, gap=-float(w[0]),
@@ -501,7 +501,7 @@ def find_threshold(family, criterion, t_lo: float, t_hi: float) -> float:
     return 0.5 * lo + 0.5 * hi
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NoisePropagationReport:
     """Sub-verdict for the sufficient condition that propagates
     decomposability from the noise part to the whole semigroup."""

@@ -56,8 +56,6 @@ class HermitianBasis:
 
     ``elements[0]`` is ``1/sqrt(d)``; the remaining ``d^2 - 1`` elements are
     traceless.  Orthonormality is in the Hilbert-Schmidt inner product.
-    Equality and hash are by identity, as for every array-holding record
-    here.
     """
 
     dim: int
@@ -133,7 +131,8 @@ class KossakowskiSpec:
 
     ``dim`` is an integer >= 2 (``DomainError``); ``c_matrix`` is
     ``(d^2-1) x (d^2-1)`` Hermitian, indexed by the traceless basis elements
-    in the basis' fixed order.
+    in the basis' fixed order.  H and C are stored symmetrized and read-only,
+    since the generators built from a spec cache parts computed from them.
     """
 
     dim: int
@@ -151,8 +150,8 @@ class KossakowskiSpec:
             raise ShapeError(
                 f"basis dimension {self.basis.dim} does not match spec dimension {self.dim}"
             )
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "c_matrix", c)
+        object.__setattr__(self, "hamiltonian", _read_only(h))
+        object.__setattr__(self, "c_matrix", _read_only(c))
 
 
 def check_spec_shapes(dim: int, hamiltonian: np.ndarray, c_matrix: np.ndarray) -> None:

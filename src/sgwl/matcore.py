@@ -23,7 +23,11 @@ rest of the package relies on:
   is not safe).  ``expm`` validates one matrix and hands it to a trusted
   core that also takes a ``(k, n, n)`` stack, so the two factors of a
   product semigroup are exponentiated in one pass; each matrix keeps its
-  own scaling, and its result is bit-identical to an ``expm`` of it alone.
+  own scaling, and its result is bit-identical to an ``expm`` of it alone;
+* every array-holding record of the package is a frozen dataclass compared by
+  identity (``frozen=True, eq=False``: no field is reassigned, ``==`` is
+  ``is`` and every record hashes), and an array that other objects cache or
+  share is read-only, so a caller that needs to change one copies it.
 
 All functions are pure; nothing here mutates its inputs.
 """
@@ -130,10 +134,7 @@ def _as_hermitian(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Equality and hash are by identity: the fields are arrays.
-    """
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
 
     values: np.ndarray
     vectors: np.ndarray

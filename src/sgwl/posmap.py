@@ -39,7 +39,7 @@ work on the arrays those entries checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +78,7 @@ SEARCH_MAX_ITER = 200
 DECOMPOSITION_MAX_ITER = 1024
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PositivityVerdict:
     """Outcome of a positivity / complete-positivity question.
 
@@ -272,8 +272,7 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
         unit = gksl._orthonormalize_pair if restricted else gksl._unit_pair
         verdict = _violation(s, unit(psi[best], phi[best]), PROOF_SEARCH, slack)
         if verdict is not None:
-            verdict.start_values = val
-            return verdict
+            return replace(verdict, start_values=val)
     spread = _spread(val)
     status, reason = STATUS_POSITIVE_NOT_CP, None
     spread_tol = matcore._tol(SPREAD_TOL, size)
@@ -601,10 +600,9 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
     if verdict is None:
         verdict = _search(sm, False, budget, seed)
         if verdict.status != STATUS_NOT_POSITIVE and _proved_decomposable(j):
-            verdict.status, verdict.proof, verdict.reason = (
-                STATUS_POSITIVE_NOT_CP, PROOF_DECOMPOSITION, None)
-    verdict.choi_min_eig = cp.choi_min_eig
-    return verdict
+            verdict = replace(verdict, status=STATUS_POSITIVE_NOT_CP, proof=PROOF_DECOMPOSITION,
+                              reason=None)
+    return replace(verdict, choi_min_eig=cp.choi_min_eig)
 
 
 def _proved_decomposable(j: np.ndarray) -> bool:
@@ -625,7 +623,7 @@ def qubit_positivity_conditions(c1: float, c2: float, c3: float) -> bool:
     return c1 + c2 >= 0 and c2 + c3 >= 0 and c1 + c3 >= 0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProductConditionReport:
     """Result of the necessary spectral test for product-semigroup positivity."""
 

@@ -267,6 +267,16 @@ class TestErrors:
         assert captured.out == ""
         assert "t = 1000000000000000.0" in captured.err
 
+    def test_memory_error(self, spec_files, capsys):
+        # 10**15 grid points need 7.11 PiB, beyond any address space, so the
+        # allocation fails at once on every platform
+        depol, tmix = spec_files
+        rc = cli.main(["scan", depol, tmix, "--t0", "0", "--t1", "1", "--steps", str(10**15)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERICAL
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
+
 
 class TestReproduce:
     def test_full_run(self, tmp_path, capsys):

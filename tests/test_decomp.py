@@ -147,7 +147,7 @@ def reference_feasibility(j, max_iter=50000, dtype=None):
         if residual <= matcore._tol(matcore.FEASIBILITY_TOL, norm):
             cert = decomp.DecompositionCertificate(j1=j1, j2=best_b, residual=residual)
             return decomp.FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=it)
-    candidates = [decomp._bell_matrices()[1]] if d == 4 else []
+    candidates = [bound_entangled_state().mat] if d == 4 else []
     if best_x is not None:
         candidates.append(best_x)
     scored = [(decomp._pairing(jm, mat), mat) for mat in candidates]
@@ -340,14 +340,14 @@ class TestBellProjectors:
         assert np.abs(bell_state_projector(0, 2).mat - by_hand).max() < 1e-14
 
     def test_bit_identical_to_per_call_construction(self):
-        projectors, rho = decomp._bell_matrices()
+        projectors, rho = decomp._bell_states()
         for mu in range(4):
             for nu in range(4):
                 ref = per_call_projector(mu, nu).tobytes()
-                assert projectors[mu, nu].tobytes() == ref
+                assert projectors[4 * mu + nu].mat.tobytes() == ref
                 assert bell_state_projector(mu, nu).mat.tobytes() == ref
         ref = per_call_bound_entangled().tobytes()
-        assert rho.tobytes() == ref
+        assert rho.mat.tobytes() == ref
         assert bound_entangled_state().mat.tobytes() == ref
 
     @pytest.mark.parametrize("mu,nu", [(1.5, 0), (0, 2.0), (4, 0), (0, -1)])
@@ -359,16 +359,15 @@ class TestBellProjectors:
                               bell_state_projector(1, 2).mat)
 
     def test_cached_arrays_shared_and_read_only(self):
-        projectors, rho = decomp._bell_matrices()
-        assert decomp._bell_matrices()[0] is projectors
-        assert decomp._bell_matrices()[1] is rho
-        for arr in (projectors, projectors[1, 2], rho):
+        # every call returns the one shared, validated state, whose matrix is read-only
+        projectors, rho = decomp._bell_states()
+        assert decomp._bell_states()[0] is projectors
+        assert bound_entangled_state() is bound_entangled_state() is rho
+        assert bell_state_projector(1, 2) is bell_state_projector(1, 2) is projectors[6]
+        assert rho.ppt_checked and not projectors[6].ppt_checked
+        for arr in (projectors[6].mat, rho.mat):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
-        # the returned states own writable copies
-        state = bound_entangled_state()
-        assert state.mat is not rho and state.mat.flags.writeable
-        assert bell_state_projector(1, 2).mat.flags.writeable
 
 
 class TestSpectralParts:
@@ -916,7 +915,7 @@ class TestBoundEntangledFirst:
         ref = reference_feasibility(j)
         assert got.status == ref.status == INFEASIBLE_WITNESSED
         assert got.iterations == 0 < ref.iterations
-        rho = decomp._bell_matrices()[1]
+        rho = bound_entangled_state().mat
         jm = matcore.as_hermitian(j)
         jm = jm if field == "complex" else np.ascontiguousarray(jm.real)
         assert got.witness.mat.tobytes() == rho.tobytes()
