@@ -19,7 +19,9 @@ trust-region subproblem, solved exactly and certified by its Lagrangian
 dual bound.  Everywhere else the checker minimizes f by projected
 gradient descent from many starts run in lockstep, with the exact gradient
 taken from the same batched Hermitian eigensolve that gives the inner
-minimum over phi; the map is prepared once per search, so that a stage
+minimum over phi; a step may grow until it turns psi by about
+``SEARCH_MAX_TURN`` radians, so starts on flat stretches near a boundary
+minimum do not crawl.  The map is prepared once per search, so that a stage
 costs two products with it and that one eigensolve.  A map that the search
 leaves without a violation gets one capped run of the decomposability loop
 of ``decomp`` on its Choi matrix: a decomposable map is positive, so a
@@ -72,6 +74,8 @@ DEFAULT_BUDGET = 64
 DEFAULT_SEED = 0x5EED
 SPREAD_TOL = 1e-8
 SEARCH_MAX_ITER = 200
+# Largest angle (radians) an accepted search step may grow to turn psi by.
+SEARCH_MAX_TURN = 0.25
 # Projection-loop budget of the decomposability proof in map_positivity_check:
 # decomposable Phi[a,b,c] with b/c up to 100 certify within it, lopsided ones in
 # hundreds of iterations (742 for Phi[1, 10.954, 0.1095]); b/c = 1000 may not.
@@ -228,14 +232,19 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
 
     All starts (start k drawn with seed + k) descend in lockstep as complex
     unit rows psi, one batched evaluation (:func:`_evaluate`) per stage on
-    the operator prepared once (:func:`_prepare`).  A start grows its step
-    by 1.5 (at most 1) on an accepted trial and halves it on a rejected
-    one; it stops when the step falls below 1e-12, the gradient vanishes or
-    it has taken ``SEARCH_MAX_ITER`` steps.  Once any start falls below -1e-8 only the
-    lowest one goes on.  A violation is re-validated (:func:`_violation`) at
-    the best start's pair, orthonormalized when restricted and normalized
-    otherwise, and that pair is the one reported; otherwise the spread of
-    the best starts decides, both at the scale of the largest entry of ``s``.
+    the operator prepared once (:func:`_prepare`).  A trial is accepted when
+    it lowers the value by more than 1e-15.  On an accepted trial a start
+    grows its step by 1.5, up to max(1, ``SEARCH_MAX_TURN`` / |g|) for the
+    gradient g at the accepted point: a step turns psi by about step |g|,
+    so where |g| < ``SEARCH_MAX_TURN`` the cap lets it turn psi by up to
+    about ``SEARCH_MAX_TURN`` radians instead of |g|, and elsewhere the cap
+    is 1.  A rejected trial halves the step.  A start stops when the step
+    falls below 1e-12, |g|^2 below 1e-24 or it has taken ``SEARCH_MAX_ITER``
+    steps.  Once any start falls below -1e-8 only the lowest one goes on.
+    A violation is re-validated (:func:`_violation`) at the best start's
+    pair, orthonormalized when restricted and normalized otherwise, and that
+    pair is the one reported; otherwise the spread of the best starts
+    decides, both at the scale of the largest entry of ``s``.
     """
     d = int(round(math.sqrt(s.shape[0])))
     op = _prepare(s)
@@ -259,9 +268,12 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
         ok = vn < val[idx] - 1e-15
         acc, rej = idx[ok], idx[~ok]
         psi[acc], val[acc], grad[acc], phi[acc] = pn[ok], vn[ok], gn[ok], phin[ok]
-        step[acc] = np.minimum(step[acc] * 1.5, 1.0)
+        g2 = _sq_norms(gn[ok])
+        # a step turns psi by about step |g|; a start with |g|^2 < 1e-24 stops below
+        cap = np.maximum(1.0, SEARCH_MAX_TURN / np.sqrt(np.maximum(g2, 1e-24)))
+        step[acc] = np.minimum(step[acc] * 1.5, cap)
         taken[acc] += 1
-        live[acc] = (taken[acc] < SEARCH_MAX_ITER) & (_sq_norms(gn[ok]) >= 1e-24)
+        live[acc] = (taken[acc] < SEARCH_MAX_ITER) & (g2 >= 1e-24)
         step[rej] /= 2
         live[rej] = step[rej] >= 1e-12
 

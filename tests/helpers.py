@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: seeded random inputs, call counters and
 the earlier formulations that faster code is checked against."""
 
+import dataclasses
+
 import numpy as np
 
 from sgwl import decomp, gksl, matcore, posmap
@@ -222,3 +224,50 @@ def reference_evaluate(l_mat, xs, restricted):
         g -= phi * np.einsum("ni,nij,nj->n", phi.conj(), m, psi)[:, None]
     g = 2.0 * (g - psi * np.einsum("ni,ni->n", psi.conj(), g).real[:, None]) / r
     return w[:, 0], np.concatenate([g.real, g.imag], axis=1), phi
+
+
+def reference_search(s, restricted, budget, seed):
+    """``posmap._search`` as it was while an accepted step grew by 1.5 up to
+    a fixed 1, whatever the gradient's norm: the same draws, stages, stop
+    rules and decision, so only the step cap differs."""
+    d = int(round(np.sqrt(s.shape[0])))
+    op = posmap._prepare(s)
+    x = np.array([np.random.default_rng(seed + k).normal(size=2 * d) for k in range(budget)])
+    psi = x[:, :d] + 1j * x[:, d:]
+    psi /= np.sqrt(posmap._sq_norms(psi))[:, None]
+    val, grad, phi = posmap._evaluate(op, psi, restricted)
+    step = np.full(budget, 0.25)
+    taken = np.zeros(budget, dtype=int)
+    live = posmap._sq_norms(grad) >= 1e-24
+    while True:
+        if np.any(val < -1e-8):
+            live &= np.arange(budget) == np.argmin(val)
+        if not live.any():
+            break
+        idx = np.flatnonzero(live)
+        pn = psi[idx] - step[idx, None] * grad[idx]
+        pn /= np.sqrt(posmap._sq_norms(pn))[:, None]
+        vn, gn, phin = posmap._evaluate(op, pn, restricted)
+        ok = vn < val[idx] - 1e-15
+        acc, rej = idx[ok], idx[~ok]
+        psi[acc], val[acc], grad[acc], phi[acc] = pn[ok], vn[ok], gn[ok], phin[ok]
+        step[acc] = np.minimum(step[acc] * 1.5, 1.0)
+        taken[acc] += 1
+        live[acc] = (taken[acc] < posmap.SEARCH_MAX_ITER) & (posmap._sq_norms(gn[ok]) >= 1e-24)
+        step[rej] /= 2
+        live[rej] = step[rej] >= 1e-12
+
+    best = int(np.argmin(val))
+    size = float(np.abs(s).max())
+    slack = matcore._tol(matcore.PSD_SLACK, size)
+    if val[best] < -slack:
+        unit = gksl._orthonormalize_pair if restricted else gksl._unit_pair
+        verdict = posmap._violation(s, unit(psi[best], phi[best]), posmap.PROOF_SEARCH, slack)
+        if verdict is not None:
+            return dataclasses.replace(verdict, start_values=val)
+    spread = posmap._spread(val)
+    status = posmap.STATUS_POSITIVE_NOT_CP
+    if spread > matcore._tol(posmap.SPREAD_TOL, size):
+        status = posmap.STATUS_UNDETERMINED
+    return posmap.PositivityVerdict(status=status, min_value=float(val[best]),
+                                    start_values=val, spread=spread)

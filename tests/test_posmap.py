@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from sgwl import decomp, gksl, matcore, posmap
@@ -35,10 +35,12 @@ from helpers import (
     random_density,
     random_hermitian,
     random_psd,
+    random_unit_vector,
     random_unitary,
     reference_bloch_pair,
     reference_evaluate,
     reference_generator,
+    reference_search,
 )
 
 
@@ -991,7 +993,7 @@ class TestDecompositionProof:
     by one capped projection loop, when its certificate re-verifies."""
 
     @pytest.mark.parametrize("abc,searched,status,proof", [
-        ((2.0, 0.6, 0.6), posmap.STATUS_UNDETERMINED, STATUS_POSITIVE_NOT_CP,
+        ((2.0, 0.6, 0.6), STATUS_POSITIVE_NOT_CP, STATUS_POSITIVE_NOT_CP,
          posmap.PROOF_DECOMPOSITION),
         ((1.2, 1.0, 0.9), STATUS_POSITIVE_NOT_CP, STATUS_POSITIVE_NOT_CP,
          posmap.PROOF_DECOMPOSITION),
@@ -1021,8 +1023,10 @@ class TestDecompositionProof:
     def test_budget_is_capped(self, monkeypatch):
         # Phi[2, 0.6, 0.6] certifies in 64 iterations, not in 10
         monkeypatch.setattr(posmap, "DECOMPOSITION_MAX_ITER", 10)
-        verdict = map_positivity_check(choi_map(2.0, 0.6, 0.6))
-        assert (verdict.status, verdict.proof) == (posmap.STATUS_UNDETERMINED, posmap.PROOF_SEARCH)
+        s = choi_map(2.0, 0.6, 0.6)
+        search = posmap._search(matcore.as_cmatrix(s), False, 16, posmap.DEFAULT_SEED)
+        verdict = map_positivity_check(s)
+        assert (verdict.status, verdict.proof) == (search.status, posmap.PROOF_SEARCH)
 
     def test_certificate_is_reverified(self, monkeypatch):
         # a Feasible result whose J1 = J is not PSD proves nothing
@@ -1031,8 +1035,10 @@ class TestDecompositionProof:
             return decomp.FeasibilityResult(status=decomp.FEASIBLE, certificate=cert)
 
         monkeypatch.setattr(decomp, "_feasibility", unchecked)
-        verdict = map_positivity_check(choi_map(2.0, 0.6, 0.6))
-        assert (verdict.status, verdict.proof) == (posmap.STATUS_UNDETERMINED, posmap.PROOF_SEARCH)
+        s = choi_map(2.0, 0.6, 0.6)
+        search = posmap._search(matcore.as_cmatrix(s), False, 16, posmap.DEFAULT_SEED)
+        verdict = map_positivity_check(s)
+        assert (verdict.status, verdict.proof) == (search.status, posmap.PROOF_SEARCH)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(a=st.floats(1.0, 2.9), excess=st.floats(0.3, 4.0), log_ratio=st.floats(-2.3, 2.3))
@@ -1167,6 +1173,82 @@ class TestPreparedKernel:
         assert stages.calls > 1
         assert calls == [("eigh", np.dtype(np.complex128))] * stages.calls
         assert len(verdict.start_values) == 16
+
+
+def gell_mann_noise(d, c):
+    """Noise part of the d-level generator with Kossakowski matrix C in the
+    Gell-Mann basis; for C = 1 - s v v^dag, f = 1 - s |<phi|V|psi>|^2 on an
+    orthonormal pair, with V = sum_a conj(v_a) F_a."""
+    return build_generator(gksl.KossakowskiSpec(d, np.zeros((d, d)), c, gell_mann_basis(d))).noise
+
+
+def boundary_product_noise(rng, gap, twist):
+    """Noise part of a rotated product of two qubit generators, the first with
+    nonnegative rates and the second positive, not CP, whose least cross sum
+    of rates is ``gap`` (so min f = gap / 2); ``twist`` adds an antisymmetric
+    imaginary part to both factors' C (complex C), which moves the boundary."""
+    m = rng.uniform(0.2, 1.0)
+    c2 = np.array([-m, m + rng.uniform(0.05, 1.0), m + rng.uniform(0.05, 1.0)])
+    c1 = m + gap + np.array([0.0, *rng.uniform(0.0, 1.0, size=2)])
+    factors = []
+    for c in (c1, c2):
+        a = rng.normal(size=(3, 3))
+        factors.append(qubit_generator(rng, np.diag(rng.permutation(c)) + 1j * twist * (a - a.T)))
+    return gksl.product_generator(*factors).noise
+
+
+class TestStepCap:
+    """An accepted step grows up to max(1, SEARCH_MAX_TURN / |g|), so that on
+    flat stretches it turns psi by about SEARCH_MAX_TURN rather than by |g|;
+    the search it replaced capped every step at 1 (``helpers.reference_search``)."""
+
+    def test_flat_product_converges(self, monkeypatch):
+        # a positive qubit product whose minimum 0 lies on the boundary: with
+        # the step capped at 1 some starts crawl, and the search runs all 200
+        # stages; a stage takes at most one step per start, so fewer than
+        # SEARCH_MAX_ITER stages means that no start reached SEARCH_MAX_ITER
+        rng = np.random.default_rng(7)
+        gen = gksl.product_generator(qubit_generator(rng, np.diag([1.0, 1.0, 1.0])),
+                                     qubit_generator(rng, np.diag([1.0, -0.5, 1.0])))
+        stages = counting(posmap._evaluate)
+        monkeypatch.setattr(posmap, "_evaluate", stages)
+        verdict = kossakowski_positivity_check(gen)
+        assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP, posmap.PROOF_SEARCH)
+        assert stages.calls - 1 <= 150 < posmap.SEARCH_MAX_ITER
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           family=st.sampled_from(["rank-one-3", "rank-one-4", "real-product", "complex-product"]),
+           log_gap=st.floats(-12.0, -1.0), below=st.booleans())
+    # least cross sum -1e-8, so min f = -5e-9: the reference ends PositiveNotCP
+    @example(seed=25, family="real-product", log_gap=-8.0, below=True)
+    def test_statuses_match_reference(self, seed, family, log_gap, below):
+        # inputs within 10^log_gap of the positivity boundary, on either side;
+        # both searches run on the same input, so examples align by input.
+        # A NotPositive verdict is proved by its re-validated pair, so it may
+        # replace any reference status; otherwise a decided reference status
+        # must be kept, and only a reference Undetermined may become decided
+        rng = np.random.default_rng(seed)
+        gap = -(10.0 ** log_gap) if below else 10.0 ** log_gap
+        if family.startswith("rank-one"):
+            d = int(family[-1])
+            v = random_unit_vector(rng, d * d - 1)
+            vv = np.outer(v, v.conj())
+            # min f at C = -v v^dag is -max |<phi|V|psi>|^2 =: -m, so at
+            # C = 1 - (1 - gap) / m v v^dag the minimum of f is gap
+            m = -reference_search(gell_mann_noise(d, -vv), True, posmap.DEFAULT_BUDGET,
+                                  posmap.DEFAULT_SEED).min_value
+            s = gell_mann_noise(d, np.eye(d * d - 1) - (1.0 - gap) / m * vv)
+        else:
+            s = boundary_product_noise(rng, gap, 0.2 if family == "complex-product" else 0.0)
+        verdict = posmap._search(s, True, posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED)
+        reference = reference_search(s, True, posmap.DEFAULT_BUDGET, posmap.DEFAULT_SEED)
+        event(f"{reference.status} -> {verdict.status}")
+        if verdict.status == STATUS_NOT_POSITIVE:
+            slack = matcore._tol(matcore.PSD_SLACK, float(np.abs(s).max()))
+            assert gksl._functional(s, *verdict.pair) == verdict.min_value < -slack
+        elif reference.status != posmap.STATUS_UNDETERMINED:
+            assert verdict.status == reference.status
 
 
 class TestQubitConditions:
