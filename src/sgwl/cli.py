@@ -65,8 +65,9 @@ def _parse_complex_matrix(node, path: str) -> np.ndarray:
             raise SpecFormatError(f"{path}[{i}]: row length {len(row)} != {width}")
         parsed = []
         for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
+            # a JSON boolean is a Python int, but not a number here
+            if (not isinstance(entry, list) or len(entry) != 2 or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
                 raise SpecFormatError(f"{path}[{i}][{j}]: expected an [re, im] pair of numbers")
             parsed.append(complex(entry[0], entry[1]))
         rows.append(parsed)

@@ -12,11 +12,12 @@ extra eigendecomposition (an ``eigvalsh``), and solves that end within 128
 iterations are bit-identical to the plain loop.
 
 The same iteration decides both outcomes.  When ``J - PT B`` becomes PSD,
-``J1 = J - PT B`` and ``J2 = B`` certify decomposability.  Otherwise the
-residual ``Z = A + PT B - J`` is the witness: after the B-step its partial
-transpose is PSD by construction, and shifting it by its smallest
-eigenvalue makes it PSD too, so its normalized transpose is a PPT state.
-Non-decomposability is certified through the duality pairing
+``J1 = J - PT B`` and ``J2 = B`` certify decomposability, once both blocks
+re-verify PSD at the scale of ``J``: every Feasible result is a proof.
+Otherwise the residual ``Z = A + PT B - J`` is the witness: after the
+B-step its partial transpose is PSD by construction, and shifting it by its
+smallest eigenvalue makes it PSD too, so its normalized transpose is a PPT
+state.  Non-decomposability is certified through the duality pairing
 
     <Lambda, X> = Tr( (Lambda (x) id)[P+] X^T ):
 
@@ -45,6 +46,7 @@ from . import gksl, matcore
 from .gksl import SIGMA, Generator, choi, qubit_spec
 from .matcore import (
     FEASIBILITY_TOL,
+    PSD_SLACK,
     DomainError,
     NumericalError,
     PreconditionError,
@@ -298,9 +300,13 @@ def decomposability_feasibility(j, max_iter: int = DEFAULT_MAX_ITER) -> Feasibil
 
     * certificate: once ``J1 = J - PT B`` is PSD within the slack (the PSD
       rule of ``matcore`` at the scale of ``J``), a short polish keeps the
-      best iterate, and ``J1``, ``J2 = B`` are returned with their assembly
-      residual (zero by construction, bounded by
-      ``FEASIBILITY_TOL * max(1, ||J||_2)``, the same tolerance rule);
+      best iterate.  ``J1`` and ``J2 = B`` are returned only when both
+      hermitized blocks re-verify PSD at that same scale and their assembly
+      residual (zero by construction) is within
+      ``FEASIBILITY_TOL * max(1, ||J||_2)``, the same tolerance rule; so a
+      Feasible status is itself the proof, for every caller.  A certificate
+      that fails is not returned: the result is the witness below, if the
+      loop found one, or MaxIterations;
     * witness: the residual ``Z = A + PT B - J`` has a PSD partial
       transpose after the B-step; shifted by ``max(0, -lmin Z)`` times the
       identity and normalized, its transpose is a PPT state.  Its pairing
@@ -329,19 +335,12 @@ def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     float64 when it has no nonzero imaginary entry, in complex128 otherwise."""
     if not jm.imag.any():
         jm = np.ascontiguousarray(jm.real)
-    return _project(jm, max_iter)
-
-
-def _project(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
-    """The projection loop of :func:`decomposability_feasibility` on a gated
-    Hermitian matrix, in the arithmetic of its dtype."""
     n = jm.shape[0]
     d = int(round(np.sqrt(n)))
     if d * d != n:
         raise ShapeError(f"Choi matrix must be d^2 x d^2, got {jm.shape}")
-    w, v = np.linalg.eigh(jm)
-    norm = max(-float(w[0]), float(w[-1]))  # ||J||_2
-    slack = matcore._tol(matcore.PSD_SLACK, norm)
+    w, _, a = _spectral_parts(jm)
+    slack = -matcore._psd_bound(w)  # PSD_SLACK * max(1, ||J||_2)
     if w[0] >= -slack:
         cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
         return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
@@ -350,7 +349,6 @@ def _project(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     if value < -slack:  # J does not change in the loop: rho witnesses now or never
         return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value, gap=-float(w[0]),
                                  witness=WitnessState(rho, ppt_checked=True))
-    a = (v * np.maximum(w, 0.0)) @ v.conj().T  # the PSD part, as in _spectral_parts
 
     def pt(x):
         return matcore._partial_transpose(x, d, d)
@@ -392,7 +390,9 @@ def _project(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     if best_lmin >= -slack:
         j1 = jm - pt(best_b)
         residual = float(np.linalg.norm(jm - j1 - pt(best_b)))
-        if residual <= matcore._tol(FEASIBILITY_TOL, norm):
+        # the residual rule at the scale of J, and both hermitized blocks PSD at it
+        if residual <= FEASIBILITY_TOL / PSD_SLACK * slack and all(
+                np.linalg.eigvalsh((x + x.conj().T) / 2)[0] >= -slack for x in (j1, best_b)):
             cert = DecompositionCertificate(j1=j1, j2=best_b, residual=residual)
             return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=it)
 
@@ -516,6 +516,7 @@ def decomposability_propagation_check(gen: Generator,
     decomposable: the noise part N must be decomposable.  A decomposable map
     is positive, so that one condition covers N's positivity too.  It
     reports :func:`decomposability_feasibility` of N's Choi matrix
-    (``max_iter``); ``holds`` requires its certificate."""
+    (``max_iter``); ``holds`` requires its certificate, whose two blocks
+    the solver has re-verified PSD, so ``holds`` is a proof."""
     feas = decomposability_feasibility(choi(gen.noise), max_iter=max_iter)
     return NoisePropagationReport(noise_feasibility=feas, holds=feas.status == FEASIBLE)

@@ -496,7 +496,11 @@ def basis_rotation_matrix(v, basis: HermitianBasis) -> np.ndarray:
     Requires unitary ``V`` so that the rotated elements stay Hermitian and
     traceless and R is real orthogonal.
     """
-    vm = as_cmatrix(v)
+    return _basis_rotation_matrix(as_cmatrix(v), basis)
+
+
+def _basis_rotation_matrix(vm: np.ndarray, basis: HermitianBasis) -> np.ndarray:
+    """:func:`basis_rotation_matrix` of a matrix that passed :func:`as_cmatrix`."""
     d = basis.dim
     if vm.shape != (d, d):
         raise ShapeError(f"V must be {d}x{d}, got {vm.shape}")

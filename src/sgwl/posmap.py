@@ -24,9 +24,9 @@ minimum over phi; a step may grow until it turns psi by about
 minimum do not crawl.  The map is prepared once per search, so that a stage
 costs two products with it and that one eigensolve.  A map that the search
 leaves without a violation gets one capped run of the decomposability loop
-of ``decomp`` on its Choi matrix: a decomposable map is positive, so a
-certificate whose blocks re-verify PSD proves it (proof
-``decomposition``).
+of ``decomp`` on its Choi matrix: a decomposable map is positive, and
+``decomp`` returns a certificate only once both of its blocks re-verify
+PSD, so a Feasible result proves it (proof ``decomposition``).
 
 Every verdict names its ``proof``.  Violation reports are always
 re-validated by direct evaluation before being returned: on the qubit
@@ -114,10 +114,11 @@ class PositivityVerdict:
     ``kossakowski-psd`` (C >= 0), ``trust-region`` (exact qubit minimum, of
     a generator or of a map), ``kossakowski-nd`` (C < 0, so every pair
     violates), ``closed-form`` (a qubit product's exact minimum),
-    ``decomposition`` (a map's re-verified decomposability certificate; the
-    other fields are the search's) or ``search``.  A search verdict is a
-    proof only when it is NotPositive, with its re-validated pair;
-    ``reason`` says why a verdict is Undetermined.
+    ``decomposition`` (a map's decomposability certificate, whose blocks
+    ``decomp`` re-verified PSD; the other fields are the search's) or
+    ``search``.  A search verdict is a proof only when it is NotPositive,
+    with its re-validated pair; ``reason`` says why a verdict is
+    Undetermined.
     """
 
     status: str
@@ -596,7 +597,8 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
 
     A search that finds no violation is followed by one projection loop of
     ``decomp`` on the gated Choi matrix, capped at ``DECOMPOSITION_MAX_ITER``
-    iterations.  If its certificate re-verifies, the verdict becomes
+    iterations.  If it ends Feasible, with a certificate whose blocks
+    ``decomp`` has re-verified PSD at the scale of J, the verdict becomes
     PositiveNotCP with proof ``decomposition`` and keeps the search's
     ``min_value``; a witnessed or unfinished loop leaves the search verdict
     as it was.
@@ -611,22 +613,11 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
     verdict = _qubit_map_exact(sm) if sm.shape == (4, 4) else None
     if verdict is None:
         verdict = _search(sm, False, budget, seed)
-        if verdict.status != STATUS_NOT_POSITIVE and _proved_decomposable(j):
+        if (verdict.status != STATUS_NOT_POSITIVE
+                and decomp._feasibility(j, DECOMPOSITION_MAX_ITER).status == decomp.FEASIBLE):
             verdict = replace(verdict, status=STATUS_POSITIVE_NOT_CP, proof=PROOF_DECOMPOSITION,
                               reason=None)
     return replace(verdict, choi_min_eig=cp.choi_min_eig)
-
-
-def _proved_decomposable(j: np.ndarray) -> bool:
-    """True when one projection loop on the gated Choi matrix J, capped at
-    ``DECOMPOSITION_MAX_ITER`` iterations, returns a certificate whose blocks
-    both re-verify PSD at the scale ||J||_2; a decomposable map is positive."""
-    res = decomp._feasibility(j, DECOMPOSITION_MAX_ITER)
-    if res.status != decomp.FEASIBLE:
-        return False
-    bound = matcore._psd_bound(np.linalg.eigvalsh(j))
-    return all(np.linalg.eigvalsh((b + b.conj().T) / 2)[0] >= bound
-               for b in (res.certificate.j1, res.certificate.j2))
 
 
 def qubit_positivity_conditions(c1: float, c2: float, c3: float) -> bool:
@@ -650,18 +641,15 @@ def product_positivity_necessary(
 ) -> ProductConditionReport:
     """Necessary condition for positivity of a product semigroup: for any
     unitary V, the matrix ``C1 + R^T C2 R`` must be PSD, where R is the
-    rotation V induces on the traceless basis sector."""
-    c1m = as_hermitian(c1)
-    c2m = as_hermitian(c2)
-    r = gksl.basis_rotation_matrix(v, basis)
-    combined = as_hermitian(c1m + r.T @ c2m @ r)
-    ok, lmin = matcore.is_psd(combined)
-    return ProductConditionReport(
-        combined=combined,
-        min_eigenvalue=lmin,
-        v_matrix=as_cmatrix(v),
-        necessary_ok=ok,
-    )
+    rotation V induces on the traceless basis sector.  Each input is
+    validated once; the sum of Hermitian matrices is symmetrized, not gated."""
+    c1m, c2m, vm = as_hermitian(c1), as_hermitian(c2), as_cmatrix(v)
+    r = gksl._basis_rotation_matrix(vm, basis)
+    combined = c1m + r.T @ c2m @ r
+    combined = (combined + combined.conj().T) / 2
+    w = np.linalg.eigvalsh(combined)
+    return ProductConditionReport(combined=combined, min_eigenvalue=float(w[0]), v_matrix=vm,
+                                  necessary_ok=bool(w[0] >= matcore._psd_bound(w)))
 
 
 def product_positivity_sufficient(c1, c2) -> bool:

@@ -204,6 +204,8 @@ def without(doc, key):
 
 QUTRIT = {"dim": 3, "H": zeros(3), "C": zeros(8)}
 RAGGED = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0]]]
+# the depolarizing C, were the booleans read as 1 + 0j
+BOOLEAN_C = [[[True, False], [0, 0], [0, 0]]] + DEPOL["C"][1:]
 
 # argv (``{a}`` is a file holding ``doc``, ``{b}`` the depolarizing spec,
 # ``{q}`` a qutrit spec, ``{missing}`` no file), the spec in ``{a}``, and
@@ -215,6 +217,8 @@ PARSE_ERRORS = [
                  id="row-not-list"),
     pytest.param(["check", "{a}"], dict(DEPOL, C=RAGGED), "C[1]: row length 2 != 3",
                  id="ragged"),
+    pytest.param(["check", "{a}"], dict(DEPOL, C=BOOLEAN_C),
+                 "C[0][0]: expected an [re, im] pair of numbers", id="boolean-entry"),
     pytest.param(["check", "{missing}"], DEPOL, "missing.json", id="missing-file"),
     pytest.param(["check", "{a}"], [DEPOL], "top level must be an object", id="not-object"),
     pytest.param(["check", "{a}"], without(DEPOL, "dim"), "dim: missing", id="dim-missing"),

@@ -435,6 +435,19 @@ class TestValidationCount:
         assert verdict.proof == posmap.PROOF_KOSSAKOWSKI_PSD
         assert n == 0
 
+    def test_product_positivity_necessary(self, monkeypatch):
+        # C1, C2 and V once each: neither the sum C1 + R^T C2 R nor the
+        # report's V is validated again
+        rng = np.random.default_rng(40)
+        c1, c2 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        v = random_unitary(rng, 2)
+        n, rep = count_validations(monkeypatch, lambda: posmap.product_positivity_necessary(
+            c1, c2, gksl.pauli_basis(), v))
+        assert n == 3
+        r = gksl.basis_rotation_matrix(v, gksl.pauli_basis())
+        ok, lmin = matcore.is_psd(c1 + r.T @ c2 @ r)
+        assert (rep.necessary_ok, rep.min_eigenvalue) == (ok, lmin)
+
 
 class TestQubitEigensolverCount:
     """The qubit routes pay one eigh for the trust-region subproblem; the
@@ -465,8 +478,9 @@ class TestQubitEigensolverCount:
 class TestEigensolverCount:
     """Each iteration of the projection loop costs two eigendecompositions;
     the witness shift's eigvalsh runs only when the unshifted pairing is
-    negative, and the certificate test of an accelerated iteration adds
-    one more."""
+    negative, the certificate test of an accelerated iteration adds one
+    more, and a certificate the loop returns pays one eigvalsh per block
+    to re-verify them."""
 
     def test_feasible_flagship(self, monkeypatch):
         j = choi(witness_product_map(1.0))
@@ -474,7 +488,7 @@ class TestEigensolverCount:
             monkeypatch, lambda: decomposability_feasibility(j))
         assert res.status == FEASIBLE and res.iterations > 30
         assert n_eigh == 2 * res.iterations + 1
-        assert n_eigvalsh == 0
+        assert n_eigvalsh == 2
 
     def test_witnessed_flagship(self, monkeypatch):
         j = real_rotated(choi(witness_product_map(0.2)))
@@ -865,7 +879,18 @@ def assert_matches_complex_arithmetic(j):
     the bound-entangled state decides before the loop, both fields report
     the same status, witness bytes and pairing bits after no iterations."""
     got = decomposability_feasibility(j)
-    ref = decomp._project(matcore.as_hermitian(j), 50000)
+    casts = []
+
+    def to_complex(a):
+        casts.append(a.dtype)
+        return a.astype(complex)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # the core casts a real J to float64 with np.ascontiguousarray; cast it
+        # back, so that the same loop runs on J in complex arithmetic
+        mp.setattr(np, "ascontiguousarray", to_complex)
+        ref = decomp._feasibility(matcore.as_hermitian(j), 50000)
+    assert casts == [np.dtype(np.float64)]
     if decided_first(ref):
         # the reference scores that state after its loop, which off the
         # flagship may end on a more negative witness
@@ -1003,8 +1028,10 @@ class TestField:
     def test_real_feasible_dtypes(self, monkeypatch):
         j = choi(witness_product_map(1.0))
         calls, res = eigensolver_calls(monkeypatch, lambda: decomposability_feasibility(j))
-        assert res.status == FEASIBLE and len(calls) == 2 * res.iterations + 1
-        assert set(calls) == {("eigh", np.dtype(np.float64))}
+        assert res.status == FEASIBLE and len(calls) == 2 * res.iterations + 3
+        # the loop's eigh, then the re-verification of both blocks
+        assert set(calls[:-2]) == {("eigh", np.dtype(np.float64))}
+        assert calls[-2:] == [("eigvalsh", np.dtype(np.float64))] * 2
         assert res.certificate.j1.dtype == res.certificate.j2.dtype == np.complex128
 
     def test_real_witnessed_dtypes(self, monkeypatch):
@@ -1222,6 +1249,65 @@ class TestPropagation:
         rep = decomposability_propagation_check(gen)
         assert rep.holds
         assert np.abs(rep.noise_feasibility.certificate.j2).max() == 0.0
+
+    def test_transpose_type_noise_holds(self):
+        # N = T o M with M CP: decomposable, not CP, certified by the loop
+        gen = transpose_type_generator()
+        assert np.linalg.eigvalsh(choi(gen.noise))[0] < -0.05
+        rep = decomposability_propagation_check(gen)
+        assert rep.holds and rep.noise_feasibility.iterations > 0
+        assert_certificate(choi(gen.noise), rep.noise_feasibility)
+
+
+def transpose_type_generator():
+    """A qutrit generator whose noise part is N(X) = X^T + 3/4 Tr(X) 1 - 7/12 X:
+    C is +1 on the symmetric Gell-Mann elements and -1 on the antisymmetric
+    ones (the transpose), plus 3/4 times the identity.  N = T o M with
+    M(X) = X + 3/4 Tr(X) 1 - 7/12 X^T completely positive, so N is
+    decomposable; the C eigenvalue -1/4 keeps it from being CP."""
+    basis = gksl.gell_mann_basis(3)
+    signs = [-1.0 if f.imag.any() else 1.0 for f in basis.traceless()]
+    return build_generator(gksl.KossakowskiSpec(3, np.zeros((3, 3)),
+                                                np.diag(signs) + 0.75 * np.eye(8), basis))
+
+
+class TestCertificateRule:
+    """A Feasible status is itself the proof, for every entry that reports
+    one.  With the PSD part of every spectral split in the core shifted by
+    -1e-3, the loop's J2 = B fails the PSD test at the scale of J; no entry
+    may then report a Feasible result or what it proves."""
+
+    @pytest.mark.parametrize("entry", [
+        "feasibility-flagship-1.0", "feasibility-phi-2-0.6-0.6", "rung-0", "propagation"])
+    def test_injected_non_psd_block(self, monkeypatch, entry):
+        parts, core, results = decomp._spectral_parts, decomp._feasibility, []
+
+        def shifted(h):
+            w, v, pos = parts(h)
+            return w, v, pos - 1e-3 * np.eye(h.shape[0])
+
+        def recorded(jm, max_iter):
+            results.append((jm, core(jm, max_iter)))
+            return results[-1][1]
+
+        monkeypatch.setattr(decomp, "_spectral_parts", shifted)
+        monkeypatch.setattr(decomp, "_feasibility", recorded)
+        if entry == "rung-0":
+            verdict = posmap.map_positivity_check(choi_map(2.0, 0.6, 0.6))
+            assert verdict.proof != posmap.PROOF_DECOMPOSITION
+        elif entry == "propagation":
+            assert not decomposability_propagation_check(transpose_type_generator()).holds
+        else:
+            j = (choi(witness_product_map(1.0)) if entry.startswith("feasibility-flagship")
+                 else choi(choi_map(2.0, 0.6, 0.6)))
+            assert decomposability_feasibility(j).status == decomp.MAX_ITERATIONS
+        assert results
+        for jm, res in results:
+            assert res.iterations > 0
+            if res.status == FEASIBLE:
+                bound = matcore._psd_bound(np.linalg.eigvalsh(jm))
+                for block in (res.certificate.j1, res.certificate.j2):
+                    assert np.linalg.eigvalsh((block + block.conj().T) / 2)[0] >= bound
 
 
 class TestTrotter:

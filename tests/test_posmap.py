@@ -1013,10 +1013,10 @@ class TestDecompositionProof:
         assert (verdict.reason is None) == (status != posmap.STATUS_UNDETERMINED)
 
     def test_violation_skips_the_loop(self, monkeypatch):
-        def refuse(j):
+        def refuse(jm, max_iter):
             raise AssertionError("the loop ran after a violation")
 
-        monkeypatch.setattr(posmap, "_proved_decomposable", refuse)
+        monkeypatch.setattr(decomp, "_feasibility", refuse)
         verdict = map_positivity_check(choi_map(1.5, 0.3, 0.9))
         assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH)
 
@@ -1029,12 +1029,15 @@ class TestDecompositionProof:
         assert (verdict.status, verdict.proof) == (search.status, posmap.PROOF_SEARCH)
 
     def test_certificate_is_reverified(self, monkeypatch):
-        # a Feasible result whose J1 = J is not PSD proves nothing
-        def unchecked(jm, max_iter):
-            cert = decomp.DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
-            return decomp.FeasibilityResult(status=decomp.FEASIBLE, certificate=cert)
+        # a certificate whose J2 = B is not PSD proves nothing: with the PSD
+        # part of every spectral split shifted by -1e-3, the loop's B fails
+        parts = decomp._spectral_parts
 
-        monkeypatch.setattr(decomp, "_feasibility", unchecked)
+        def shifted(h):
+            w, v, pos = parts(h)
+            return w, v, pos - 1e-3 * np.eye(h.shape[0])
+
+        monkeypatch.setattr(decomp, "_spectral_parts", shifted)
         s = choi_map(2.0, 0.6, 0.6)
         search = posmap._search(matcore.as_cmatrix(s), False, 16, posmap.DEFAULT_SEED)
         verdict = map_positivity_check(s)
