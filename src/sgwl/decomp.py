@@ -23,8 +23,15 @@ state.  Non-decomposability is certified through the duality pairing
 
 decomposable maps pair nonnegatively with every PPT state, so a PPT state
 with a negative pairing simultaneously proves the map non-decomposable and
-the state bound-entangled.  At d = 4 the paper's bound-entangled state is
-scored first and, when it pairs below the slack, decides before the loop.
+the state bound-entangled.  Known PPT states are scored before the loop: the
+first that pairs below the slack decides, a proof though not the loop's most
+negative pairing.  At d = 4 it is the paper's bound-entangled state; for
+d >= 3, the cyclic state rho_beta ~ sum_ij |ii><jj| + sum_{i != k} w_ik |ik><ik|
+(w = beta at k = i + 1 mod d, 1 / beta at i = k + 1 mod d, else 1).  Its
+partial transpose splits into 2x2 blocks [[w_ik, 1], [1, w_ki]] of
+determinant 0, so it is PPT for every beta > 0.  Its pairing with J is closed
+form in J's diagonal and |ii><jj| block; at d = 3 it is negative for Phi[a,b,c]
+exactly when bc < (3 - a)^2 / 4 (Cho, Kye & Lee, Linear Algebra Appl. 171 (1992)).
 
 The loop runs in the field of ``J``.  The decomposable cone is closed under
 entrywise conjugation, so for a real ``J`` (real symmetric, as the flagship
@@ -314,9 +321,11 @@ def decomposability_feasibility(j, max_iter: int = DEFAULT_MAX_ITER) -> Feasibil
       stays above the slack while both are nonnegative, so ``lmin Z`` is
       computed only when one is negative.  Once the pairing is below the
       slack and has stopped improving, the map is certified non-decomposable.
-      For d = 4 the bound-entangled state is scored first and, below the
-      slack, is the witness after no iterations, with the gap at ``B = 0``,
-      ``max(0, -lmin J)``: a proof, not necessarily the most negative one.
+      The known PPT states of the module docstring come first (at d = 4 the
+      bound-entangled state, for d >= 3 the cyclic state, PPT by its 2x2
+      blocks of determinant 0 and exact on Phi[a,b,c] at d = 3): the first
+      below the slack is the witness after no iterations, with the gap at
+      ``B = 0``, ``max(0, -lmin J)``: a proof, not the loop's most negative.
 
     If the budget runs out first, the result is an honest MaxIterations
     with the gap ``max(0, -lmin J1)``.  A budget ``max_iter`` that is not
@@ -328,6 +337,25 @@ def decomposability_feasibility(j, max_iter: int = DEFAULT_MAX_ITER) -> Feasibil
     """
     max_iter = matcore._int(max_iter, "max_iter", 1, error=PreconditionError)
     return _feasibility(as_hermitian(j), max_iter)
+
+
+def _known_witnesses(jm: np.ndarray, d: int, slack: float):
+    """The known PPT states of the module docstring, in order; the cyclic one at
+    beta = sqrt(s2 / s1), built only when its closed-form pairing is below -slack."""
+    if d == 4:
+        yield bound_entangled_state().mat
+    i = np.arange(d)
+    k, ii = (i + 1) % d, i * (d + 1)
+    dg = jm.diagonal().real.reshape(d, d)  # dg[i, k] = <ik|J|ik>
+    s1, s2 = dg[i, k].sum(), dg[k, i].sum()
+    s0 = jm[np.ix_(ii, ii)].real.sum() + dg.sum() - np.trace(dg) - s1 - s2
+    beta = math.sqrt(s2 / s1) if d >= 3 and s1 > 0 and s2 > 0 else 0.0  # 0: not scored
+    if beta and s0 + 2 * math.sqrt(s1 * s2) < -slack * d * (d - 2 + beta + 1 / beta):
+        weights = np.ones((d, d))
+        weights[i, k], weights[k, i] = beta, 1 / beta
+        rho = np.diag(weights.ravel())
+        rho[np.ix_(ii, ii)] = 1.0
+        yield rho / np.trace(rho)
 
 
 def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
@@ -344,11 +372,11 @@ def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     if w[0] >= -slack:
         cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
         return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
-    rho = bound_entangled_state().mat if d == 4 else None
-    value = 0.0 if rho is None else _pairing(jm, rho)
-    if value < -slack:  # J does not change in the loop: rho witnesses now or never
-        return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value, gap=-float(w[0]),
-                                 witness=WitnessState(rho, ppt_checked=True))
+    for rho in _known_witnesses(jm, d, slack):
+        value = _pairing(jm, rho)
+        if value < -slack:  # J does not change in the loop: rho witnesses now or never
+            return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value,
+                                     gap=-float(w[0]), witness=WitnessState(rho, ppt_checked=True))
 
     def pt(x):
         return matcore._partial_transpose(x, d, d)

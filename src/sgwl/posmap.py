@@ -601,7 +601,9 @@ def map_positivity_check(s, budget: int = 16, seed: int = DEFAULT_SEED) -> Posit
     ``decomp`` has re-verified PSD at the scale of J, the verdict becomes
     PositiveNotCP with proof ``decomposition`` and keeps the search's
     ``min_value``; a witnessed or unfinished loop leaves the search verdict
-    as it was.
+    as it was.  A cyclic PPT witness (``decomp``: 2x2 blocks of determinant 0,
+    exact on Phi[a,b,c] at d = 3 by Cho-Kye-Lee) ends that loop at once, a
+    proof though not the loop's most negative pairing.
     """
     budget = matcore._int(budget, "budget", 1, error=PreconditionError)
     seed = matcore._int(seed, "seed", 0, error=PreconditionError)

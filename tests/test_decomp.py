@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -202,11 +204,14 @@ def reference_case(case):
 
 
 def phased(j):
-    """``U J U^dag`` with ``U = 1 (x) diag(phases)`` on a 4 (x) 4 Choi
-    matrix: a complex J with the same status, since U acts on the second
+    """``U J U^dag`` with ``U = 1 (x) diag(phases)`` on a d (x) d Choi matrix,
+    d = 3 or 4: a complex J with the same status, since U acts on the second
     factor only, commutes with the partial transpose on the first and so
-    maps the decomposable cone onto itself."""
-    u = np.kron(np.eye(4), np.diag(np.exp(1j * np.array([0.0, 0.7, -1.3, 2.1]))))
+    maps the decomposable cone onto itself.  The loop on it takes the steps
+    of the loop on J, conjugated by U.  On Phi[a,b,c] the phases shrink the
+    |ii><jj| block's real part, so the loop decides it, not the cyclic state."""
+    d = int(round(np.sqrt(j.shape[0])))
+    u = np.kron(np.eye(d), np.diag(np.exp(1j * np.array([0.0, 0.7, -1.3, 2.1][:d]))))
     jc = u @ j @ u.conj().T
     assert np.abs(jc.imag).max() > 0.05
     return jc
@@ -228,6 +233,17 @@ def real_rotated(j):
     return o @ j @ o.T
 
 
+def transposed(j):
+    """The partial transpose of a real symmetric Choi matrix J, the Choi
+    matrix of the map composed with the transpose: real, with J's entries
+    rearranged, and decomposable exactly when J is, since the partial
+    transpose maps the decomposable cone and the PPT states onto themselves.
+    For Phi[a,b,c] its |ii><jj| block is zero off the diagonal, so the cyclic
+    state pairs positively with it and the projection loop decides it."""
+    d = int(round(np.sqrt(j.shape[0])))
+    return partial_transpose(j, d, d, "A")
+
+
 def result_bytes(res):
     """Everything a FeasibilityResult reports, floats and arrays as raw bytes."""
     cert, wit = res.certificate, res.witness
@@ -238,9 +254,34 @@ def result_bytes(res):
     )
 
 
+def cyclic_state(d, beta):
+    """The cyclic PPT state rho_beta, assembled from its kets: the
+    unnormalized d P+, plus beta |i,i+1><i,i+1| and |i+1,i><i+1,i| / beta
+    (indices mod d) and |ik><ik| for every other i != k, over its trace
+    d (d - 2 + beta + 1 / beta)."""
+    e = np.eye(d)
+    phi = sum(np.kron(e[i], e[i]) for i in range(d))
+    m = np.outer(phi, phi)
+    for i in range(d):
+        for k in range(d):
+            if i != k:
+                weight = beta if k == (i + 1) % d else 1 / beta if i == (k + 1) % d else 1.0
+                m += weight * np.outer(np.kron(e[i], e[k]), np.kron(e[i], e[k]))
+    return m / (d * (d - 2 + beta + 1 / beta))
+
+
 def decided_first(res):
-    """Whether the bound-entangled state decided ``res`` before the loop."""
-    return res.status == INFEASIBLE_WITNESSED and res.iterations == 0
+    """Which known PPT state decided ``res`` before the loop:
+    ``"bound-entangled"`` or ``"cyclic"``; None when the loop decided it."""
+    if res.status != INFEASIBLE_WITNESSED or res.iterations > 0:
+        return None
+    w = res.witness.mat
+    if w.tobytes() == bound_entangled_state().mat.tobytes():
+        return "bound-entangled"
+    d = int(round(np.sqrt(w.shape[0])))
+    beta = (w[1, 1] / w[0, 0]).real  # the weights of |01><01| and |00><00|
+    assert np.abs(w - cyclic_state(d, beta)).max() <= 1e-15
+    return "cyclic"
 
 
 def witnessed_bytes(res):
@@ -386,6 +427,12 @@ class TestValidationCount:
     """Internal paths trust arrays that a public entry already validated, so
     the number of ``as_cmatrix`` calls does not grow with solver iterations."""
 
+    @pytest.fixture(autouse=True)
+    def shared_states_built(self):
+        # the shared Bell states are validated once, on first use; build them
+        # first, so that no count depends on which test ran before
+        decomp._bell_states()
+
     @pytest.mark.parametrize("t,status", [(0.2, INFEASIBLE_WITNESSED), (1.0, FEASIBLE)])
     def test_flagship_feasibility(self, monkeypatch, t, status):
         # rotated, so that the loop decides on both sides of ln(3)/2
@@ -501,7 +548,16 @@ class TestEigensolverCount:
         # unrotated, the bound-entangled state decides after the first eigh
         n_eigh, n_eigvalsh, res = count_eigensolvers(
             monkeypatch, lambda: decomposability_feasibility(choi(witness_product_map(0.2))))
-        assert decided_first(res)
+        assert decided_first(res) == "bound-entangled"
+        assert (n_eigh, n_eigvalsh) == (1, 2)
+
+    def test_witnessed_choi_map(self, monkeypatch):
+        # below Cho-Kye-Lee's boundary the cyclic state decides after the
+        # first eigh, and WitnessState's PSD and PPT checks take two eigvalsh
+        j = choi(choi_map(2.0, 1.0, 0.2))
+        n_eigh, n_eigvalsh, res = count_eigensolvers(
+            monkeypatch, lambda: decomposability_feasibility(j))
+        assert decided_first(res) == "cyclic"
         assert (n_eigh, n_eigvalsh) == (1, 2)
 
     def test_accelerated_choi_map(self, monkeypatch):
@@ -776,17 +832,23 @@ class TestFeasibility:
     def test_bit_identical_to_reference(self, case):
         # every case ends within ACCELERATION_START iterations, so the
         # accelerated loop takes exactly the plain loop's steps, in the
-        # same field; the flagship below ln(3)/2 is decided before the loop
+        # same field; the flagship below ln(3)/2 is decided before the loop.
+        # The cyclic state decides Phi[a,b,c] below the boundary before the
+        # loop too (TestCyclicFirst), so the loop runs on its partial transpose
         j, max_iter = reference_case(case)
+        if case.endswith("non-decomposable"):
+            j = transposed(j)
         got = decomposability_feasibility(j, max_iter=max_iter)
         assert got.iterations <= decomp.ACCELERATION_START
         ref = reference_feasibility(j, max_iter=max_iter)
         if decided_first(got):
             # the flagship below ln(3)/2: the reference's loop ends on the same witness
+            assert decided_first(got) == "bound-entangled"
             assert case in ("flagship-0.2", "flagship-0.5")
             assert witnessed_bytes(got) == witnessed_bytes(ref)
         else:
             assert result_bytes(got) == result_bytes(ref)
+            assert got.iterations > 0 or got.status == FEASIBLE
 
     @pytest.mark.parametrize("case", ["phi-2-decomposable", "phi-1.5-decomposable"])
     def test_accelerated_against_reference(self, case):
@@ -821,15 +883,17 @@ class TestFeasibility:
     @given(a=st.floats(1.2, 2.8), share=st.floats(0.99, 0.999))
     def test_accelerated_witness_near_boundary(self, a, share):
         # positive, non-decomposable Phi[a,b,c] just below the boundary,
-        # where the plain loop needs up to about 220 iterations to witness
+        # where the plain loop needs up to about 220 iterations to witness;
+        # phased, so that the loop decides it, not the cyclic state
+        # (TestCyclicFirst.test_witness_near_boundary takes the map itself)
         floor = max(2 - a, 0.0) ** 2
-        j = choi_map_choi(a, floor + share * ((3 - a) ** 2 / 4 - floor), 1.25)
+        j = phased(choi_map_choi(a, floor + share * ((3 - a) ** 2 / 4 - floor), 1.25))
         got = decomposability_feasibility(j)
         ref = reference_feasibility(j)
         assert got.status == ref.status == INFEASIBLE_WITNESSED
         assert_witness(j, got)
         assert got.pairing == pytest.approx(ref.pairing, abs=1e-9)
-        assert got.iterations <= ref.iterations
+        assert 0 < got.iterations <= ref.iterations
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
@@ -876,8 +940,9 @@ def real_symmetric(rng, n):
 def assert_matches_complex_arithmetic(j):
     """The float64 loop on a real J against the same loop on J in complex
     arithmetic; below ACCELERATION_START that is also the reference.  Where
-    the bound-entangled state decides before the loop, both fields report
-    the same status, witness bytes and pairing bits after no iterations."""
+    a known PPT state decides before the loop, both fields report the same
+    state and witness bytes after no iterations, and for the bound-entangled
+    state the same pairing bits.  Returns the float64 result."""
     got = decomposability_feasibility(j)
     casts = []
 
@@ -891,11 +956,15 @@ def assert_matches_complex_arithmetic(j):
         mp.setattr(np, "ascontiguousarray", to_complex)
         ref = decomp._feasibility(matcore.as_hermitian(j), 50000)
     assert casts == [np.dtype(np.float64)]
-    if decided_first(ref):
-        # the reference scores that state after its loop, which off the
-        # flagship may end on a more negative witness
+    first = decided_first(ref)
+    if first:
+        # the reference scores only the bound-entangled state, after its loop,
+        # which off the flagship may end on a more negative witness
         assert ref.status == reference_feasibility(j, dtype=complex).status
-        assert decided_first(got) and witnessed_bytes(got) == witnessed_bytes(ref)
+        assert decided_first(got) == first
+        assert got.witness.mat.tobytes() == ref.witness.mat.tobytes()
+        if first == "bound-entangled":
+            assert witnessed_bytes(got) == witnessed_bytes(ref)
     elif ref.iterations < decomp.ACCELERATION_START:
         assert result_bytes(ref) == result_bytes(reference_feasibility(j, dtype=complex))
     assert got.status == ref.status
@@ -906,6 +975,7 @@ def assert_matches_complex_arithmetic(j):
         assert got.status == INFEASIBLE_WITNESSED
         assert_witness(j, got)
         assert got.pairing == pytest.approx(ref.pairing, abs=1e-12)
+    return got
 
 
 class TestBoundEntangledFirst:
@@ -949,6 +1019,132 @@ class TestBoundEntangledFirst:
         assert_witness(j, got)
 
 
+def cyclic_pairing(a, b, c):
+    """The pairing of Phi[a,b,c] with the cyclic state at beta = sqrt(c / b):
+    (a - 3 + 2 sqrt(bc)) / (3 (1 + beta + 1 / beta)), negative exactly when
+    bc < (3 - a)^2 / 4."""
+    beta = np.sqrt(c / b)
+    return (a - 3 + 2 * np.sqrt(b * c)) / (3 * (1 + beta + 1 / beta))
+
+
+class TestCyclicFirst:
+    """For d >= 3 the cyclic PPT state is scored before the loop and, when its
+    closed-form pairing with J is below the slack, is the witness after no
+    iterations.  At d = 3 that is every Phi[a,b,c] with b, c > 0 below
+    Cho-Kye-Lee's bc = (3 - a)^2 / 4.  These tests pin that route on the maps
+    whose loop tests now run on a transposed or phased copy."""
+
+    @pytest.mark.parametrize("case,abc", [
+        ("phi-2-non-decomposable", (2.0, 1.0, 0.2)),
+        ("phi-1.5-non-decomposable", (1.5, 1.2, 0.4)),
+        ("1e9*phi-2-non-decomposable", (2.0, 1.0, 0.2)),
+    ])
+    def test_reference_cases(self, case, abc):
+        # the reference's loop takes 33-46 iterations to a slightly more
+        # negative witness; the cyclic state's pairing is its closed form
+        a, b, c = abc
+        j, max_iter = reference_case(case)
+        scale = 1e9 if case.startswith("1e9*") else 1.0
+        got = decomposability_feasibility(j, max_iter=max_iter)
+        ref = reference_feasibility(j, max_iter=max_iter)
+        assert decided_first(got) == "cyclic"
+        assert got.status == ref.status and got.iterations == 0 < ref.iterations
+        assert ref.pairing < got.pairing < 0
+        assert got.pairing == pytest.approx(scale * cyclic_pairing(a, b, c), rel=1e-12)
+        assert np.abs(got.witness.mat - cyclic_state(3, np.sqrt(c / b))).max() <= 1e-15
+        # the gap at B = 0, from the first eigh, in the field of J
+        lmin = np.linalg.eigh(np.ascontiguousarray(matcore.as_hermitian(j).real))[0][0]
+        assert repr(got.gap) == repr(max(0.0, -float(lmin)))
+        assert_witness(j / scale, dataclasses.replace(got, pairing=got.pairing / scale))
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1.2, 2.8), share=st.floats(0.99, 0.999))
+    def test_witness_near_boundary(self, a, share):
+        # TestFeasibility.test_accelerated_witness_near_boundary, on the map
+        # itself: the loop's 115-222 iterations are skipped for a pairing
+        # within 1% of the loop's
+        floor = max(2 - a, 0.0) ** 2
+        j = choi_map_choi(a, floor + share * ((3 - a) ** 2 / 4 - floor), 1.25)
+        got = decomposability_feasibility(j)
+        ref = reference_feasibility(j)
+        assert decided_first(got) == "cyclic"
+        assert got.status == ref.status == INFEASIBLE_WITNESSED
+        assert_witness(j, got)
+        assert got.pairing == pytest.approx(ref.pairing, rel=1e-2)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1.2, 2.9), share=st.floats(0.5, 0.999))
+    def test_matches_complex(self, a, share):
+        # TestField.test_choi_map_matches_complex below the boundary, on the
+        # map itself: both fields build the same state and agree on its pairing
+        floor = max(2 - a, 0.0) ** 2
+        j = choi_map_choi(a, floor + share * ((3 - a) ** 2 / 4 - floor), 1.25)
+        assert decided_first(assert_matches_complex_arithmetic(j)) == "cyclic"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1.0, 2.95),
+           share=st.one_of(st.floats(0.01, 0.95), st.floats(1.05, 4.0)),
+           log_ratio=st.floats(-3.0, 3.0))
+    def test_decides_exactly_below_the_boundary(self, a, share, log_ratio):
+        # bc = share (3 - a)^2 / 4 and b / c = 10^log_ratio, on both sides of
+        # the boundary with a 5% margin: witnessed at iteration 0 below it, and
+        # never witnessed above it, where Phi[a,b,c] is positive and decomposable
+        p = share * (3 - a) ** 2 / 4
+        b, c = np.sqrt(p * 10 ** log_ratio), np.sqrt(p / 10 ** log_ratio)
+        j = choi(choi_map(a, b, c))
+        res = decomposability_feasibility(j, max_iter=1)
+        if share < 1:
+            assert decided_first(res) == "cyclic"
+            assert_witness(j, res)
+            assert res.pairing == pytest.approx(cyclic_pairing(a, b, c), rel=1e-9)
+        else:
+            assert a + b + c >= 3 and b * c >= max(2 - a, 0.0) ** 2
+            assert res.status != INFEASIBLE_WITNESSED
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_state_is_ppt(self, d):
+        # the partial transpose splits into 2x2 blocks [[w_ik, 1], [1, w_ki]]
+        # with w_ik w_ki = 1, so it is PSD for every beta > 0
+        for beta in (1e-3, 0.5, 1.0, 7.0, 1e3):
+            rho = cyclic_state(d, beta)
+            assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
+            scale = np.linalg.norm(rho, 2)
+            assert np.linalg.eigvalsh(rho)[0] >= -1e-14 * scale
+            assert np.linalg.eigvalsh(partial_transpose(rho, d, d, "A"))[0] >= -1e-14 * scale
+            decomp.WitnessState(rho, ppt_checked=True)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_higher_dimensions(self, d):
+        # J/d-scaled: -1 on |ii><jj| (i != j), a - 1 on |ii><ii|, b on
+        # |i,i+1><i,i+1|, c on |i+1,i><i+1,i| and e on the other |ik><ik|.
+        # Then s0 = a - d + e (d - 3), s1 = b and s2 = c; at d = 4 the
+        # bound-entangled state pairs positively with it, so the cyclic
+        # state decides
+        a, b, c, e = 2.0, 1.0, 0.25, 0.5
+        eye = np.eye(d)
+        j = np.zeros((d * d, d * d))
+        for i in range(d):
+            for k in range(d):
+                ik = np.kron(eye[i], eye[k])
+                weight = b if k == (i + 1) % d else c if i == (k + 1) % d else e
+                j += (a - 1 if i == k else weight) * np.outer(ik, ik)
+                if i != k:
+                    j -= np.outer(np.kron(eye[i], eye[i]), np.kron(eye[k], eye[k]))
+        j /= d
+        res = decomposability_feasibility(j)
+        assert decided_first(res) == "cyclic"
+        assert_witness(j, res)
+        beta = np.sqrt(c / b)
+        closed = (a - d + e * (d - 3) + 2 * np.sqrt(b * c)) / (d * (d - 2 + beta + 1 / beta))
+        assert res.pairing == pytest.approx(closed, rel=1e-12)
+
+    def test_not_scored_below_d3_or_without_both_sums(self):
+        # qubit maps never reach the state, nor Phi[2,0,1], whose s1 = b = 0
+        rng = np.random.default_rng(55)
+        assert decided_first(decomposability_feasibility(random_hermitian(rng, 4))) is None
+        assert decided_first(decomposability_feasibility(choi(choi_map(2.0, 0.0, 1.0)))) is None
+
+
 class TestField:
     """The loop runs in the field of J: float64 for a real J, whose iterates,
     certificate and witness are all real (the decomposable cone is closed
@@ -972,8 +1168,12 @@ class TestField:
         floor = max(2 - a, 0.0) ** 2
         p = (4 * share - 1) * boundary if decomposable else floor + share * (boundary - floor)
         j = choi_map_choi(a, p, 1.25)
+        if not decomposable:
+            # so that the loop decides it in both fields, not the cyclic state
+            # (TestCyclicFirst.test_matches_complex takes the map itself)
+            j = transposed(j)
         assert not j.imag.any()
-        assert_matches_complex_arithmetic(j)
+        assert assert_matches_complex_arithmetic(j).iterations > 0
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
@@ -1016,7 +1216,7 @@ class TestField:
         # the loop then witnesses with a pairing next to that state's
         j = choi(witness_product_map(t))
         first = decomposability_feasibility(j)
-        assert decided_first(first)
+        assert decided_first(first) == "bound-entangled"
         rng = np.random.default_rng([49, int(100 * t)])
         u = np.kron(random_unitary(rng, 4), random_unitary(rng, 4))
         for m in (real_rotated(j), u @ j @ u.conj().T):

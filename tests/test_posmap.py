@@ -907,6 +907,32 @@ class TestMetamorphic:
         for other in (rotated, np.exp(log_scale) * s, t @ rotated @ t):
             assert_proved_agree(verdict, map_positivity_check(other))
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_cyclic_witness(self, seed):
+        # Phi[a,b,c] below Cho-Kye-Lee's bc = (3 - a)^2 / 4, b / c up to 10^3,
+        # is witnessed by decomp's cyclic PPT state at iteration 0.  Relabeling
+        # both factors by one permutation of {0, 1, 2} keeps or reverses the
+        # cycle i -> i + 1, and swapping the factors reverses it, so both keep
+        # that witness and its pairing; a random local unitary hides the map
+        # from it, and the loop witnesses instead
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(1.0, 2.9)
+        p, ratio = rng.uniform(0.05, 0.95) * (3 - a) ** 2 / 4, 10 ** rng.uniform(-3, 3)
+        j = choi(choi_map(a, np.sqrt(p * ratio), np.sqrt(p / ratio)))
+        res = decomp.decomposability_feasibility(j)
+        assert res.status == decomp.INFEASIBLE_WITNESSED and res.iterations == 0
+        q = np.eye(3)[rng.permutation(3)]
+        perm = np.kron(q, q)
+        swap = np.eye(9)[[3 * (n % 3) + n // 3 for n in range(9)]]
+        for m in (perm @ j @ perm.T, swap @ j @ swap.T):
+            other = decomp.decomposability_feasibility(m)
+            assert other.status == decomp.INFEASIBLE_WITNESSED and other.iterations == 0
+            assert other.pairing == pytest.approx(res.pairing, rel=1e-12)
+        u = np.kron(random_unitary(rng, 3), random_unitary(rng, 3))
+        other = decomp.decomposability_feasibility(u @ j @ u.conj().T)
+        assert other.status == decomp.INFEASIBLE_WITNESSED
+
 
 class TestMapPositivity:
     def test_transposition_positive_not_cp(self):
@@ -1011,6 +1037,26 @@ class TestDecompositionProof:
         assert verdict.min_value == search.min_value
         assert verdict.choi_min_eig == is_completely_positive(s).choi_min_eig
         assert (verdict.reason is None) == (status != posmap.STATUS_UNDETERMINED)
+
+    @pytest.mark.parametrize("abc,status", [
+        ((2.0, 0.1, 1.2), posmap.STATUS_UNDETERMINED),
+        ((1.5, 1.2, 0.4), STATUS_POSITIVE_NOT_CP),
+    ])
+    def test_cyclic_witness_ends_the_loop_at_once(self, monkeypatch, abc, status):
+        # below Cho-Kye-Lee's boundary decomp's cyclic PPT state witnesses
+        # before the loop's first iteration; the search verdict stands
+        results = []
+
+        def recorded(jm, max_iter):
+            results.append(feasibility(jm, max_iter))
+            return results[-1]
+
+        feasibility = decomp._feasibility
+        monkeypatch.setattr(decomp, "_feasibility", recorded)
+        verdict = map_positivity_check(choi_map(*abc))
+        assert (verdict.status, verdict.proof) == (status, posmap.PROOF_SEARCH)
+        [res] = results
+        assert res.status == decomp.INFEASIBLE_WITNESSED and res.iterations == 0
 
     def test_violation_skips_the_loop(self, monkeypatch):
         def refuse(jm, max_iter):
