@@ -29,9 +29,18 @@ negative pairing.  At d = 4 it is the paper's bound-entangled state; for
 d >= 3, the cyclic state rho_beta ~ sum_ij |ii><jj| + sum_{i != k} w_ik |ik><ik|
 (w = beta at k = i + 1 mod d, 1 / beta at i = k + 1 mod d, else 1).  Its
 partial transpose splits into 2x2 blocks [[w_ik, 1], [1, w_ki]] of
-determinant 0, so it is PPT for every beta > 0.  Its pairing with J is closed
-form in J's diagonal and |ii><jj| block; at d = 3 it is negative for Phi[a,b,c]
-exactly when bc < (3 - a)^2 / 4 (Cho, Kye & Lee, Linear Algebra Appl. 171 (1992)).
+determinant 0, so it is PPT for every beta > 0.  Its pairing with J is the
+closed form (s0 + beta s1 + s2 / beta) / (d (d - 2 + beta + 1 / beta)), with
+s1 and s2 the sums of <i,i+1|J|i,i+1> and <i+1,i|J|i+1,i> and s0 the sum of
+J's |ii><jj| block and its other |ik><ik|.  It is least at the positive root
+of (s1 (d - 2) - s0) beta^2 + 2 (s1 - s2) beta + (s0 - s2 (d - 2)), which
+exists exactly when s0 < (d - 2) min(s1, s2); otherwise the state is not
+scored.  At d = 3 the least pairing is negative for Phi[a,b,c] with b, c > 0
+exactly when bc < (3 - a)^2 / 4 (Cho, Kye & Lee, Linear Algebra Appl. 171
+(1992)), and for every Phi[a,b,c] with bc = 0 and a < 3.  Each of these exits,
+and the trivial certificate of a PSD J, costs one ``eigh`` of J and, for a
+witness, one validation of the state: a gate in its own field and one
+stacked ``eigvalsh`` of the state and its partial transpose.
 
 The loop runs in the field of ``J``.  The decomposable cone is closed under
 entrywise conjugation, so for a real ``J`` (real symmetric, as the flagship
@@ -59,7 +68,6 @@ from .matcore import (
     PreconditionError,
     ShapeError,
     as_cmatrix,
-    as_hermitian,
     partial_transpose,
 )
 
@@ -78,27 +86,34 @@ DEFAULT_MAX_ITER = 50000  # the projection loop's budget, unless a caller sets o
 @dataclass(frozen=True, eq=False)
 class WitnessState:
     """A trace-one PSD state on the doubled system, optionally PPT-checked;
-    ``mat`` holds the validated, symmetrized matrix, read-only."""
+    ``mat`` holds the validated, symmetrized matrix as complex128, read-only.
+
+    The matrix is gated once, in its own field (float64 when the symmetrized
+    matrix has no nonzero imaginary entry), and its spectrum and, when
+    ``ppt_checked``, that of its partial transpose come from one stacked
+    ``eigvalsh`` in that field; each passes the PSD rule of ``matcore``.  A
+    matrix marked PPT whose size is not a square is a ``ShapeError``, raised
+    before the spectra are taken."""
 
     mat: np.ndarray
     ppt_checked: bool = False
 
     def __post_init__(self):
-        m = as_hermitian(self.mat)
+        m = matcore._as_hermitian_in_field(self.mat)
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-12:
             raise DomainError(f"witness state must have trace 1, got {tr}")
-        ok, lmin = matcore.is_psd(m)
-        if not ok:
-            raise DomainError(f"witness state must be PSD, min eigenvalue {lmin:.3e}")
+        mats = [m]
         if self.ppt_checked:
             d = int(round(np.sqrt(m.shape[0])))
-            ok, lmin = matcore.is_psd(partial_transpose(m, d, d, "A"))
-            if not ok:
-                raise DomainError(
-                    f"state marked PPT has partial-transpose min eigenvalue {lmin:.3e}"
-                )
-        object.__setattr__(self, "mat", gksl._read_only(m))
+            pt = partial_transpose(m, d, d, "A")
+            mats.append(pt if m.dtype == pt.dtype else pt.real)
+        for w, what in zip(np.linalg.eigvalsh(np.array(mats)),
+                           ("witness state must be PSD, min eigenvalue",
+                            "state marked PPT has partial-transpose min eigenvalue")):
+            if w[0] < matcore._psd_bound(w):
+                raise DomainError(f"{what} {float(w[0]):.3e}")
+        object.__setattr__(self, "mat", gksl._read_only(np.asarray(m, dtype=complex)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +265,13 @@ def noise_pairing_table() -> tuple[np.ndarray, float]:
 def _spectral_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending spectrum, eigenvectors and PSD part of a Hermitian matrix."""
     w, v = np.linalg.eigh(h)
-    return w, v, (v * np.maximum(w, 0.0)) @ v.conj().T
+    return w, v, _psd_part(w, v)
+
+
+def _psd_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``V max(w, 0) V^dag``, the PSD part of a Hermitian matrix with
+    ascending spectrum ``w`` and eigenvectors ``v``."""
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
 class _Anderson:
@@ -322,10 +343,11 @@ def decomposability_feasibility(j, max_iter: int = DEFAULT_MAX_ITER) -> Feasibil
       computed only when one is negative.  Once the pairing is below the
       slack and has stopped improving, the map is certified non-decomposable.
       The known PPT states of the module docstring come first (at d = 4 the
-      bound-entangled state, for d >= 3 the cyclic state, PPT by its 2x2
-      blocks of determinant 0 and exact on Phi[a,b,c] at d = 3): the first
-      below the slack is the witness after no iterations, with the gap at
-      ``B = 0``, ``max(0, -lmin J)``: a proof, not the loop's most negative.
+      bound-entangled state, for d >= 3 the cyclic state at the beta that
+      minimizes its closed-form pairing, PPT by its 2x2 blocks of determinant
+      0 and exact on Phi[a,b,c] at d = 3): the first below the slack is the
+      witness after no iterations, with the gap at ``B = 0``,
+      ``max(0, -lmin J)``: a proof, not necessarily the loop's most negative.
 
     If the budget runs out first, the result is an honest MaxIterations
     with the gap ``max(0, -lmin J1)``.  A budget ``max_iter`` that is not
@@ -336,38 +358,60 @@ def decomposability_feasibility(j, max_iter: int = DEFAULT_MAX_ITER) -> Feasibil
     and in complex128 otherwise.  Certificates come back as complex128.
     """
     max_iter = matcore._int(max_iter, "max_iter", 1, error=PreconditionError)
-    return _feasibility(as_hermitian(j), max_iter)
+    return _feasibility(matcore._as_hermitian_in_field(j), max_iter)
+
+
+@cache
+def _cyclic_parts(d: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The cyclic state's index sets on d (x) d, built once per d, read-only:
+    its |ii><jj| block as an index pair, and three rows over the diagonal,
+    marking the other |ik><ik|, then |i,i+1> and then |i+1,i> (indices mod d)."""
+    i = np.arange(d)
+    k = (i + 1) % d
+    rows = np.zeros((3, d * d))
+    rows[0] = 1.0
+    rows[0, i * (d + 1)] = 0.0
+    for row, pos in ((1, i * d + k), (2, k * d + i)):
+        rows[0, pos], rows[row, pos] = 0.0, 1.0
+    block = np.ix_(i * (d + 1), i * (d + 1))
+    return tuple(gksl._read_only(x) for x in block), gksl._read_only(rows)
 
 
 def _known_witnesses(jm: np.ndarray, d: int, slack: float):
-    """The known PPT states of the module docstring, in order; the cyclic one at
-    beta = sqrt(s2 / s1), built only when its closed-form pairing is below -slack."""
+    """The known PPT states of the module docstring, in order; the cyclic one
+    built only when its closed-form pairing at the minimizing beta is below -slack."""
     if d == 4:
         yield bound_entangled_state().mat
-    i = np.arange(d)
-    k, ii = (i + 1) % d, i * (d + 1)
-    dg = jm.diagonal().real.reshape(d, d)  # dg[i, k] = <ik|J|ik>
-    s1, s2 = dg[i, k].sum(), dg[k, i].sum()
-    s0 = jm[np.ix_(ii, ii)].real.sum() + dg.sum() - np.trace(dg) - s1 - s2
-    beta = math.sqrt(s2 / s1) if d >= 3 and s1 > 0 and s2 > 0 else 0.0  # 0: not scored
-    if beta and s0 + 2 * math.sqrt(s1 * s2) < -slack * d * (d - 2 + beta + 1 / beta):
-        weights = np.ones((d, d))
-        weights[i, k], weights[k, i] = beta, 1 / beta
-        rho = np.diag(weights.ravel())
-        rho[np.ix_(ii, ii)] = 1.0
-        yield rho / np.trace(rho)
+    if d < 3:
+        return
+    block, rows = _cyclic_parts(d)
+    s0, s1, s2 = (rows @ jm.diagonal().real).tolist()
+    s0 += float(jm[block].real.sum())
+    # the pairing (s0 + beta s1 + s2 / beta) / (d (d - 2 + beta + 1 / beta)) has a
+    # derivative of the sign of q2 beta^2 + q1 beta + q0; it has a least value at
+    # some beta > 0, the one positive root, exactly when q2 > 0 > q0
+    q2, q1, q0 = s1 * (d - 2) - s0, 2 * (s1 - s2), s0 - s2 * (d - 2)
+    if not q2 > 0 > q0:
+        return
+    root = math.sqrt(q1 * q1 - 4 * q2 * q0)
+    beta = (root - q1) / (2 * q2) if q1 < 0 else -2 * q0 / (root + q1)
+    trace = d * (d - 2 + beta + 1 / beta)
+    if s0 + beta * s1 + s2 / beta < -slack * trace:
+        rho = np.diag(np.array([1.0, beta, 1 / beta]) / trace @ rows)
+        rho[block] = 1.0 / trace
+        yield rho
 
 
 def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     """:func:`decomposability_feasibility` of a gated Hermitian matrix: in
     float64 when it has no nonzero imaginary entry, in complex128 otherwise."""
-    if not jm.imag.any():
+    if jm.dtype != np.float64 and not jm.imag.any():
         jm = np.ascontiguousarray(jm.real)
     n = jm.shape[0]
     d = int(round(np.sqrt(n)))
     if d * d != n:
         raise ShapeError(f"Choi matrix must be d^2 x d^2, got {jm.shape}")
-    w, _, a = _spectral_parts(jm)
+    w, v = np.linalg.eigh(jm)
     slack = -matcore._psd_bound(w)  # PSD_SLACK * max(1, ||J||_2)
     if w[0] >= -slack:
         cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
@@ -377,6 +421,7 @@ def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
         if value < -slack:  # J does not change in the loop: rho witnesses now or never
             return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value,
                                      gap=-float(w[0]), witness=WitnessState(rho, ppt_checked=True))
+    a = _psd_part(w, v)
 
     def pt(x):
         return matcore._partial_transpose(x, d, d)

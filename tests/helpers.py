@@ -4,6 +4,7 @@ the earlier formulations that faster code is checked against."""
 import dataclasses
 
 import numpy as np
+import pytest
 
 from sgwl import decomp, gksl, matcore, posmap
 
@@ -76,6 +77,15 @@ def counting(fn):
 
     counted.calls = 0
     return counted
+
+
+@pytest.fixture
+def shared_states_built():
+    """Build the shared Bell states, validated once on first use, before a
+    test counts validations or eigensolves, so that no count depends on
+    which test ran first.  A test module applies it with
+    ``pytest.mark.usefixtures("shared_states_built")`` after importing it."""
+    decomp._bell_states()
 
 
 def count_validations(monkeypatch, call):
@@ -271,3 +281,25 @@ def reference_search(s, restricted, budget, seed):
         status = posmap.STATUS_UNDETERMINED
     return posmap.PositivityVerdict(status=status, min_value=float(val[best]),
                                     start_values=val, spread=spread)
+
+
+def reference_witness_matrix(mat, ppt_checked=False):
+    """``decomp.WitnessState``'s validation as it was before one stacked
+    solve in the matrix's own field: the complex Hermiticity gate, the trace,
+    then ``matcore.is_psd`` on the matrix and on its public partial
+    transpose, each a complex ``eigvalsh`` of its own.  Returns the gated
+    complex128 matrix, or raises what that validation raised."""
+    m = matcore.as_hermitian(mat)
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > 1e-12:
+        raise matcore.DomainError(f"witness state must have trace 1, got {tr}")
+    ok, lmin = matcore.is_psd(m)
+    if not ok:
+        raise matcore.DomainError(f"witness state must be PSD, min eigenvalue {lmin:.3e}")
+    if ppt_checked:
+        d = int(round(np.sqrt(m.shape[0])))
+        ok, lmin = matcore.is_psd(matcore.partial_transpose(m, d, d, "A"))
+        if not ok:
+            raise matcore.DomainError(
+                f"state marked PPT has partial-transpose min eigenvalue {lmin:.3e}")
+    return m

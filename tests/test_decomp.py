@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgwl import decomp, gksl, matcore, posmap
@@ -37,6 +37,8 @@ from helpers import (
     random_hermitian,
     random_psd,
     random_unitary,
+    reference_witness_matrix,
+    shared_states_built,  # noqa: F401  (a fixture, applied by name)
 )
 
 # nonzero entries of 24 * rho_be (reference data for the entrywise check)
@@ -411,6 +413,91 @@ class TestBellProjectors:
                 arr[0, 0] = 1.0
 
 
+def near_boundary_state(rng, d, real, kind, margin):
+    """A trace-one d (x) d state, real or complex, whose least eigenvalue
+    (``kind="psd"``) or whose partial transpose's least eigenvalue
+    (``kind="ppt"``) is ``-margin * PSD_SLACK``: ``margin`` times the PSD
+    rule's bound for a matrix of norm at most 1."""
+    n = d * d
+    target = -margin * matcore.PSD_SLACK
+    if kind == "psd":
+        w = rng.uniform(0.1, 1.0, n)
+        w[0] = 0.0
+        w *= (1.0 - target) / w.sum()
+        w[0] = target
+        q = orthogonal(rng, n) if real else random_unitary(rng, n)
+        return (q * w) @ q.conj().T
+    # a pure state is entangled, its partial transpose has a negative least
+    # eigenvalue mu; mixing in the maximally mixed state lifts it to target
+    psi = rng.normal(size=n) if real else rng.normal(size=n) + 1j * rng.normal(size=n)
+    rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    mu = np.linalg.eigvalsh(partial_transpose(rho0, d, d, "A"))[0]
+    p = (target - mu) / (1.0 / n - mu)
+    return (1.0 - p) * rho0 + p * np.eye(n) / n
+
+
+def validation_outcome(call):
+    """The gated matrix's bytes, or the error's class and its message without
+    the reported number (which the field's roundoff may move in the last digit)."""
+    try:
+        return call().tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc).rsplit(" ", 1)[0]
+
+
+@pytest.mark.usefixtures("shared_states_built")
+class TestWitnessValidation:
+    """``WitnessState`` gates its matrix once and takes the PSD and PPT spectra
+    in one stacked ``eigvalsh``, in the matrix's own field.  It accepts and
+    rejects as the earlier validation did (``helpers.reference_witness_matrix``:
+    a complex gate and two complex ``matcore.is_psd``), with the same error
+    class and message, and keeps the same complex128 bytes."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 4), real=st.booleans(), kind=st.sampled_from(["psd", "ppt"]),
+           margin=st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0)),
+           ppt_checked=st.booleans(),
+           trace_shift=st.one_of(st.just(0.0), st.sampled_from([0.5e-12, -2e-12, 2e-12])),
+           skew=st.one_of(st.just(0.0), st.sampled_from([0.5e-12, 2e-12])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_decisions_near_the_boundaries(self, d, real, kind, margin, ppt_checked,
+                                                trace_shift, skew, seed):
+        rng = np.random.default_rng(seed)
+        rho = near_boundary_state(rng, d, real, kind, margin) * (1.0 + trace_shift)
+        if skew:
+            # an anti-Hermitian part of max entry `skew`, around the Hermiticity gate
+            a = rng.normal(size=rho.shape)
+            a = (a - a.T) if real else 1j * (a + a.T)
+            rho = rho + skew / 2 * a / np.abs(a).max()
+        assert real == np.isrealobj(rho)
+        got = validation_outcome(lambda: decomp.WitnessState(rho, ppt_checked=ppt_checked).mat)
+        assert got == validation_outcome(lambda: reference_witness_matrix(rho, ppt_checked))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_boundary_is_the_psd_rule(self, d, real):
+        # 1% inside the bound a spectrum passes, 1% outside its check fails
+        rng = np.random.default_rng([56, d, real])
+        for kind, message in (("psd", "must be PSD"), ("ppt", "partial-transpose")):
+            ppt = kind == "ppt"
+            decomp.WitnessState(near_boundary_state(rng, d, real, kind, 0.99), ppt_checked=ppt)
+            with pytest.raises(DomainError, match=message):
+                decomp.WitnessState(near_boundary_state(rng, d, real, kind, 1.01),
+                                    ppt_checked=ppt)
+
+    def test_one_stacked_solve_in_the_field(self, monkeypatch):
+        # a real state, the cyclic one, and a complex one, each PPT-checked
+        rng = np.random.default_rng(57)
+        for rho, dtype in ((cyclic_state(3, 2.0), np.float64),
+                           (bound_entangled_state().mat, np.float64),
+                           (near_boundary_state(rng, 3, False, "ppt", 0.5), np.complex128)):
+            calls, state = eigensolver_calls(
+                monkeypatch, lambda: decomp.WitnessState(rho, ppt_checked=True))
+            assert calls == [("eigvalsh", np.dtype(dtype))]
+            assert state.mat.dtype == np.complex128
+            assert state.mat.tobytes() == reference_witness_matrix(rho, True).tobytes()
+
+
 class TestSpectralParts:
     def test_reassembly(self):
         rng = np.random.default_rng(10)
@@ -423,15 +510,10 @@ class TestSpectralParts:
         assert np.allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
 
 
+@pytest.mark.usefixtures("shared_states_built")
 class TestValidationCount:
     """Internal paths trust arrays that a public entry already validated, so
     the number of ``as_cmatrix`` calls does not grow with solver iterations."""
-
-    @pytest.fixture(autouse=True)
-    def shared_states_built(self):
-        # the shared Bell states are validated once, on first use; build them
-        # first, so that no count depends on which test ran before
-        decomp._bell_states()
 
     @pytest.mark.parametrize("t,status", [(0.2, INFEASIBLE_WITNESSED), (1.0, FEASIBLE)])
     def test_flagship_feasibility(self, monkeypatch, t, status):
@@ -496,6 +578,7 @@ class TestValidationCount:
         assert (rep.necessary_ok, rep.min_eigenvalue) == (ok, lmin)
 
 
+@pytest.mark.usefixtures("shared_states_built")
 class TestQubitEigensolverCount:
     """The qubit routes pay one eigh for the trust-region subproblem; the
     generator route adds the eigvalsh of C >= 0, the map route the Choi
@@ -522,12 +605,14 @@ class TestQubitEigensolverCount:
         assert (n_eigh, n_eigvalsh) == (2, 0)
 
 
+@pytest.mark.usefixtures("shared_states_built")
 class TestEigensolverCount:
     """Each iteration of the projection loop costs two eigendecompositions;
     the witness shift's eigvalsh runs only when the unshifted pairing is
     negative, the certificate test of an accelerated iteration adds one
     more, and a certificate the loop returns pays one eigvalsh per block
-    to re-verify them."""
+    to re-verify them.  A witness pays one stacked eigvalsh for its PSD and
+    PPT checks, so a known PPT state decides after J's eigh and that one."""
 
     def test_feasible_flagship(self, monkeypatch):
         j = choi(witness_product_map(1.0))
@@ -543,22 +628,23 @@ class TestEigensolverCount:
             monkeypatch, lambda: decomposability_feasibility(j))
         assert res.status == INFEASIBLE_WITNESSED and res.iterations > 30
         assert n_eigh <= 2 * res.iterations + 1
-        # WitnessState validation takes two of them
-        assert n_eigvalsh <= res.iterations + 2
+        # WitnessState validation takes one of them
+        assert n_eigvalsh <= res.iterations + 1
         # unrotated, the bound-entangled state decides after the first eigh
         n_eigh, n_eigvalsh, res = count_eigensolvers(
             monkeypatch, lambda: decomposability_feasibility(choi(witness_product_map(0.2))))
         assert decided_first(res) == "bound-entangled"
-        assert (n_eigh, n_eigvalsh) == (1, 2)
+        assert (n_eigh, n_eigvalsh) == (1, 1)
 
     def test_witnessed_choi_map(self, monkeypatch):
         # below Cho-Kye-Lee's boundary the cyclic state decides after the
-        # first eigh, and WitnessState's PSD and PPT checks take two eigvalsh
+        # first eigh, and WitnessState's PSD and PPT checks take one stacked
+        # eigvalsh
         j = choi(choi_map(2.0, 1.0, 0.2))
         n_eigh, n_eigvalsh, res = count_eigensolvers(
             monkeypatch, lambda: decomposability_feasibility(j))
         assert decided_first(res) == "cyclic"
-        assert (n_eigh, n_eigvalsh) == (1, 2)
+        assert (n_eigh, n_eigvalsh) == (1, 1)
 
     def test_accelerated_choi_map(self, monkeypatch):
         j = choi(choi_map(2.0, 1.0, 0.3))
@@ -767,10 +853,12 @@ class TestFeasibility:
         assert res.pairing < -0.1
 
     def test_qutrit_choi_map_witnessed(self):
-        # Choi's original positive, non-decomposable map Phi[2,0,1] on M_3
-        j = choi(choi_map(2.0, 0.0, 1.0))
+        # Choi's original positive, non-decomposable map Phi[2,0,1] on M_3,
+        # composed with the transpose, so that the loop decides it, not the
+        # cyclic state (TestCyclicFirst.test_qutrit_choi_map takes the map itself)
+        j = transposed(choi(choi_map(2.0, 0.0, 1.0)))
         res = decomposability_feasibility(j)
-        assert res.status == INFEASIBLE_WITNESSED
+        assert res.status == INFEASIBLE_WITNESSED and res.iterations > 0
         assert_witness(j, res)
         assert res.pairing < -0.05
         # local unitaries preserve the decomposable cone, so a rotated,
@@ -1019,12 +1107,26 @@ class TestBoundEntangledFirst:
         assert_witness(j, got)
 
 
+def cyclic_ratio(d, s0, s1, s2, beta):
+    """The cyclic state's pairing with a d (x) d Choi matrix J whose sums over
+    the |ii><jj| block and the other |ik><ik| are s0, over |i,i+1><i,i+1| s1
+    and over |i+1,i><i+1,i| s2: (s0 + beta s1 + s2 / beta) / (d (d - 2 + beta + 1 / beta))."""
+    return (s0 + beta * s1 + s2 / beta) / (d * (d - 2 + beta + 1 / beta))
+
+
+def cyclic_beta(d, s0, s1, s2):
+    """The beta > 0 at which :func:`cyclic_ratio` is least: the positive root
+    of (s1 (d - 2) - s0) beta^2 + 2 (s1 - s2) beta + (s0 - s2 (d - 2)), unique
+    since the leading coefficient is positive and the constant term negative."""
+    qa, qb, qc = s1 * (d - 2) - s0, 2 * (s1 - s2), s0 - s2 * (d - 2)
+    assert qa > 0 > qc
+    return (-qb + np.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
+
+
 def cyclic_pairing(a, b, c):
-    """The pairing of Phi[a,b,c] with the cyclic state at beta = sqrt(c / b):
-    (a - 3 + 2 sqrt(bc)) / (3 (1 + beta + 1 / beta)), negative exactly when
-    bc < (3 - a)^2 / 4."""
-    beta = np.sqrt(c / b)
-    return (a - 3 + 2 * np.sqrt(b * c)) / (3 * (1 + beta + 1 / beta))
+    """The least pairing of Phi[a,b,c] with the cyclic state, whose sums are
+    s0 = a - 3, s1 = b and s2 = c; negative exactly when bc < (3 - a)^2 / 4."""
+    return cyclic_ratio(3, a - 3, b, c, cyclic_beta(3, a - 3, b, c))
 
 
 class TestCyclicFirst:
@@ -1040,8 +1142,9 @@ class TestCyclicFirst:
         ("1e9*phi-2-non-decomposable", (2.0, 1.0, 0.2)),
     ])
     def test_reference_cases(self, case, abc):
-        # the reference's loop takes 33-46 iterations to a slightly more
-        # negative witness; the cyclic state's pairing is its closed form
+        # the reference's loop takes 33-46 iterations to a witness whose
+        # pairing its stopping rule leaves within 0.05% above the cyclic
+        # state's least pairing, which is its closed form
         a, b, c = abc
         j, max_iter = reference_case(case)
         scale = 1e9 if case.startswith("1e9*") else 1.0
@@ -1049,9 +1152,11 @@ class TestCyclicFirst:
         ref = reference_feasibility(j, max_iter=max_iter)
         assert decided_first(got) == "cyclic"
         assert got.status == ref.status and got.iterations == 0 < ref.iterations
-        assert ref.pairing < got.pairing < 0
+        assert got.pairing < ref.pairing < 0
+        assert got.pairing == pytest.approx(ref.pairing, rel=1e-3)
         assert got.pairing == pytest.approx(scale * cyclic_pairing(a, b, c), rel=1e-12)
-        assert np.abs(got.witness.mat - cyclic_state(3, np.sqrt(c / b))).max() <= 1e-15
+        beta = cyclic_beta(3, a - 3, b, c)
+        assert np.abs(got.witness.mat - cyclic_state(3, beta)).max() <= 1e-15
         # the gap at B = 0, from the first eigh, in the field of J
         lmin = np.linalg.eigh(np.ascontiguousarray(matcore.as_hermitian(j).real))[0][0]
         assert repr(got.gap) == repr(max(0.0, -float(lmin)))
@@ -1134,17 +1239,72 @@ class TestCyclicFirst:
         res = decomposability_feasibility(j)
         assert decided_first(res) == "cyclic"
         assert_witness(j, res)
-        beta = np.sqrt(c / b)
-        closed = (a - d + e * (d - 3) + 2 * np.sqrt(b * c)) / (d * (d - 2 + beta + 1 / beta))
+        sums = (a - d + e * (d - 3), b, c)
+        closed = cyclic_ratio(d, *sums, cyclic_beta(d, *sums))
         assert res.pairing == pytest.approx(closed, rel=1e-12)
 
-    def test_not_scored_below_d3_or_without_both_sums(self):
-        # qubit maps never reach the state, nor Phi[2,0,1], whose s1 = b = 0
+    def test_qutrit_choi_map(self):
+        # TestFeasibility.test_qutrit_choi_map_witnessed on Choi's own map
+        # Phi[2,0,1]: s1 = b = 0, so the least pairing is at the root
+        # beta = 1 + sqrt(3) of beta^2 - 2 beta - 2, where the loop takes 27
+        # iterations to a pairing of -0.0514
+        j = choi(choi_map(2.0, 0.0, 1.0))
+        res = decomposability_feasibility(j)
+        assert decided_first(res) == "cyclic"
+        assert_witness(j, res)
+        beta = 1 + np.sqrt(3.0)
+        assert np.abs(res.witness.mat - cyclic_state(3, beta)).max() <= 1e-15
+        assert res.pairing == pytest.approx((-1 + 1 / beta) / (3 * (1 + beta + 1 / beta)),
+                                            rel=1e-12)
+        assert res.pairing == pytest.approx(-0.0516, abs=1e-4)
+        # a local unitary maps the decomposable cone onto itself: the loop
+        # witnesses the rotated, complex copy, with a pairing within 1%
+        rng = np.random.default_rng(45)
+        w = np.kron(random_unitary(rng, 3), random_unitary(rng, 3))
+        jw = w @ j @ w.conj().T
+        rotated = decomposability_feasibility(jw)
+        assert rotated.status == INFEASIBLE_WITNESSED and rotated.iterations > 0
+        assert_witness(jw, rotated)
+        assert rotated.pairing == pytest.approx(res.pairing, rel=1e-2)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(1.0, 2.95), c=st.floats(0.0, 3.0), zero_b=st.booleans())
+    def test_choi_maps_with_a_zero_sum(self, a, c, zero_b):
+        # Phi[a,0,c] and Phi[a,c,0] with a < 3 are non-decomposable: s1 or s2
+        # is 0, and the least pairing is negative, at iteration 0
+        b, c = (0.0, c) if zero_b else (c, 0.0)
+        j = choi(choi_map(a, b, c))
+        res = decomposability_feasibility(j, max_iter=1)
+        assert decided_first(res) == "cyclic"
+        assert_witness(j, res)
+        assert res.pairing == pytest.approx(cyclic_pairing(a, b, c), rel=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(3, 5), s0=st.floats(-3.0, 3.0), s1=st.floats(-1.0, 3.0),
+           s2=st.floats(-1.0, 3.0))
+    def test_beta_is_least(self, d, s0, s1, s2):
+        # where q2 > 0 > q0 the positive root is the ratio's least value on
+        # beta > 0, against a bounded scalar search on log beta
+        assume(s1 * (d - 2) - s0 > 1e-3 and s0 - s2 * (d - 2) < -1e-3)
+        beta = cyclic_beta(d, s0, s1, s2)
+        best = scipy.optimize.minimize_scalar(
+            lambda x: cyclic_ratio(d, s0, s1, s2, np.exp(x)), bounds=(-12.0, 12.0),
+            method="bounded", options={"xatol": 1e-10})
+        assert cyclic_ratio(d, s0, s1, s2, beta) <= best.fun + 1e-12
+        for x in (beta * 0.999, beta * 1.001):
+            assert cyclic_ratio(d, s0, s1, s2, beta) <= cyclic_ratio(d, s0, s1, s2, x)
+
+    def test_not_scored_below_d3_or_without_a_minimum(self):
+        # qubit maps never reach the state, nor Phi[2,0,1] composed with the
+        # transpose: its sums s0 = a - 1 = 1, s1 = 0 and s2 = 1 give
+        # q2 = s1 - s0 < 0, and its pairing is least as beta -> infinity
         rng = np.random.default_rng(55)
         assert decided_first(decomposability_feasibility(random_hermitian(rng, 4))) is None
-        assert decided_first(decomposability_feasibility(choi(choi_map(2.0, 0.0, 1.0)))) is None
+        j = transposed(choi(choi_map(2.0, 0.0, 1.0)))
+        assert decided_first(decomposability_feasibility(j)) is None
 
 
+@pytest.mark.usefixtures("shared_states_built")
 class TestField:
     """The loop runs in the field of J: float64 for a real J, whose iterates,
     certificate and witness are all real (the decomposable cone is closed
@@ -1195,6 +1355,8 @@ class TestField:
                 j = real_rotated(j)  # the loop decides it, not the bound-entangled state
         else:
             j, d = choi(choi_map(*map(float, case.split("-")[1:]))), 3
+            if case == "phi-2-0-1":
+                j = transposed(j)  # the loop decides it, not the cyclic state
         rng = np.random.default_rng(seed)
         u = np.kron(random_unitary(rng, d), random_unitary(rng, d))
         rotated = u @ j @ u.conj().T
@@ -1235,13 +1397,24 @@ class TestField:
         assert res.certificate.j1.dtype == res.certificate.j2.dtype == np.complex128
 
     def test_real_witnessed_dtypes(self, monkeypatch):
+        # Phi[2,0,1] composed with the transpose, so that the loop decides it
+        # (test_real_cyclic_witness_dtypes takes the map itself)
+        j = transposed(choi(choi_map(2.0, 0.0, 1.0)))
+        calls, res = eigensolver_calls(monkeypatch, lambda: decomposability_feasibility(j))
+        assert res.status == INFEASIBLE_WITNESSED and res.iterations > 0
+        # the loop's solves, then WitnessState's PSD and PPT checks of the
+        # witness in one stacked float64 eigvalsh; the public boundary holds
+        # the witness as complex128
+        assert set(calls) == {("eigh", np.dtype(np.float64)), ("eigvalsh", np.dtype(np.float64))}
+        assert calls[-1] == ("eigvalsh", np.dtype(np.float64))
+        assert res.witness.mat.dtype == np.complex128
+
+    def test_real_cyclic_witness_dtypes(self, monkeypatch):
+        # Choi's own map: J's eigh, then the cyclic witness's stacked check
         j = choi(choi_map(2.0, 0.0, 1.0))
         calls, res = eigensolver_calls(monkeypatch, lambda: decomposability_feasibility(j))
-        assert res.status == INFEASIBLE_WITNESSED
-        # the loop's solves, then WitnessState's PSD and PPT checks of the
-        # witness, which the public boundary holds as complex128
-        assert {dtype for _, dtype in calls[:-2]} == {np.dtype(np.float64)}
-        assert calls[-2:] == [("eigvalsh", np.dtype(np.complex128))] * 2
+        assert decided_first(res) == "cyclic"
+        assert calls == [("eigh", np.dtype(np.float64)), ("eigvalsh", np.dtype(np.float64))]
         assert res.witness.mat.dtype == np.complex128
 
     @pytest.mark.parametrize("t", [0.2, 1.0])
@@ -1480,17 +1653,16 @@ class TestCertificateRule:
     @pytest.mark.parametrize("entry", [
         "feasibility-flagship-1.0", "feasibility-phi-2-0.6-0.6", "rung-0", "propagation"])
     def test_injected_non_psd_block(self, monkeypatch, entry):
-        parts, core, results = decomp._spectral_parts, decomp._feasibility, []
+        part, core, results = decomp._psd_part, decomp._feasibility, []
 
-        def shifted(h):
-            w, v, pos = parts(h)
-            return w, v, pos - 1e-3 * np.eye(h.shape[0])
+        def shifted(w, v):
+            return part(w, v) - 1e-3 * np.eye(len(w))
 
         def recorded(jm, max_iter):
             results.append((jm, core(jm, max_iter)))
             return results[-1][1]
 
-        monkeypatch.setattr(decomp, "_spectral_parts", shifted)
+        monkeypatch.setattr(decomp, "_psd_part", shifted)
         monkeypatch.setattr(decomp, "_feasibility", recorded)
         if entry == "rung-0":
             verdict = posmap.map_positivity_check(choi_map(2.0, 0.6, 0.6))

@@ -1077,13 +1077,12 @@ class TestDecompositionProof:
     def test_certificate_is_reverified(self, monkeypatch):
         # a certificate whose J2 = B is not PSD proves nothing: with the PSD
         # part of every spectral split shifted by -1e-3, the loop's B fails
-        parts = decomp._spectral_parts
+        part = decomp._psd_part
 
-        def shifted(h):
-            w, v, pos = parts(h)
-            return w, v, pos - 1e-3 * np.eye(h.shape[0])
+        def shifted(w, v):
+            return part(w, v) - 1e-3 * np.eye(len(w))
 
-        monkeypatch.setattr(decomp, "_spectral_parts", shifted)
+        monkeypatch.setattr(decomp, "_psd_part", shifted)
         s = choi_map(2.0, 0.6, 0.6)
         search = posmap._search(matcore.as_cmatrix(s), False, 16, posmap.DEFAULT_SEED)
         verdict = map_positivity_check(s)
