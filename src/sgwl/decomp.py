@@ -39,8 +39,8 @@ scored.  At d = 3 the least pairing is negative for Phi[a,b,c] with b, c > 0
 exactly when bc < (3 - a)^2 / 4 (Cho, Kye & Lee, Linear Algebra Appl. 171
 (1992)), and for every Phi[a,b,c] with bc = 0 and a < 3.  Each of these exits,
 and the trivial certificate of a PSD J, costs one ``eigh`` of J and, for a
-witness, one validation of the state: a gate in its own field and one
-stacked ``eigvalsh`` of the state and its partial transpose.
+witness, one validation of the state: one Hermiticity gate and one stacked
+``eigvalsh`` of the state and its partial transpose, in the state's field.
 
 The loop runs in the field of ``J``.  The decomposable cone is closed under
 entrywise conjugation, so for a real ``J`` (real symmetric, as the flagship
@@ -68,6 +68,7 @@ from .matcore import (
     PreconditionError,
     ShapeError,
     as_cmatrix,
+    as_hermitian,
     partial_transpose,
 )
 
@@ -88,10 +89,10 @@ class WitnessState:
     """A trace-one PSD state on the doubled system, optionally PPT-checked;
     ``mat`` holds the validated, symmetrized matrix as complex128, read-only.
 
-    The matrix is gated once, in its own field (float64 when the symmetrized
-    matrix has no nonzero imaginary entry), and its spectrum and, when
+    The matrix is gated once (``as_hermitian``), and its spectrum and, when
     ``ppt_checked``, that of its partial transpose come from one stacked
-    ``eigvalsh`` in that field; each passes the PSD rule of ``matcore``.  A
+    ``eigvalsh`` in its own field (float64 when the gated matrix has no
+    nonzero imaginary entry); each passes the PSD rule of ``matcore``.  A
     matrix marked PPT whose size is not a square is a ``ShapeError``, raised
     before the spectra are taken."""
 
@@ -99,21 +100,22 @@ class WitnessState:
     ppt_checked: bool = False
 
     def __post_init__(self):
-        m = matcore._as_hermitian_in_field(self.mat)
+        m = as_hermitian(self.mat)
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-12:
             raise DomainError(f"witness state must have trace 1, got {tr}")
-        mats = [m]
+        real = not m.imag.any()
+        mats = [m.real if real else m]
         if self.ppt_checked:
             d = int(round(np.sqrt(m.shape[0])))
             pt = partial_transpose(m, d, d, "A")
-            mats.append(pt if m.dtype == pt.dtype else pt.real)
+            mats.append(pt.real if real else pt)
         for w, what in zip(np.linalg.eigvalsh(np.array(mats)),
                            ("witness state must be PSD, min eigenvalue",
                             "state marked PPT has partial-transpose min eigenvalue")):
             if w[0] < matcore._psd_bound(w):
                 raise DomainError(f"{what} {float(w[0]):.3e}")
-        object.__setattr__(self, "mat", gksl._read_only(np.asarray(m, dtype=complex)))
+        object.__setattr__(self, "mat", gksl._read_only(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +360,7 @@ def decomposability_feasibility(j, max_iter: int = DEFAULT_MAX_ITER) -> Feasibil
     and in complex128 otherwise.  Certificates come back as complex128.
     """
     max_iter = matcore._int(max_iter, "max_iter", 1, error=PreconditionError)
-    return _feasibility(matcore._as_hermitian_in_field(j), max_iter)
+    return _feasibility(as_hermitian(j), max_iter)
 
 
 @cache
@@ -389,12 +391,21 @@ def _known_witnesses(jm: np.ndarray, d: int, slack: float):
     s0 += float(jm[block].real.sum())
     # the pairing (s0 + beta s1 + s2 / beta) / (d (d - 2 + beta + 1 / beta)) has a
     # derivative of the sign of q2 beta^2 + q1 beta + q0; it has a least value at
-    # some beta > 0, the one positive root, exactly when q2 > 0 > q0
-    q2, q1, q0 = s1 * (d - 2) - s0, 2 * (s1 - s2), s0 - s2 * (d - 2)
+    # some beta > 0, the one positive root, exactly when q2 > 0 > q0.  The root
+    # does not change when s0, s1 and s2 are scaled alike, so the q's are formed
+    # from sums scaled by a power of two (exactly) to below 1, which cannot overflow
+    scale = max(abs(s0), abs(s1), abs(s2))
+    if not 0.0 < scale < math.inf:
+        return
+    e = -math.frexp(scale)[1]
+    r0, r1, r2 = math.ldexp(s0, e), math.ldexp(s1, e), math.ldexp(s2, e)
+    q2, q1, q0 = r1 * (d - 2) - r0, 2 * (r1 - r2), r0 - r2 * (d - 2)
     if not q2 > 0 > q0:
         return
     root = math.sqrt(q1 * q1 - 4 * q2 * q0)
     beta = (root - q1) / (2 * q2) if q1 < 0 else -2 * q0 / (root + q1)
+    if not 0.0 < beta < math.inf or 1 / beta == math.inf:  # a root out of float range
+        return
     trace = d * (d - 2 + beta + 1 / beta)
     if s0 + beta * s1 + s2 / beta < -slack * trace:
         rho = np.diag(np.array([1.0, beta, 1 / beta]) / trace @ rows)
@@ -405,7 +416,7 @@ def _known_witnesses(jm: np.ndarray, d: int, slack: float):
 def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
     """:func:`decomposability_feasibility` of a gated Hermitian matrix: in
     float64 when it has no nonzero imaginary entry, in complex128 otherwise."""
-    if jm.dtype != np.float64 and not jm.imag.any():
+    if not jm.imag.any():
         jm = np.ascontiguousarray(jm.real)
     n = jm.shape[0]
     d = int(round(np.sqrt(n)))

@@ -71,11 +71,7 @@ class NumericalError(RuntimeError):
 
 def as_cmatrix(x) -> np.ndarray:
     """Validate and return a dense complex matrix (finite entries only)."""
-    return _checked(np.asarray(x, dtype=complex))
-
-
-def _checked(a: np.ndarray) -> np.ndarray:
-    """:func:`as_cmatrix`'s checks on an array of its own dtype, returned as it is."""
+    a = np.asarray(x, dtype=complex)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got ndim={a.ndim}")
     if not np.isfinite(a).all():
@@ -92,32 +88,10 @@ def as_hermitian(x) -> np.ndarray:
     relative to the largest entry; small asymmetries inside the gate are
     symmetrized away.
     """
-    return _as_hermitian(_square(as_cmatrix(x)))
-
-
-def _as_hermitian_in_field(x) -> np.ndarray:
-    """:func:`as_hermitian` in the field of its result, with the same checks,
-    errors and bits: float64 when the symmetrized matrix has no nonzero
-    imaginary entry, complex128 otherwise.
-
-    A float64 input, or a complex128 one whose imaginary parts are all +0.0,
-    is gated in float64, without a complex copy.  The complex gate divides by
-    2 + 0j, which turns a -0.0 sum into +0.0 and leaves every other real part
-    as a real division by 2 does; adding 0.0 does the same in float64."""
-    a = np.asarray(x)
-    if a.dtype == np.complex128 and not a.imag.view(np.uint64).any():
-        a = a.real
-    if a.dtype == np.float64:
-        return _as_hermitian(_square(_checked(a))) + 0.0
-    h = as_hermitian(a)
-    return h if h.imag.any() else h.real.copy()
-
-
-def _square(a: np.ndarray) -> np.ndarray:
-    """The square-shape check of :func:`as_hermitian`; returns ``a``."""
+    a = as_cmatrix(x)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"Hermitian matrix must be square, got {a.shape}")
-    return a
+    return _as_hermitian(a)
 
 
 def _tol(tol: float, size: float) -> float:
@@ -147,17 +121,15 @@ def _real(val: complex, what: str, *data: np.ndarray) -> float:
 
 
 def _as_hermitian(a: np.ndarray) -> np.ndarray:
-    """:func:`as_hermitian` of a square array that already passed the checks of
-    :func:`as_cmatrix`, in its own dtype."""
-    adj = a.conj().T
+    """:func:`as_hermitian` of a square array that already passed :func:`as_cmatrix`."""
     size = np.abs(a).max()
-    dev = np.abs(a - adj).max()
+    dev = np.abs(a - a.conj().T).max()
     if dev > _tol(HERMITICITY_TOL, size):
         raise HermiticityError(
             f"matrix is not Hermitian: max |X - X^dag| = {dev:.3e} "
             f"exceeds {HERMITICITY_TOL:.1e} * {max(size, 1.0):.3e}"
         )
-    return (a + adj) / 2
+    return (a + a.conj().T) / 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -1302,6 +1303,20 @@ class TestCyclicFirst:
         assert decided_first(decomposability_feasibility(random_hermitian(rng, 4))) is None
         j = transposed(choi(choi_map(2.0, 0.0, 1.0)))
         assert decided_first(decomposability_feasibility(j)) is None
+
+    @pytest.mark.parametrize("scale", [1e154, 1e300, 2.0 ** 512, 2.0 ** 1000])
+    def test_huge_sums_do_not_overflow(self, scale):
+        # q1^2 and q2 q0 of the raw sums overflow from about 1e154 on; the
+        # root is formed from sums scaled by a power of two, so a J scaled by
+        # a power of two gets the same beta, bit for bit
+        j = choi(choi_map(2.0, 1.0, 0.2))
+        res = decomposability_feasibility(scale * j, max_iter=1)
+        unscaled = decomposability_feasibility(j).witness.mat
+        assert decided_first(res) == "cyclic"
+        assert np.abs(res.witness.mat - unscaled).max() <= 1e-15
+        if math.frexp(scale)[0] == 0.5:
+            assert res.witness.mat.tobytes() == unscaled.tobytes()
+        assert res.pairing == pytest.approx(scale * cyclic_pairing(2.0, 1.0, 0.2), rel=1e-12)
 
 
 @pytest.mark.usefixtures("shared_states_built")

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sgwl import decomp, gksl, matcore, posmap
 from sgwl.matcore import (
@@ -77,55 +75,6 @@ class TestAsCmatrix:
     def test_size_gate(self):
         with pytest.raises(matcore.SizeError):
             matcore.as_cmatrix(np.zeros((1, matcore.MAX_DIM + 1)))
-
-
-def field_gate_reference(x):
-    """The field gate as the complex gate and a real copy where no entry of
-    the result has a nonzero imaginary part; or the error class it raises."""
-    try:
-        h = matcore.as_hermitian(x)
-    except ValueError as exc:
-        return type(exc)
-    return h if h.imag.any() else h.real.copy()
-
-
-class TestFieldGate:
-    """``matcore._as_hermitian_in_field`` gates a float64 matrix, or a
-    complex128 one whose imaginary parts are all +0.0, in float64, and gives
-    the complex gate's bits, signed zeros included, and its errors."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-           form=st.sampled_from(["float64", "complex+0", "complex-signed-zeros", "complex", "list"]),
-           skew=st.sampled_from([0.0, 0.5e-12, 2e-12]), zeros=st.floats(0.0, 0.8))
-    def test_matches_the_complex_gate(self, n, seed, form, skew, zeros):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
-        a = (a + a.T) / 2
-        if skew:
-            a = a + skew * np.abs(a).max() * np.triu(rng.normal(size=(n, n)), 1)
-        hit = rng.random((n, n)) < zeros
-        hit |= hit.T
-        a[hit] = rng.choice([0.0, -0.0], size=hit.sum())  # signed zeros, -0.0 sums among them
-        signed_zeros = a.astype(complex)
-        signed_zeros.imag = rng.choice([0.0, -0.0], size=(n, n))
-        x = {"float64": a, "complex+0": a + 0j, "complex-signed-zeros": signed_zeros,
-             "complex": a + 1e-3j * (np.triu(a, 1) - np.triu(a, 1).T),
-             "list": a.tolist()}[form]
-        ref = field_gate_reference(x)
-        if isinstance(ref, type):
-            with pytest.raises(ref):
-                matcore._as_hermitian_in_field(x)
-        else:
-            got = matcore._as_hermitian_in_field(x)
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-            assert got.flags.c_contiguous
-
-    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)), [[np.nan, 0.0], [0.0, 1.0]],
-                                     np.full((2, 2), np.inf) + 0j])
-    def test_same_errors(self, bad):
-        with pytest.raises(field_gate_reference(bad)):
-            matcore._as_hermitian_in_field(bad)
 
 
 class TestPartialTranspose:
