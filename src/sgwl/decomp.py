@@ -488,8 +488,9 @@ def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
 
 
 def choi_min_criterion(s) -> float:
-    """Threshold criterion: smallest eigenvalue of the Choi matrix."""
-    return matcore.min_eigenvalue(choi(s))
+    """Threshold criterion: smallest eigenvalue of the Choi matrix, whose
+    map is validated once, by :func:`choi`."""
+    return float(np.linalg.eigvalsh(matcore._as_hermitian(choi(s)))[0])
 
 
 def pairing_criterion(x):

@@ -12,7 +12,10 @@ noise part ``N[rho] = sum_ab C[a,b] F_a rho F_b`` and the remaining
 pseudo-Hamiltonian part are built separately, each on first read; they
 always recompose to the full generator exactly.  A product generator
 ``L1 (x) id + id (x) L2`` keeps its two factors and is evolved factor by
-factor, both in one stacked exponential.
+factor.  A factor with H = 0 and a real C is self-adjoint, a Hermitian
+matrix, and is exponentiated from its eigendecomposition, cached on first
+use; every other factor is non-normal in general and goes through the
+scaling-and-squaring Pade exponential, all such factors in one stacked call.
 """
 
 from __future__ import annotations
@@ -178,10 +181,12 @@ class Generator:
     ``L1 (x) id + id (x) L2`` to ``(L1, L2)``; :func:`evolve` then works
     factor by factor.  Each part is built from that data on first read,
     cached and read-only, like the basis stacks.  ``k_matrix`` is the d x d
-    matrix ``K = sum_ab C[a,b] F_b^dag F_a`` of the anticommutator term.
+    matrix ``K = sum_ab C[a,b] F_b^dag F_a`` of the anticommutator term, and
+    ``spectrum`` the eigendecomposition of a self-adjoint ``full`` (None for
+    any other generator), which :func:`evolve` reads.
     A positivity check reads C and ``noise`` only, so it never builds
-    ``k_matrix``, ``pseudo_h`` or ``full``; a product builds its dense parts
-    from its factors' parts, and only when a caller reads them.
+    ``k_matrix``, ``pseudo_h``, ``full`` or ``spectrum``; a product builds its
+    dense parts from its factors' parts, and only when a caller reads them.
     """
 
     dim: int
@@ -235,6 +240,36 @@ class Generator:
     def full(self) -> np.ndarray:
         """The generator L = noise + pseudo_h."""
         return _read_only(self.noise + self.pseudo_h)
+
+    @cached_property
+    def spectrum(self) -> matcore.Spectrum | None:
+        """Eigendecomposition of ``full`` when L is self-adjoint, else None.
+
+        A spec with H = 0 and a real C gives a self-adjoint L in the
+        Hilbert-Schmidt inner product: with Hermitian basis elements, its
+        adjoint swaps C[a,b] for conj(C[b,a]) = C[a,b].  This is decided from
+        the spec alone, with no tolerance.  A self-adjoint, trace-preserving
+        L also fixes the identity, so ``vec(1)/sqrt(d)`` is an exact
+        eigenvector for 0: it is kept exact, and ``eigh`` decomposes the
+        real symmetric matrix ``Re <F_a, L F_b>`` over the traceless
+        Gell-Mann elements, symmetrized, whose roundoff would otherwise put
+        about 1e-16 * ||L|| on that eigenvalue and so on the trace of every
+        ``exp(t L)``.  A product, or any other spec, gives None.
+        """
+        spec = self.spec
+        if spec is None or spec.hamiltonian.any() or spec.c_matrix.imag.any():
+            return None
+        d = self.dim
+        flat = gell_mann_basis(d)._stacks[0]  # rows conj(vec(F_a)), F_a Hermitian
+        m = (flat @ self.full @ flat.conj().T).real
+        try:
+            w, v = np.linalg.eigh((m + m.T) / 2)
+        except np.linalg.LinAlgError as exc:
+            raise matcore.NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+        values = np.concatenate(([0.0], w))
+        vectors = np.concatenate((np.eye(d).reshape(-1, 1) / np.sqrt(d), flat.conj().T @ v), axis=1)
+        order = np.argsort(values, kind="stable")
+        return matcore.Spectrum(_read_only(values[order]), _read_only(vectors[:, order]))
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -371,33 +406,49 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
     """Semigroup element exp(t L) as a superoperator matrix.
 
     ``t`` must be finite and nonnegative, and so must every entry of t L
-    (``DomainError``).  Every generator is exponentiated as a stack in one
-    call: a product generator's two factors' dense ``full`` matrices, giving
-    ``exp(t L1) (x) exp(t L2)``, and any other generator's own.  Every
+    (``DomainError``).  A product generator is evolved factor by factor,
+    ``exp(t L1) (x) exp(t L2)``; any other generator is its own one factor.
+    Each factor takes one of two routes, chosen by its ``spectrum``: a
+    self-adjoint factor is ``V exp(t Lambda) V^dag`` from its cached
+    eigendecomposition, and every other factor goes through the
+    scaling-and-squaring Pade core (``matcore._expm``), two such factors in
+    one stacked call, each with the bits of an ``expm`` of it alone.  Every
     generator built here is trace preserving.
 
-    Huge ``t`` is refused with ``NumericalError`` twice over.  A priori,
-    from the 1-norm the exponential computes anyway: once the error model
-    ``TRACE_LOSS_PER_NORM * ||t L||_1`` of an exponentiated matrix (a
-    factor, for a product) passes ``TRACE_PRESERVATION_TOL``, that is from
-    ``||t L||_1 > 1e8``, nothing is exponentiated.  A posteriori, each
-    exponential is checked for finite entries and for trace preservation
-    within ``TRACE_PRESERVATION_TOL`` relative to its largest entry.
+    Huge ``t`` is refused with ``NumericalError`` twice over, on both
+    routes alike.  A priori, from the 1-norms of the factors' t L: once the
+    error model ``TRACE_LOSS_PER_NORM * ||t L||_1`` of a factor passes
+    ``TRACE_PRESERVATION_TOL``, that is from ``||t L||_1 > 1e8``, nothing is
+    exponentiated.  The model bounds both routes: an eigenvalue w is found
+    to within about 1e-16 * ||L||, which ``exp(t w)`` turns into an error of
+    about 1e-16 * ||t L|| on a mode that does not decay (the identity's
+    eigenvalue 0 is exact, so the trace is kept to roundoff).  A
+    posteriori, each exponential is checked for finite entries and for
+    trace preservation within ``TRACE_PRESERVATION_TOL`` relative to its
+    largest entry.
     """
     if not 0.0 <= t < np.inf:
         raise DomainError(f"evolution time t must be finite and nonnegative, got {t}")
     parts = gen.factors or (gen,)
     d = parts[0].dim  # the factors of a product have equal dimensions
     with np.errstate(all="ignore"):
-        maps = _gated_expm(t * np.array([g.full for g in parts]), t)
+        stack = t * np.array([g.full for g in parts])
+        norm1 = _gate(stack, t)
+        spectra = [g.spectrum for g in parts]
+        if all(s is None for s in spectra):
+            maps = matcore._expm(stack, norm1)
+        else:  # at most one Pade factor is left, so nothing is lost by not stacking
+            maps = np.array([matcore._expm(m, n) if s is None
+                             else (s.vectors * np.exp(t * s.values)) @ s.vectors.conj().T
+                             for m, n, s in zip(stack, norm1, spectra)])
         _check_trace_preserving(maps, d, t)
     return maps[0] if gen.factors is None else _kron_superop(*maps, d, d)
 
 
-def _gated_expm(stack: np.ndarray, t: float) -> np.ndarray:
-    """``matcore._expm`` of a stack of ``t L``, refused with ``NumericalError``
-    when the error model, made for maps of unit size and so absolute, puts its
-    trace loss above ``TRACE_PRESERVATION_TOL``."""
+def _gate(stack: np.ndarray, t: float) -> np.ndarray:
+    """The 1-norms of a stack of ``t L``, refused with ``NumericalError``
+    when the error model, made for maps of unit size and so absolute, puts
+    the trace loss of an exponential above ``TRACE_PRESERVATION_TOL``."""
     norm1 = matcore._one_norms(stack)
     loss = TRACE_LOSS_PER_NORM * float(norm1.max())
     if loss > TRACE_PRESERVATION_TOL:
@@ -405,7 +456,7 @@ def _gated_expm(stack: np.ndarray, t: float) -> np.ndarray:
             f"exp(t L) at t = {t!r} would lose about {loss:.1e} of trace "
             f"> {TRACE_PRESERVATION_TOL:.0e}: t L is too large for the exponential"
         )
-    return matcore._expm(stack, norm1)
+    return norm1
 
 
 def _check_trace_preserving(stack: np.ndarray, d: int, t: float) -> None:

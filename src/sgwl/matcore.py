@@ -19,11 +19,15 @@ rest of the package relies on:
   ``||X||_2`` read off its spectrum; every PSD decision applies this one
   rule and reports the raw minimum eigenvalue alongside the verdict;
 * the matrix exponential is scaling-and-squaring with a fixed order-13
-  diagonal Pade approximant (generators are non-normal, eigendecomposition
-  is not safe).  ``expm`` validates one matrix and hands it to a trusted
-  core that also takes a ``(k, n, n)`` stack, so the two factors of a
-  product semigroup are exponentiated in one pass; each matrix keeps its
-  own scaling, and its result is bit-identical to an ``expm`` of it alone;
+  diagonal Pade approximant, since a generator is non-normal in general and
+  an eigendecomposition of a non-normal matrix is not safe.  ``expm``
+  validates one matrix and hands it to a trusted core that also takes a
+  ``(k, n, n)`` stack, so the two factors of a product semigroup are
+  exponentiated in one pass; each matrix keeps its own scaling, and its
+  result is bit-identical to an ``expm`` of it alone.  The one normal case
+  is left to ``gksl``: a self-adjoint generator (H = 0, real C) is
+  Hermitian, and ``gksl.evolve`` exponentiates it from its cached
+  eigendecomposition (``Spectrum``) instead;
 * every array-holding record of the package is a frozen dataclass compared by
   identity (``frozen=True, eq=False``: no field is reassigned, ``==`` is
   ``is`` and every record hashes), and an array that other objects cache or

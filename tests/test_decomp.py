@@ -532,6 +532,14 @@ class TestValidationCount:
         assert abs(t - np.log(3.0) / 2.0) < 1e-8
         assert n <= 15
 
+    def test_choi_min_criterion(self, monkeypatch):
+        # the map, once, in choi: the Choi matrix's Hermiticity gate works on
+        # the validated array, with the bits of matcore.min_eigenvalue
+        s = evolve(witness_product_generator(), 0.4)
+        n, value = count_validations(monkeypatch, lambda: decomp.choi_min_criterion(s))
+        assert n == 1
+        assert value == matcore.min_eigenvalue(choi(s))
+
     def test_qubit_map_check(self, monkeypatch):
         rng = np.random.default_rng(38)
         r = gksl.basis_rotation_matrix(random_unitary(rng, 2), gksl.pauli_basis())

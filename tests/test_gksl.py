@@ -26,6 +26,7 @@ from sgwl.matcore import DomainError, PreconditionError
 from helpers import (
     PARTS,
     built_parts,
+    count_eigensolvers,
     counting,
     eager_generator,
     eager_product_generator,
@@ -33,6 +34,7 @@ from helpers import (
     random_density,
     random_hermitian,
     random_orthonormal_pair,
+    random_psd,
     random_unitary,
     reference_generator,
 )
@@ -457,8 +459,8 @@ class TestEvolve:
 
     def test_gate_reuses_one_norm(self, monkeypatch):
         # the a-priori gate reads the 1-norms that scale the exponential,
-        # with no pass of its own over t L
-        gen = build_generator(qubit_spec(np.eye(3)))
+        # with no pass of its own over t L (H != 0: the Pade route)
+        gen = build_generator(qubit_spec(np.eye(3), SIGMA[3]))
         for g in (gen, product_generator(gen, gen)):
             counted = counting(matcore._one_norms)
             monkeypatch.setattr(matcore, "_one_norms", counted)
@@ -471,6 +473,116 @@ class TestEvolve:
         rho = random_density(rng, 2)
         out = apply_superop(evolve(gen, 0.8), rho)
         assert np.abs(out - out.conj().T).max() < 1e-10
+
+
+def self_adjoint_generator(rng, d, c_scale):
+    """H = 0 and a real PSD C: a self-adjoint generator, evolved from its spectrum."""
+    n = d * d - 1
+    a = rng.normal(size=(n, n))
+    gen = build_generator(gksl.KossakowskiSpec(d, np.zeros((d, d)), c_scale * a @ a.T / n,
+                                               gell_mann_basis(d)))
+    assert gen.spectrum is not None
+    return gen
+
+
+def pade_generator(rng, d, c_scale, hamiltonian):
+    """A random H with a real C, or H = 0 with a complex C: evolved by Pade."""
+    n = d * d - 1
+    a = random_complex(rng, n)
+    c = a @ a.conj().T / n
+    h = random_hermitian(rng, d) if hamiltonian else np.zeros((d, d))
+    gen = build_generator(gksl.KossakowskiSpec(d, h, c_scale * (c.real if hamiltonian else c),
+                                               gell_mann_basis(d)))
+    assert gen.spectrum is None
+    return gen
+
+
+def assert_near_dense_expm(s, l_mat, t):
+    # the 1e-12 of the Pade property, and beyond ||t L||_1 = 5e3 the two
+    # routes' error models added: each may err by about 1e-16 ||t L||_1
+    dense = matcore.expm(t * l_mat)
+    bound = max(1e-12, 2 * gksl.TRACE_LOSS_PER_NORM * float(matcore._one_norms(t * l_mat)))
+    assert np.abs(s - dense).max() <= bound * max(1.0, np.abs(dense).max())
+
+
+class TestSelfAdjointRoute:
+    """H = 0 with a real C is evolved from a cached eigendecomposition,
+    anything else by Pade with the bits it always had; a product's factors
+    choose for themselves."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from((2, 3, 4)), seed=st.integers(0, 2**32 - 1),
+           c_scale=st.sampled_from([1e-3, 1.0, 1e3]), t=st.floats(0.0, 5.0))
+    def test_matches_dense_expm_property(self, d, seed, c_scale, t):
+        gen = self_adjoint_generator(np.random.default_rng(seed), d, c_scale)
+        assert_near_dense_expm(evolve(gen, t), gen.full, t)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1),
+           c_scale=st.sampled_from([1e-3, 1.0, 1e3]), t=st.floats(0.0, 5.0),
+           hamiltonian=st.booleans(), self_adjoint_first=st.booleans())
+    def test_mixed_product_matches_dense_expm_property(self, d, seed, c_scale, t, hamiltonian,
+                                                       self_adjoint_first):
+        rng = np.random.default_rng(seed)
+        pair = (self_adjoint_generator(rng, d, c_scale),
+                pade_generator(rng, d, c_scale, hamiltonian))
+        g1, g2 = pair if self_adjoint_first else pair[::-1]
+        gp = product_generator(g1, g2)
+        s = evolve(gp, t)
+        assert_near_dense_expm(s, gp.full, t)
+        # the Pade factor keeps the bits of an expm of it alone
+        assert np.array_equal(s, kron_superop(evolve(g1, t), evolve(g2, t), d, d))
+        pade = g2 if self_adjoint_first else g1
+        assert np.array_equal(evolve(pade, t), matcore.expm(t * pade.full))
+
+    @pytest.mark.parametrize("hamiltonian", [True, False], ids=["hamiltonian", "complex-c"])
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_pade_bits_unchanged(self, d, hamiltonian):
+        # the Pade route as it was: one stacked matcore._expm of the factors'
+        # t L, which gives each the bits of an expm of it alone
+        rng = np.random.default_rng(250 + d)
+        g1, g2 = (pade_generator(rng, d, 1.0, hamiltonian) for _ in range(2))
+        for t in (0.0, 0.3, 2.0):
+            want = [matcore.expm(t * g.full) for g in (g1, g2)]
+            assert np.array_equal(evolve(g1, t), want[0])
+            assert np.array_equal(evolve(product_generator(g1, g2), t),
+                                  kron_superop(*want, d, d))
+
+    def test_spectrum_exact_on_the_identity(self):
+        # vec(1)/sqrt(d) is kept as an exact eigenvector for 0, so exp(t L)
+        # preserves the trace to roundoff at any t the gate admits
+        gen = build_generator(qubit_spec(np.eye(3)))
+        spectrum = gen.spectrum
+        assert list(spectrum.values) == sorted(spectrum.values)
+        assert spectrum.values[-1] == 0.0
+        assert np.array_equal(spectrum.vectors[:, -1], np.eye(2).reshape(-1) / np.sqrt(2))
+        for part in (spectrum.values, spectrum.vectors):
+            assert not part.flags.writeable
+        s = evolve(gen, 1e7)
+        assert np.abs(s[::3].sum(axis=0) - np.eye(2).reshape(-1)).max() < 1e-15
+
+
+class TestEvolveEigensolverCount:
+    """A self-adjoint generator pays one eigh, on its first evolution; the
+    Pade route pays none."""
+
+    def test_one_eigh_per_fresh_generator(self, monkeypatch):
+        rng = np.random.default_rng(260)
+        gen = build_generator(gksl.KossakowskiSpec(3, np.zeros((3, 3)), random_psd(rng, 8).real,
+                                                   gell_mann_basis(3)))
+        n_eigh, n_eigvalsh, _ = count_eigensolvers(
+            monkeypatch, lambda: [evolve(gen, t) for t in (0.1, 0.5, 2.0)])
+        assert (n_eigh, n_eigvalsh) == (1, 0)
+        g1, g2 = (build_generator(qubit_spec(np.diag(r))) for r in ([1.0, 1.0, 1.0],
+                                                                    [1.0, -1.0, 1.0]))
+        n_eigh, n_eigvalsh, _ = count_eigensolvers(
+            monkeypatch, lambda: [evolve(product_generator(g1, g2), t) for t in (0.1, 0.5)])
+        assert (n_eigh, n_eigvalsh) == (2, 0)
+
+    def test_no_eigh_on_pade(self, monkeypatch):
+        gen = pade_generator(np.random.default_rng(261), 3, 1.0, True)
+        n_eigh, n_eigvalsh, _ = count_eigensolvers(monkeypatch, lambda: evolve(gen, 0.5))
+        assert (n_eigh, n_eigvalsh) == (0, 0)
 
 
 class TestKronSuperop:

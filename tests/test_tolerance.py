@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from sgwl import decomp, gksl, matcore, posmap
 from sgwl.decomp import FEASIBLE, INFEASIBLE_WITNESSED, decomposability_feasibility
-from sgwl.gksl import build_generator, evolve, gell_mann_basis, qubit_spec
+from sgwl.gksl import SIGMA, build_generator, evolve, gell_mann_basis, qubit_spec
 from sgwl.posmap import (
     STATUS_CP,
     STATUS_NOT_POSITIVE,
@@ -107,9 +107,9 @@ class TestRescaledInputs:
         assert map_positivity_check(1e6 * s).status == STATUS_NOT_POSITIVE
 
     def test_large_map_trace_checked_relative(self):
-        # ||t L||_1 is about 40, well inside the a-priori gate, but the map's
-        # entries reach 4.9e8, so its trace misses by more than 1e-8
-        gen = build_generator(qubit_spec(-np.eye(3)))
+        # ||t L||_1 is about 28, well inside the a-priori gate, but the map's
+        # entries reach 4.9e8, so its Pade trace (H != 0) misses by more than 1e-8
+        gen = build_generator(qubit_spec(-np.eye(3), SIGMA[3]))
         s = evolve(gen, 10.0)
         size = np.abs(s).max()
         assert size > 1e8
@@ -188,12 +188,34 @@ class TestTraceCheck:
     """The a-posteriori trace check of ``evolve``, behind the a-priori gate."""
 
     def test_refuses_without_the_gate(self, monkeypatch):
+        # H != 0 keeps the Pade route, whose squarings lose the trace
         monkeypatch.setattr(gksl, "TRACE_LOSS_PER_NORM", 0.0)
-        gen = build_generator(qubit_spec(np.eye(3)))
+        gen = build_generator(qubit_spec(np.eye(3), SIGMA[3]))
         with pytest.raises(matcore.NumericalError, match="misses trace preservation by 1.42"):
             evolve(gen, 1e15)
         with pytest.raises(matcore.NumericalError, match="misses trace preservation"):
             evolve(gksl.product_generator(gen, gen), 1e15)
+
+    def test_self_adjoint_refuses_non_finite_without_the_gate(self, monkeypatch):
+        # C = -1 with H = 0: exp(t Lambda) overflows on the eigenvalues 2
+        monkeypatch.setattr(gksl, "TRACE_LOSS_PER_NORM", 0.0)
+        gen = build_generator(qubit_spec(-np.eye(3)))
+        assert gen.spectrum is not None
+        for g in (gen, gksl.product_generator(gen, gen)):
+            with pytest.raises(matcore.NumericalError, match="has non-finite entries"):
+                evolve(g, 1e3)
+
+    @pytest.mark.parametrize("hamiltonian", [None, SIGMA[3]], ids=["self-adjoint", "pade"])
+    def test_a_priori_refusal_same_on_both_routes(self, hamiltonian):
+        gen = build_generator(qubit_spec(np.eye(3), hamiltonian))
+        assert (gen.spectrum is None) == (hamiltonian is not None)
+        for g in (gen, gksl.product_generator(gen, gen)):
+            loss = gksl.TRACE_LOSS_PER_NORM * float(matcore._one_norms(1e15 * gen.full))
+            with pytest.raises(matcore.NumericalError) as err:
+                evolve(g, 1e15)
+            assert str(err.value) == (
+                f"exp(t L) at t = 1000000000000000.0 would lose about {loss:.1e} of trace "
+                "> 1e-08: t L is too large for the exponential")
 
 
 class TestScaleInvariance:
