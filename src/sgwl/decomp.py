@@ -490,7 +490,7 @@ def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
 def choi_min_criterion(s) -> float:
     """Threshold criterion: smallest eigenvalue of the Choi matrix, whose
     map is validated once, by :func:`choi`."""
-    return float(np.linalg.eigvalsh(matcore._as_hermitian(choi(s)))[0])
+    return matcore._is_psd(matcore._as_hermitian(choi(s)))[1]
 
 
 def pairing_criterion(x):

@@ -17,7 +17,8 @@ rest of the package relies on:
 * Hermitian inputs are gated at ``HERMITICITY_TOL`` by the rule and symmetrized;
 * a matrix counts as PSD when ``lmin >= -PSD_SLACK * max(1, ||X||_2)``, with
   ``||X||_2`` read off its spectrum; every PSD decision applies this one
-  rule and reports the raw minimum eigenvalue alongside the verdict;
+  rule, a gated matrix's on the one path ``_is_psd`` (one ``eigvalsh``),
+  and reports the raw minimum eigenvalue alongside the verdict;
 * the matrix exponential is scaling-and-squaring with a fixed order-13
   diagonal Pade approximant, since a generator is non-normal in general and
   an eigendecomposition of a non-normal matrix is not safe.  ``expm``
@@ -38,6 +39,8 @@ All functions are pure; nothing here mutates its inputs.
 
 from __future__ import annotations
 
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +81,8 @@ def as_cmatrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=complex)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got ndim={a.ndim}")
+    if a.size == 0:
+        raise ShapeError(f"expected a non-empty matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite (no NaN/Inf)")
     if max(a.shape) > MAX_DIM:
@@ -125,15 +130,23 @@ def _real(val: complex, what: str, *data: np.ndarray) -> float:
 
 
 def _as_hermitian(a: np.ndarray) -> np.ndarray:
-    """:func:`as_hermitian` of a square array that already passed :func:`as_cmatrix`."""
+    """:func:`as_hermitian` of a square array that already passed :func:`as_cmatrix`;
+    an entry whose sum with its mirror overflows (it takes entries above half
+    the float maximum) is halved before it is added, so every result is finite."""
     size = np.abs(a).max()
-    dev = np.abs(a - a.conj().T).max()
-    if dev > _tol(HERMITICITY_TOL, size):
-        raise HermiticityError(
-            f"matrix is not Hermitian: max |X - X^dag| = {dev:.3e} "
-            f"exceeds {HERMITICITY_TOL:.1e} * {max(size, 1.0):.3e}"
-        )
-    return (a + a.conj().T) / 2
+    near_max = not size <= sys.float_info.max / 2
+    with np.errstate(over="ignore", invalid="ignore") if near_max else nullcontext():
+        dev = np.abs(a - a.conj().T).max()
+        if dev > _tol(HERMITICITY_TOL, size):
+            raise HermiticityError(
+                f"matrix is not Hermitian: max |X - X^dag| = {dev:.3e} "
+                f"exceeds {HERMITICITY_TOL:.1e} * {max(size, 1.0):.3e}"
+            )
+        h = (a + a.conj().T) / 2
+    if near_max:
+        over = ~np.isfinite(h)
+        h[over] = a[over] / 2 + a.conj().T[over] / 2
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +164,7 @@ def hermitian_eig(h) -> Spectrum:
     * ||H||`` for any eigenpair, or when the eigenvector matrix is not
     unitary to the same tolerance.
     """
-    return _hermitian_eig(as_hermitian(h))
-
-
-def _hermitian_eig(hm: np.ndarray) -> Spectrum:
-    """:func:`hermitian_eig` of a matrix that already passed :func:`as_hermitian`."""
+    hm = as_hermitian(h)
     try:
         w, v = np.linalg.eigh(hm)
     except np.linalg.LinAlgError as exc:
@@ -175,12 +184,18 @@ def _hermitian_eig(hm: np.ndarray) -> Spectrum:
 
 def min_eigenvalue(h) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(as_hermitian(h))[0])
+    return _is_psd(as_hermitian(h))[1]
 
 
 def is_psd(h) -> tuple[bool, float]:
     """PSD decision with relative slack; returns (verdict, raw min eigenvalue)."""
-    w = np.linalg.eigvalsh(as_hermitian(h))
+    return _is_psd(as_hermitian(h))
+
+
+def _is_psd(hm: np.ndarray) -> tuple[bool, float]:
+    """:func:`is_psd` of a matrix that already passed :func:`as_hermitian`:
+    one ``eigvalsh``, its least eigenvalue read against :func:`_psd_bound`."""
+    w = np.linalg.eigvalsh(hm)
     lmin = float(w[0])
     return lmin >= _psd_bound(w), lmin
 

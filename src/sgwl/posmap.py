@@ -87,7 +87,7 @@ class PositivityVerdict:
     """Outcome of a positivity / complete-positivity question.
 
     Exactly one kind of certificate is populated, depending on how the
-    verdict was reached: the minimal Choi eigenpair, a violating vector
+    verdict was reached: the least Choi eigenvalue, a violating vector
     pair with its functional value, the exact qubit minimum with its pair,
     or the best minimum found by the optimizer together with its per-start
     statistics.
@@ -125,7 +125,6 @@ class PositivityVerdict:
     min_value: float | None = None
     pair: tuple[np.ndarray, np.ndarray] | None = None
     choi_min_eig: float | None = None
-    choi_min_vector: np.ndarray | None = None
     start_values: np.ndarray | None = field(default=None, repr=False)
     spread: float | None = None
     proof: str = PROOF_SEARCH
@@ -145,22 +144,16 @@ def is_completely_positive(s) -> PositivityVerdict:
     """CP verdict via positivity of the Choi matrix.
 
     Returns status CompletelyPositive or Undetermined (not CP says nothing
-    about plain positivity); the minimal Choi eigenpair is attached.
+    about plain positivity), with the least Choi eigenvalue.
     """
     return _cp_verdict(_as_hermitian(choi(s)))
 
 
 def _cp_verdict(j: np.ndarray) -> PositivityVerdict:
     """:func:`is_completely_positive` from a Choi matrix that passed the gate."""
-    eig = matcore._hermitian_eig(j)
-    lmin = float(eig.values[0])
-    status = STATUS_CP if lmin >= matcore._psd_bound(eig.values) else STATUS_UNDETERMINED
-    return PositivityVerdict(
-        status=status,
-        choi_min_eig=lmin,
-        choi_min_vector=eig.vectors[:, 0],
-        proof=PROOF_CHOI,
-    )
+    ok, lmin = matcore._is_psd(j)
+    return PositivityVerdict(status=STATUS_CP if ok else STATUS_UNDETERMINED,
+                             choi_min_eig=lmin, proof=PROOF_CHOI)
 
 
 def _prepare(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -649,9 +642,9 @@ def product_positivity_necessary(
     r = gksl._basis_rotation_matrix(vm, basis)
     combined = c1m + r.T @ c2m @ r
     combined = (combined + combined.conj().T) / 2
-    w = np.linalg.eigvalsh(combined)
-    return ProductConditionReport(combined=combined, min_eigenvalue=float(w[0]), v_matrix=vm,
-                                  necessary_ok=bool(w[0] >= matcore._psd_bound(w)))
+    ok, lmin = matcore._is_psd(combined)
+    return ProductConditionReport(combined=combined, min_eigenvalue=lmin, v_matrix=vm,
+                                  necessary_ok=ok)
 
 
 def product_positivity_sufficient(c1, c2) -> bool:

@@ -10,7 +10,7 @@ scenario produces identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,13 +22,15 @@ T_GRID = tuple(float(t) for t in np.logspace(-2, np.log10(5.0), 20))
 
 @dataclass
 class CheckResult:
+    """One scenario check; the fields are declared in their JSON order."""
+
     name: str
     computed: float
     expected: float
+    delta: float = field(init=False)
     tolerance: float
     provenance: str
     passed: bool = field(init=False)
-    delta: float = field(init=False)
 
     def __post_init__(self):
         self.delta = abs(self.computed - self.expected)
@@ -50,18 +52,7 @@ class ScenarioReport:
             "name": self.name,
             "parameters": self.parameters,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "computed": c.computed,
-                    "expected": c.expected,
-                    "delta": c.delta,
-                    "tolerance": c.tolerance,
-                    "provenance": c.provenance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def to_json(self) -> str:

@@ -591,7 +591,7 @@ class TestValidationCount:
 class TestQubitEigensolverCount:
     """The qubit routes pay one eigh for the trust-region subproblem; the
     generator route adds the eigvalsh of C >= 0, the map route the Choi
-    check's eigh.  The pair is written in closed form."""
+    check's eigvalsh.  The pair is written in closed form."""
 
     @pytest.mark.parametrize("rates", [[1.0, -1.0, 1.0], [1.0, 1.0, -3.0], [1.0, 1.0, 1.0]])
     def test_generator(self, monkeypatch, rates):
@@ -611,7 +611,7 @@ class TestQubitEigensolverCount:
         n_eigh, n_eigvalsh, verdict = count_eigensolvers(
             monkeypatch, lambda: posmap.map_positivity_check(s))
         assert verdict.proof == posmap.PROOF_TRUST_REGION
-        assert (n_eigh, n_eigvalsh) == (2, 0)
+        assert (n_eigh, n_eigvalsh) == (1, 1)
 
 
 @pytest.mark.usefixtures("shared_states_built")

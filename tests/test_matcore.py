@@ -76,6 +76,51 @@ class TestAsCmatrix:
         with pytest.raises(matcore.SizeError):
             matcore.as_cmatrix(np.zeros((1, matcore.MAX_DIM + 1)))
 
+    @pytest.mark.parametrize("call", [
+        matcore.as_cmatrix,
+        matcore.as_hermitian,
+        matcore.is_psd,
+        expm,
+        decomp.decomposability_feasibility,
+        gksl.choi,
+        lambda m: decomp.pairing_with_choi(m, m),
+    ], ids=["as_cmatrix", "as_hermitian", "is_psd", "expm", "decomposability_feasibility",
+            "choi", "pairing_with_choi"])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_empty_rejected(self, call, shape):
+        with pytest.raises(ShapeError, match="non-empty"):
+            call(np.zeros(shape))
+
+
+class TestAsHermitian:
+    @pytest.mark.parametrize("a", [
+        1e308 * np.eye(3),
+        np.array([[1e308, 1e308 - 1e308j], [1e308 + 1e308j, -1e308]]),
+    ], ids=["real", "complex"])
+    def test_largest_entries_stay_finite(self, a):
+        # (A + A^dag) / 2 overflows here; the gate halves those entries first
+        h = matcore.as_hermitian(a)
+        assert np.isfinite(h).all()
+        assert np.array_equal(h, a)
+
+    def test_largest_entries_still_gated(self):
+        # X - X^dag overflows to inf, which fails the gate
+        with pytest.raises(HermiticityError):
+            matcore.as_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+    def test_spec_at_largest_entries_keeps_c(self):
+        c = 1e308 * np.eye(3)
+        assert np.array_equal(gksl.qubit_spec(c).c_matrix, c)
+
+    def test_subnormal_entries_keep_their_bits(self):
+        # odd multiples of the least subnormal, 5e-324, which halving first
+        # would round: 5e-324 / 2 + 5e-324 / 2 is 0
+        a = np.array([[5e-324, 3e-323 + 5e-324j], [3e-323 - 5e-324j, 1.5e-323]])
+        h = matcore.as_hermitian(a)
+        assert np.array_equal(h, (a + a.conj().T) / 2)
+        assert np.array_equal(h, a)
+        assert not np.array_equal(h, a / 2 + a.conj().T / 2)
+
 
 class TestPartialTranspose:
     def test_involution_exact(self):

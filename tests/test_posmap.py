@@ -118,6 +118,41 @@ class TestIsCompletelyPositive:
         for t in np.linspace(0.0, 5.0, 11):
             assert is_completely_positive(evolve(gen, float(t))).is_cp
 
+    @staticmethod
+    def assert_one_psd_path(s):
+        # the CP verdict, the PSD rule on the Choi matrix and the threshold
+        # criterion read one eigenvalue, bit for bit
+        verdict = is_completely_positive(s)
+        ok, lmin = matcore.is_psd(choi(s))
+        assert verdict.status == (STATUS_CP if ok else posmap.STATUS_UNDETERMINED)
+        assert verdict.choi_min_eig == lmin
+        assert verdict.choi_min_eig == decomp.choi_min_criterion(s)
+        return verdict
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from([2, 3, 4]), rank=st.integers(1, 3),
+           weight=st.sampled_from([0.0, 0.05, 0.5, 2.0]), seed=st.integers(0, 2**32 - 1))
+    @example(d=3, rank=2, weight=0.0, seed=0)
+    @example(d=4, rank=1, weight=0.5, seed=0)
+    def test_verdict_is_the_psd_rule(self, d, rank, weight, seed):
+        # a Kraus map (CP) less a multiple of the transpose (not CP once the
+        # weight exceeds the least eigenvalue of the Kraus map's Choi matrix)
+        rng = np.random.default_rng(seed)
+        s = sum(np.kron(k.conj(), k) for k in (random_complex(rng, d) for _ in range(rank)))
+        verdict = self.assert_one_psd_path(s - weight * gksl.transpose_superop(d))
+        event(f"cp={verdict.is_cp}")
+        if weight == 0.0:
+            assert verdict.is_cp
+
+    @pytest.mark.parametrize("s", [
+        *(gksl.identity_superop(d) for d in (2, 3, 4)),
+        decomp.explicit_decomposition(np.log(3) / 2)[1],
+    ], ids=["identity-2", "identity-3", "identity-4", "explicit-block-at-t-star"])
+    def test_exact_zero_boundaries(self, s):
+        # Choi spectra with exact zeros: the entangled projector, and the
+        # explicit block at t* = ln(3)/2, where (1 - a)(1 - 3a)/8 vanishes
+        assert self.assert_one_psd_path(s).is_cp
+
 
 class TestKossakowskiCheck:
     def test_violating_rates(self):

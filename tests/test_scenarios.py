@@ -68,8 +68,8 @@ class TestScenarios:
         doc = rep.to_dict()
         assert doc["name"] == "trace_transpose_maps"
         for chk in doc["checks"]:
-            assert set(chk) == {
+            assert list(chk) == [
                 "name", "computed", "expected", "delta", "tolerance", "provenance", "passed",
-            }
+            ]
             assert np.isfinite(chk["computed"])
             assert chk["provenance"]
