@@ -15,7 +15,7 @@ always recompose to the full generator exactly.  A product generator
 factor.  A factor with H = 0 and a real C is self-adjoint, a Hermitian
 matrix, and is exponentiated from its eigendecomposition, cached on first
 use; every other factor is non-normal in general and goes through the
-scaling-and-squaring Pade exponential, all such factors in one stacked call.
+scaling-and-squaring Pade exponential.
 """
 
 from __future__ import annotations
@@ -411,9 +411,8 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
     Each factor takes one of two routes, chosen by its ``spectrum``: a
     self-adjoint factor is ``V exp(t Lambda) V^dag`` from its cached
     eigendecomposition, and every other factor goes through the
-    scaling-and-squaring Pade core (``matcore._expm``), two such factors in
-    one stacked call, each with the bits of an ``expm`` of it alone.  Every
-    generator built here is trace preserving.
+    scaling-and-squaring Pade core (``matcore._expm``), with the bits of an
+    ``expm`` of it alone.  Every generator built here is trace preserving.
 
     Huge ``t`` is refused with ``NumericalError`` twice over, on both
     routes alike.  A priori, from the 1-norms of the factors' t L: once the
@@ -434,13 +433,9 @@ def evolve(gen: Generator, t: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         stack = t * np.array([g.full for g in parts])
         norm1 = _gate(stack, t)
-        spectra = [g.spectrum for g in parts]
-        if all(s is None for s in spectra):
-            maps = matcore._expm(stack, norm1)
-        else:  # at most one Pade factor is left, so nothing is lost by not stacking
-            maps = np.array([matcore._expm(m, n) if s is None
-                             else (s.vectors * np.exp(t * s.values)) @ s.vectors.conj().T
-                             for m, n, s in zip(stack, norm1, spectra)])
+        maps = np.array([matcore._expm(m, n) if s is None
+                         else (s.vectors * np.exp(t * s.values)) @ s.vectors.conj().T
+                         for m, n, s in zip(stack, norm1, (g.spectrum for g in parts))])
         _check_trace_preserving(maps, d, t)
     return maps[0] if gen.factors is None else _kron_superop(*maps, d, d)
 

@@ -22,10 +22,7 @@ rest of the package relies on:
 * the matrix exponential is scaling-and-squaring with a fixed order-13
   diagonal Pade approximant, since a generator is non-normal in general and
   an eigendecomposition of a non-normal matrix is not safe.  ``expm``
-  validates one matrix and hands it to a trusted core that also takes a
-  ``(k, n, n)`` stack, so the two factors of a product semigroup are
-  exponentiated in one pass; each matrix keeps its own scaling, and its
-  result is bit-identical to an ``expm`` of it alone.  The one normal case
+  validates one matrix and hands it to a trusted core.  The one normal case
   is left to ``gksl``: a self-adjoint generator (H = 0, real C) is
   Hermitian, and ``gksl.evolve`` exponentiates it from its cached
   eigendecomposition (``Spectrum``) instead;
@@ -132,15 +129,19 @@ def _real(val: complex, what: str, *data: np.ndarray) -> float:
 def _as_hermitian(a: np.ndarray) -> np.ndarray:
     """:func:`as_hermitian` of a square array that already passed :func:`as_cmatrix`;
     an entry whose sum with its mirror overflows (it takes entries above half
-    the float maximum) is halved before it is added, so every result is finite."""
+    the float maximum) is halved before it is added, so every result is finite.
+    Past half the float maximum the gate also reads A/2, halved exactly, since
+    a modulus of A, and so its size and tolerance, may overflow there."""
     size = np.abs(a).max()
     near_max = not size <= sys.float_info.max / 2
     with np.errstate(over="ignore", invalid="ignore") if near_max else nullcontext():
-        dev = np.abs(a - a.conj().T).max()
-        if dev > _tol(HERMITICITY_TOL, size):
+        unit, g = (2.0, a / 2) if near_max else (1.0, a)
+        g_size = np.abs(g).max() if near_max else size
+        dev = np.abs(g - g.conj().T).max()
+        if dev > _tol(HERMITICITY_TOL, g_size):
             raise HermiticityError(
-                f"matrix is not Hermitian: max |X - X^dag| = {dev:.3e} "
-                f"exceeds {HERMITICITY_TOL:.1e} * {max(size, 1.0):.3e}"
+                f"matrix is not Hermitian: max |X - X^dag| = {unit * dev:.3e} "
+                f"exceeds {HERMITICITY_TOL:.1e} * {max(unit * g_size, 1.0):.3e}"
             )
         h = (a + a.conj().T) / 2
     if near_max:
@@ -284,37 +285,31 @@ def _one_norms(stack: np.ndarray) -> np.ndarray:
     return norm1
 
 
-def _expm(stack: np.ndarray, norm1: np.ndarray | None = None) -> np.ndarray:
-    """:func:`expm` of a trusted ``(n, n)`` matrix or of each matrix in a
-    trusted ``(k, n, n)`` stack.
-
-    One pass of batched products and one batched solve serve every matrix.
-    Each matrix is scaled by its own power of two, from its own 1-norm, and
-    squared back that many times, so it gets the bits that a call on it
-    alone would.  ``norm1`` takes the stack's :func:`_one_norms` when the
-    caller has them already; a 1-norm that overflows raises ``DomainError``.
+def _expm(a: np.ndarray, norm1: float | None = None) -> np.ndarray:
+    """:func:`expm` of a trusted square matrix: the Pade approximant of
+    ``A / 2^s``, squared ``s`` times, with ``s`` the least number of halvings
+    that brings the 1-norm to theta_13 (Higham 2005).  ``norm1`` takes the
+    matrix's :func:`_one_norms` when the caller has it already; a 1-norm
+    that overflows raises ``DomainError``.
     """
     if norm1 is None:
-        norm1 = _one_norms(stack)
-    top = float(norm1.max())
-    if top <= _THETA13:  # the bits of the path below, without its scaling cost
-        return _pade13(stack)
-    squarings = np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13)).astype(int)
-    r = _pade13(stack / (2.0 ** squarings)[..., None, None])
-    for i in range(squarings.max()):
-        r = np.where((squarings > i)[..., None, None], r @ r, r)
+        norm1 = _one_norms(a)
+    squarings = int(np.ceil(np.log2(max(norm1, _THETA13) / _THETA13)))
+    r = _pade13(a / 2.0 ** squarings)
+    for _ in range(squarings):
+        r = r @ r
     return r
 
 
-def _pade13(stack: np.ndarray) -> np.ndarray:
+def _pade13(a: np.ndarray) -> np.ndarray:
     """Order-13 diagonal Pade approximant of exp, for 1-norms up to theta_13."""
-    ident = np.eye(stack.shape[-1], dtype=complex)
-    a2 = stack @ stack
+    ident = np.eye(a.shape[-1], dtype=complex)
+    a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
     b = _PADE13
-    u = stack @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     try:

@@ -298,6 +298,20 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
 _PAULI_VECS = np.stack([s.T.reshape(-1) for s in SIGMA], axis=1)
 
 
+def _pauli_form(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``(S / 2^e, M, slack, 2^e)`` for a map S on M_2: e >= 0 the least with
+    max|S| / 2^e < 2, M_jk = Tr(sigma_j (S / 2^e)(sigma_k)), and the PSD
+    slack at the scale of M over 2^e.  A power of two divides exactly, so
+    every comparison decides as it would on S, and neither M nor its squares
+    overflow, however large S (a modulus that overflows takes e = 1023)."""
+    size = np.abs(s).max()
+    scale = 2.0 ** max(0, (math.frexp(size)[1] if size < math.inf else 1024) - 1)
+    if scale > 1.0:
+        s = s / scale
+    m = (_PAULI_VECS.conj().T @ s @ _PAULI_VECS).real
+    return s, m, PSD_SLACK * max(1.0 / scale, float(np.abs(m).max())), scale
+
+
 def _sphere_minimum(q: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     """Global minimizer of n^T q n + g^T n over |n| = 1, with a lower bound.
 
@@ -371,28 +385,28 @@ def _qubit_check(gen: Generator, proved_cp: bool) -> PositivityVerdict | None:
     1 - P, so f = Tr((1 - P) N(P)) = [M_00 + (M[0, 1:] - M[1:, 0]).n
     - n^T M[1:, 1:] n] / 4 for M_jk = Tr(sigma_j N(sigma_k)); on |n| = 1
     this is f of L, whose H and anticommutator terms vanish on the pair.
-    The slack is taken at the scale of M.  The pair at the minimizer
+    The form is read at a power-of-two scale (:func:`_pauli_form`), and the
+    slack at the scale of M.  The pair at the minimizer
     n is written in closed form (:func:`_bloch_pair`) and f is evaluated at
     it directly, so the reported value is that of a pair, not of the
     quadratic; a positive verdict also needs the dual lower bound, plus
     M_00 / 4, within the slack.
     """
-    m = (_PAULI_VECS.conj().T @ gen.noise @ _PAULI_VECS).real
+    noise, m, slack, scale = _pauli_form(gen.noise)
     q = -(m[1:, 1:] + m[1:, 1:].T) / 8
     g = (m[0, 1:] - m[1:, 0]) / 4
-    slack = matcore._tol(PSD_SLACK, float(np.abs(m).max()))
     n, bound = _sphere_minimum(q, g)
     pair = _bloch_pair(n)
-    value = gksl._functional(gen.noise, *pair)
+    value = gksl._functional(noise, *pair)
     if value < -slack:
-        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
+        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value * scale, pair=pair,
                                  proof=PROOF_TRUST_REGION)
     if bound + m[0, 0] / 4 < -slack:
         return None
     if proved_cp:
-        return PositivityVerdict(status=STATUS_CP, min_value=value, pair=pair, spread=0.0,
-                                 proof=PROOF_KOSSAKOWSKI_PSD)
-    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value, pair=pair,
+        return PositivityVerdict(status=STATUS_CP, min_value=value * scale, pair=pair,
+                                 spread=0.0, proof=PROOF_KOSSAKOWSKI_PSD)
+    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value * scale, pair=pair,
                              spread=0.0, proof=PROOF_TRUST_REGION)
 
 
@@ -546,11 +560,11 @@ def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:
     n, phi for -beta(n)) at its minimizer, or at n = -u/|u| where
     alpha_min = (u0 - |u|)/4 < 0, is written in closed form
     (:func:`_bloch_pair`) and the functional is evaluated at it directly.
+    The form is read at a power-of-two scale (:func:`_pauli_form`).
     A positive verdict needs alpha_min above the slack, at the scale of M, and
     the dual bound of that quadratic over 16 alpha_min (a bound on alpha - |beta|) within it.
     """
-    m = (_PAULI_VECS.conj().T @ sm @ _PAULI_VECS).real
-    slack = matcore._tol(PSD_SLACK, float(np.abs(m).max()))
+    sm, m, slack, scale = _pauli_form(sm)
     u0, u, v0, v = m[0, 0], m[0, 1:], m[1:, 0], m[1:, 1:]
     n, dual = _sphere_minimum(np.outer(u, u) - v.T @ v, 2 * (u0 * u - v.T @ v0))
     r = float(np.linalg.norm(u))
@@ -565,11 +579,11 @@ def _qubit_map_exact(sm: np.ndarray) -> PositivityVerdict | None:
     if value >= -slack and alpha_min < 0 < r:
         value, pair = at(-u / r)
     if value < -slack:
-        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value, pair=pair,
+        return PositivityVerdict(status=STATUS_NOT_POSITIVE, min_value=value * scale, pair=pair,
                                  proof=PROOF_TRUST_REGION)
     if alpha_min <= slack or (dual + u0 * u0 - v0 @ v0) / (16 * alpha_min) < -slack:
         return None
-    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value, pair=pair,
+    return PositivityVerdict(status=STATUS_POSITIVE_NOT_CP, min_value=value * scale, pair=pair,
                              spread=0.0, proof=PROOF_TRUST_REGION)
 
 

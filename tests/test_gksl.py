@@ -306,8 +306,9 @@ class TestProductGenerator:
 
     @pytest.mark.parametrize("d", (2, 3, 4))
     def test_stacked_factors_match_separate_expm(self, d):
-        # one stacked call, each factor with its own scaling: the second's C is
-        # 100x the first's, and the result has the bits of two separate calls
+        # each factor is exponentiated on its own, with its own scaling: the
+        # second's C is 100x the first's, and the result has the bits of two
+        # separate calls
         rng = np.random.default_rng(210 + d)
         g1 = random_generator(rng, d, 0.01)
         g2 = random_generator(rng, d, 1.0)
@@ -538,8 +539,8 @@ class TestSelfAdjointRoute:
     @pytest.mark.parametrize("hamiltonian", [True, False], ids=["hamiltonian", "complex-c"])
     @pytest.mark.parametrize("d", (2, 3))
     def test_pade_bits_unchanged(self, d, hamiltonian):
-        # the Pade route as it was: one stacked matcore._expm of the factors'
-        # t L, which gives each the bits of an expm of it alone
+        # the Pade route: one matcore._expm per factor's t L, with the bits of
+        # an expm of it alone
         rng = np.random.default_rng(250 + d)
         g1, g2 = (pade_generator(rng, d, 1.0, hamiltonian) for _ in range(2))
         for t in (0.0, 0.3, 2.0):

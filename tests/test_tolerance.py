@@ -33,6 +33,10 @@ from helpers import negative_definite_generator, random_hermitian
 from test_decomp import assert_certificate, assert_witness, choi_map
 
 SCALES = st.sampled_from([1.0, 1e3, 1e6, 1e8, 1e9])
+# powers of two up to near the float maximum, where a product of two entries,
+# or at 2^1022 a sum of them, overflows; the exact qubit routes read their
+# forms at a power-of-two scale of their own
+HUGE_SCALES = st.sampled_from([2.0**512, 2.0**1000, 2.0**1022])
 
 
 def trace_deviation(s):
@@ -256,7 +260,54 @@ class TestScaleInvariance:
         assert_same_feasibility(j, scale)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(scale=SCALES, seed=st.integers(0, 2**32 - 1),
+    @given(scale=SCALES | HUGE_SCALES, seed=st.integers(0, 2**32 - 1),
+           lead=st.sampled_from([-3.0, 3.0]),
+           rates=st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=2),
+           hamiltonian=st.booleans())
+    def test_qubit_generator(self, scale, seed, lead, rates, hamiltonian):
+        # rotated rates of both signs give NotPositive, PositiveNotCP and CP
+        # generators; a lead rate of 3 keeps the size of the Pauli form at
+        # least 1 (its trace, or its spatial block, is), where the rule gives
+        # c L the verdict of L, and c times its minimum
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        c = q @ np.diag([lead, *rates]) @ q.T
+        h = random_hermitian(rng, 2) if hamiltonian else np.zeros((2, 2))
+        want, got = (kossakowski_positivity_check(build_generator(qubit_spec(k * c, k * h)))
+                     for k in (1.0, scale))
+        assert (got.status, got.proof) == (want.status, want.proof)
+        assert got.min_value == pytest.approx(scale * want.min_value,
+                                              rel=1e-9, abs=scale * 1e-12)
+
+    @pytest.mark.parametrize("check, make, scale", [
+        *((map_positivity_check,
+           lambda k: k * (gksl.transpose_superop(2) - 0.9 * np.eye(4)), k)
+          for k in (1e154, 1e200, 1e300, 1e308)),
+        (kossakowski_positivity_check,
+         lambda k: build_generator(qubit_spec(k * np.diag([-1.0, -1.0, 1.0]))), 1e308),
+    ], ids=["map-1e154", "map-1e200", "map-1e300", "map-1e308", "generator-1e308"])
+    def test_qubit_forms_near_float_maximum(self, check, make, scale):
+        # unless read at a scale of its own, the Pauli form of S or N, or its
+        # squares, overflows from about 1e154 (a map) or 1e308 (a generator)
+        want, got = check(make(1.0)), check(make(scale))
+        assert (got.status, got.proof) == (want.status, want.proof) == (
+            STATUS_NOT_POSITIVE, posmap.PROOF_TRUST_REGION)
+        assert got.min_value == pytest.approx(scale * want.min_value, rel=1e-9)
+
+    def test_qubit_map_with_overflowing_modulus(self):
+        # a Choi entry 1.5e308 (1 + i), finite but of modulus past the float
+        # maximum: S gets the verdict of S / 2^1023, scaled back exactly
+        j = 1e308 * np.eye(4, dtype=complex)
+        j[0, 3] = 1.5e308 + 1.5e308j
+        j[3, 0] = 1.5e308 - 1.5e308j
+        s = j.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+        want, got = map_positivity_check(s / 2.0**1023), map_positivity_check(s)
+        assert (got.status, got.proof) == (want.status, want.proof) == (
+            STATUS_NOT_POSITIVE, posmap.PROOF_TRUST_REGION)
+        assert got.min_value == want.min_value * 2.0**1023
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(scale=SCALES | HUGE_SCALES, seed=st.integers(0, 2**32 - 1),
            rates=st.lists(st.floats(-1.0, 2.0), min_size=3, max_size=3), t=st.floats(0.1, 2.0))
     def test_evolved_qubit_map(self, scale, seed, rates, t):
         # rotated rates of both signs give NotPositive, PositiveNotCP and CP maps
