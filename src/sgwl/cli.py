@@ -312,7 +312,7 @@ def main(argv=None) -> int:
             matcore.HermiticityError, matcore.PreconditionError, matcore.SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (matcore.NumericalError, MemoryError, OSError) as exc:
+    except (matcore.NumericalError, np.linalg.LinAlgError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

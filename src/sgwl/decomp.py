@@ -391,18 +391,13 @@ def _known_witnesses(jm: np.ndarray, d: int, slack: float):
     s0 += float(jm[block].real.sum())
     # the pairing (s0 + beta s1 + s2 / beta) / (d (d - 2 + beta + 1 / beta)) has a
     # derivative of the sign of q2 beta^2 + q1 beta + q0; it has a least value at
-    # some beta > 0, the one positive root, exactly when q2 > 0 > q0.  The root
-    # does not change when s0, s1 and s2 are scaled alike, so the q's are formed
-    # from sums scaled by a power of two (exactly) to below 1, which cannot overflow
-    scale = max(abs(s0), abs(s1), abs(s2))
-    if not 0.0 < scale < math.inf:
-        return
-    e = -math.frexp(scale)[1]
-    r0, r1, r2 = math.ldexp(s0, e), math.ldexp(s1, e), math.ldexp(s2, e)
-    q2, q1, q0 = r1 * (d - 2) - r0, 2 * (r1 - r2), r0 - r2 * (d - 2)
+    # some beta > 0, the one positive root, exactly when q2 > 0 > q0
+    q2, q1, q0 = s1 * (d - 2) - s0, 2 * (s1 - s2), s0 - s2 * (d - 2)
     if not q2 > 0 > q0:
         return
     root = math.sqrt(q1 * q1 - 4 * q2 * q0)
+    if root == 0.0:  # it underflows only on sums far below any slack
+        return
     beta = (root - q1) / (2 * q2) if q1 < 0 else -2 * q0 / (root + q1)
     if not 0.0 < beta < math.inf or 1 / beta == math.inf:  # a root out of float range
         return
@@ -414,24 +409,26 @@ def _known_witnesses(jm: np.ndarray, d: int, slack: float):
 
 
 def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
-    """:func:`decomposability_feasibility` of a gated Hermitian matrix: in
-    float64 when it has no nonzero imaginary entry, in complex128 otherwise."""
+    """:func:`decomposability_feasibility` of a gated Hermitian matrix, decided on its
+    :func:`matcore._unit` copy in the field of J, with what it reports scaled back."""
     if not jm.imag.any():
         jm = np.ascontiguousarray(jm.real)
     n = jm.shape[0]
     d = int(round(np.sqrt(n)))
     if d * d != n:
         raise ShapeError(f"Choi matrix must be d^2 x d^2, got {jm.shape}")
+    jm, scale, _ = matcore._unit(jm)
     w, v = np.linalg.eigh(jm)
     slack = -matcore._psd_bound(w)  # PSD_SLACK * max(1, ||J||_2)
     if w[0] >= -slack:
-        cert = DecompositionCertificate(j1=jm, j2=np.zeros_like(jm), residual=0.0)
+        cert = DecompositionCertificate(j1=jm * scale, j2=np.zeros_like(jm), residual=0.0)
         return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=0)
     for rho in _known_witnesses(jm, d, slack):
         value = _pairing(jm, rho)
         if value < -slack:  # J does not change in the loop: rho witnesses now or never
-            return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value,
-                                     gap=-float(w[0]), witness=WitnessState(rho, ppt_checked=True))
+            return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value * scale,
+                                     gap=-float(w[0]) * scale,
+                                     witness=WitnessState(rho, ppt_checked=True))
     a = _psd_part(w, v)
 
     def pt(x):
@@ -470,19 +467,19 @@ def _feasibility(jm: np.ndarray, max_iter: int) -> FeasibilityResult:
             polish_left -= 1
             if best_lmin >= -0.02 * slack or polish_left <= 0:
                 break
-    gap = max(0.0, -float(lmin))
+    gap = max(0.0, -float(lmin)) * scale
     if best_lmin >= -slack:
         j1 = jm - pt(best_b)
         residual = float(np.linalg.norm(jm - j1 - pt(best_b)))
         # the residual rule at the scale of J, and both hermitized blocks PSD at it
         if residual <= FEASIBILITY_TOL / PSD_SLACK * slack and all(
                 np.linalg.eigvalsh((x + x.conj().T) / 2)[0] >= -slack for x in (j1, best_b)):
-            cert = DecompositionCertificate(j1=j1, j2=best_b, residual=residual)
+            cert = DecompositionCertificate(j1 * scale, best_b * scale, residual * scale)
             return FeasibilityResult(status=FEASIBLE, certificate=cert, iterations=it)
 
     value = 0.0 if best_x is None else _pairing(jm, best_x)
     if value < -slack:
-        return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value, gap=gap,
+        return FeasibilityResult(status=INFEASIBLE_WITNESSED, pairing=value * scale, gap=gap,
                                  iterations=it, witness=WitnessState(best_x, ppt_checked=True))
     return FeasibilityResult(status=MAX_ITERATIONS, gap=gap, iterations=it)
 

@@ -9,8 +9,9 @@ rest of the package relies on:
 * every accept/reject test applies one tolerance rule (``_tol``): ``tol`` for
   data of size at most 1, ``tol * size`` above, "size" being that of the data
   the tested value came from, so L and c L (c > 0) get the same verdicts
-  while both sizes are at least 1 (the search's descent heuristics stay
-  absolute);
+  while both sizes are at least 1.  Every decision reads the ``_unit`` copy
+  of its data, so nothing it forms overflows, and scales its reports back;
+  the search's descent heuristics act at that unit size too;
 * every integer argument (a dimension, an index, a count) passes one integer
   rule (``_int``): a Python or numpy integer, never a bool, within its
   bounds, or the caller's error naming the argument;
@@ -36,8 +37,7 @@ All functions are pure; nothing here mutates its inputs.
 
 from __future__ import annotations
 
-import sys
-from contextlib import nullcontext
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,28 +126,30 @@ def _real(val: complex, what: str, *data: np.ndarray) -> float:
     return float(val.real)
 
 
+def _unit(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``(x / 2^e, 2^e, max|x / 2^e|)``, e >= 0 the least with max|x| / 2^e < 2
+    (1023 when a modulus overflows).  The division is exact short of the
+    subnormals and the rule is homogeneous from size 1, so the copy gets x's verdict."""
+    size = float(np.abs(x).max())
+    if size < 2.0:
+        return x, 1.0, size
+    scale = 2.0 ** (math.frexp(size)[1] - 1 if size < math.inf else 1023)
+    x = x / scale
+    return x, scale, float(np.abs(x).max())
+
+
 def _as_hermitian(a: np.ndarray) -> np.ndarray:
-    """:func:`as_hermitian` of a square array that already passed :func:`as_cmatrix`;
-    an entry whose sum with its mirror overflows (it takes entries above half
-    the float maximum) is halved before it is added, so every result is finite.
-    Past half the float maximum the gate also reads A/2, halved exactly, since
-    a modulus of A, and so its size and tolerance, may overflow there."""
-    size = np.abs(a).max()
-    near_max = not size <= sys.float_info.max / 2
-    with np.errstate(over="ignore", invalid="ignore") if near_max else nullcontext():
-        unit, g = (2.0, a / 2) if near_max else (1.0, a)
-        g_size = np.abs(g).max() if near_max else size
-        dev = np.abs(g - g.conj().T).max()
-        if dev > _tol(HERMITICITY_TOL, g_size):
-            raise HermiticityError(
-                f"matrix is not Hermitian: max |X - X^dag| = {unit * dev:.3e} "
-                f"exceeds {HERMITICITY_TOL:.1e} * {max(unit * g_size, 1.0):.3e}"
-            )
-        h = (a + a.conj().T) / 2
-    if near_max:
-        over = ~np.isfinite(h)
-        h[over] = a[over] / 2 + a.conj().T[over] / 2
-    return h
+    """:func:`as_hermitian` of a square array that already passed :func:`as_cmatrix`:
+    its :func:`_unit` copy gated and symmetrized, then scaled back."""
+    g, scale, size = _unit(a)
+    dev = float(np.abs(g - g.conj().T).max())
+    if dev > _tol(HERMITICITY_TOL, size):
+        raise HermiticityError(
+            f"matrix is not Hermitian: max |X - X^dag| = {dev * scale:.3e} "
+            f"exceeds {HERMITICITY_TOL:.1e} * {max(size * scale, 1.0):.3e}"
+        )
+    h = (g + g.conj().T) / 2
+    return h * scale if scale > 1.0 else h
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,10 +197,12 @@ def is_psd(h) -> tuple[bool, float]:
 
 def _is_psd(hm: np.ndarray) -> tuple[bool, float]:
     """:func:`is_psd` of a matrix that already passed :func:`as_hermitian`:
-    one ``eigvalsh``, its least eigenvalue read against :func:`_psd_bound`."""
-    w = np.linalg.eigvalsh(hm)
+    one ``eigvalsh`` of its :func:`_unit` copy, whose least eigenvalue is read
+    against :func:`_psd_bound` and reported times 2^e."""
+    u, scale, _ = _unit(hm)
+    w = np.linalg.eigvalsh(u)
     lmin = float(w[0])
-    return lmin >= _psd_bound(w), lmin
+    return lmin >= _psd_bound(w), lmin * scale
 
 
 def _psd_bound(w: np.ndarray) -> float:

@@ -222,7 +222,8 @@ def _spread(start_values: np.ndarray, k: int = 5) -> float:
 
 
 def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> PositivityVerdict:
-    """Minimize the inner minimum over psi on the unit sphere and decide.
+    """Minimize the inner minimum over psi on the unit sphere and decide, on the
+    :func:`matcore._unit` copy of ``s``, with every value reported scaled back.
 
     All starts (start k drawn with seed + k) descend in lockstep as complex
     unit rows psi, one batched evaluation (:func:`_evaluate`) per stage on
@@ -238,8 +239,9 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
     A violation is re-validated (:func:`_violation`) at the best start's
     pair, orthonormalized when restricted and normalized otherwise, and that
     pair is the one reported; otherwise the spread of the best starts
-    decides, both at the scale of the largest entry of ``s``.
+    decides, both at the size of the copy.
     """
+    s, scale, size = matcore._unit(s)
     d = int(round(math.sqrt(s.shape[0])))
     op = _prepare(s)
     x = np.array([np.random.default_rng(seed + k).normal(size=2 * d) for k in range(budget)])
@@ -272,24 +274,25 @@ def _search(s: np.ndarray, restricted: bool, budget: int, seed: int) -> Positivi
         live[rej] = step[rej] >= 1e-12
 
     best = int(np.argmin(val))
-    size = float(np.abs(s).max())
     slack = matcore._tol(PSD_SLACK, size)
+    with np.errstate(over="ignore"):  # times 2^1023 a value may overflow
+        start_values = val * scale
     if val[best] < -slack:
         unit = gksl._orthonormalize_pair if restricted else gksl._unit_pair
         verdict = _violation(s, unit(psi[best], phi[best]), PROOF_SEARCH, slack)
         if verdict is not None:
-            return replace(verdict, start_values=val)
+            return replace(verdict, min_value=verdict.min_value * scale, start_values=start_values)
     spread = _spread(val)
     status, reason = STATUS_POSITIVE_NOT_CP, None
     spread_tol = matcore._tol(SPREAD_TOL, size)
     if spread > spread_tol:
         status = STATUS_UNDETERMINED
-        reason = f"the best starts disagree by {spread:.3e} > {spread_tol:.3g}"
+        reason = f"the best starts disagree by {spread * scale:.3e} > {spread_tol * scale:.3g}"
     return PositivityVerdict(
         status=status,
-        min_value=float(val[best]),
-        start_values=val,
-        spread=spread,
+        min_value=float(val[best]) * scale,
+        start_values=start_values,
+        spread=spread * scale,
         reason=reason,
     )
 
@@ -299,15 +302,10 @@ _PAULI_VECS = np.stack([s.T.reshape(-1) for s in SIGMA], axis=1)
 
 
 def _pauli_form(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``(S / 2^e, M, slack, 2^e)`` for a map S on M_2: e >= 0 the least with
-    max|S| / 2^e < 2, M_jk = Tr(sigma_j (S / 2^e)(sigma_k)), and the PSD
-    slack at the scale of M over 2^e.  A power of two divides exactly, so
-    every comparison decides as it would on S, and neither M nor its squares
-    overflow, however large S (a modulus that overflows takes e = 1023)."""
-    size = np.abs(s).max()
-    scale = 2.0 ** max(0, (math.frexp(size)[1] if size < math.inf else 1024) - 1)
-    if scale > 1.0:
-        s = s / scale
+    """``(S / 2^e, M, slack, 2^e)`` for a map S on M_2: its :func:`matcore._unit`
+    copy, M_jk = Tr(sigma_j (S / 2^e)(sigma_k)) and the PSD slack at the scale
+    of M over 2^e; neither M nor its squares overflow, however large S."""
+    s, scale, _ = matcore._unit(s)
     m = (_PAULI_VECS.conj().T @ s @ _PAULI_VECS).real
     return s, m, PSD_SLACK * max(1.0 / scale, float(np.abs(m).max())), scale
 
@@ -440,9 +438,9 @@ def _negative_definite_violation(gen: Generator, spectrum: np.ndarray | None,
 
 def _qubit_product_violation(gen: Generator, slack: float) -> PositivityVerdict | None:
     """NotPositive in closed form for a product of two qubit generators whose
-    C is real symmetric in the Pauli basis, when half the least of
-    S = {c_i + c_j (i != j) within a factor, c1_i + c2_j across} lies below
-    -slack; that half is the exact minimum of f and is reported as
+    C is real symmetric in the Pauli basis, when the least of the half-sums
+    {c_i/2 + c_j/2 (i != j) within a factor, c1_i/2 + c2_j/2 across}, which
+    cannot overflow, lies below -slack: the exact minimum of f, reported as
     ``min_value``.
 
     On a pair f = w1 C1 w1^dag + w2 C2 w2^dag with w1_a = <phi|F_a (x) 1|psi>
@@ -463,9 +461,9 @@ def _qubit_product_violation(gen: Generator, slack: float) -> PositivityVerdict 
                for g in (g1, g2)):
         return None
     (c1, v1), (c2, v2) = (np.linalg.eigh(g.spec.c_matrix.real) for g in (g1, g2))
-    sums = (c1[0] + c1[1], c2[0] + c2[1], c1[0] + c2[0])
+    sums = (c1[0] / 2 + c1[1] / 2, c2[0] / 2 + c2[1] / 2, c1[0] / 2 + c2[0] / 2)
     k = int(np.argmin(sums))
-    if sums[k] / 2 >= -slack:
+    if sums[k] >= -slack:
         return None
     if k < 2:
         psi, phi = _bloch_pair((v1, v2)[k][:, 2])
@@ -479,7 +477,7 @@ def _qubit_product_violation(gen: Generator, slack: float) -> PositivityVerdict 
         # (A (x) B)|Phi+> is vec_row(A B^T) / sqrt(2) in the Kronecker order
         psi = w.T / math.sqrt(2)
         pair = psi.reshape(-1), (np.tensordot(n1, SIGMA[1:], axes=1) @ psi).reshape(-1)
-    return _violation(gen.noise, pair, PROOF_CLOSED_FORM, slack, float(sums[k] / 2))
+    return _violation(gen.noise, pair, PROOF_CLOSED_FORM, slack, float(sums[k]))
 
 
 def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
@@ -535,9 +533,9 @@ def kossakowski_positivity_check(gen: Generator, budget: int = DEFAULT_BUDGET,
 
 
 def _c_spectrum(gen: Generator) -> np.ndarray | None:
-    """The spectrum of the spec's C, or None without a spec (a product); the
-    spec's C passed the Hermiticity gate when the spec was made."""
-    return None if gen.spec is None else np.linalg.eigvalsh(gen.spec.c_matrix)
+    """The spectrum of the :func:`matcore._unit` copy of the spec's C (gated when
+    the spec was made), for its signs against the PSD bound; None for a product."""
+    return None if gen.spec is None else np.linalg.eigvalsh(matcore._unit(gen.spec.c_matrix)[0])
 
 
 def _proved_cp(gen: Generator, spectrum: np.ndarray | None) -> bool:

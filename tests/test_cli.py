@@ -61,6 +61,18 @@ class TestCheck:
         assert out["positivity"] == "CompletelyPositive"
         assert out["proof"] == "kossakowski-psd"
 
+    def test_qutrit_spec_near_float_maximum(self, tmp_path, capsys):
+        # C = 1e300 diag(-1, 0.2, ..., 0.2), H = 0: the search reads the unit
+        # copy of N; on N itself numpy's eigh raised LinAlgError (exit 1)
+        c = [[[1e300 * (-1.0 if i == 0 else 0.2) if i == j else 0.0, 0.0] for j in range(8)]
+             for i in range(8)]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 3, "H": zeros(3), "C": c}))
+        rc = cli.main(["check", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == cli.EXIT_OK
+        assert (out["positivity"], out["proof"]) == ("NotPositive", "search")
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -270,6 +282,19 @@ class TestErrors:
         assert rc == cli.EXIT_NUMERICAL
         assert captured.out == ""
         assert "t = 1000000000000000.0" in captured.err
+
+    def test_linear_algebra_error(self, spec_files, capsys, monkeypatch):
+        # a solver failure that numpy reports as LinAlgError is numerical too
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        depol, _ = spec_files
+        rc = cli.main(["check", depol])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERICAL
+        assert captured.out == ""
+        assert captured.err == "error: Eigenvalues did not converge\n"
 
     def test_memory_error(self, spec_files, capsys):
         # 10**15 grid points need 7.11 PiB, beyond any address space, so the

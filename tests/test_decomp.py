@@ -1315,8 +1315,8 @@ class TestCyclicFirst:
     @pytest.mark.parametrize("scale", [1e154, 1e300, 2.0 ** 512, 2.0 ** 1000])
     def test_huge_sums_do_not_overflow(self, scale):
         # q1^2 and q2 q0 of the raw sums overflow from about 1e154 on; the
-        # root is formed from sums scaled by a power of two, so a J scaled by
-        # a power of two gets the same beta, bit for bit
+        # sums are read from the unit copy of J (matcore._unit), so a J scaled
+        # by a power of two gets the same beta, bit for bit
         j = choi(choi_map(2.0, 1.0, 0.2))
         res = decomposability_feasibility(scale * j, max_iter=1)
         unscaled = decomposability_feasibility(j).witness.mat
@@ -1325,6 +1325,21 @@ class TestCyclicFirst:
         if math.frexp(scale)[0] == 0.5:
             assert res.witness.mat.tobytes() == unscaled.tobytes()
         assert res.pairing == pytest.approx(scale * cyclic_pairing(2.0, 1.0, 0.2), rel=1e-12)
+
+
+    def test_underflowing_root_not_scored(self):
+        # sums of 1e-170 next to an entry of 1: q1 = 0 and q1^2 - 4 q2 q0
+        # underflows to 0, so the closed form has no usable root; such sums pair
+        # far above the slack, and the loop decides
+        j = np.zeros((9, 9))
+        j[0, 1] = j[1, 0] = 1.0
+        for i in range(3):
+            for pos in (i * 3 + (i + 1) % 3, (i + 1) % 3 * 3 + i):
+                j[pos, pos] = 1e-170
+        res = decomposability_feasibility(j, max_iter=50)
+        assert decided_first(res) is None
+        assert res.status == INFEASIBLE_WITNESSED
+        assert_witness(j, res)
 
 
 @pytest.mark.usefixtures("shared_states_built")

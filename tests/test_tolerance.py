@@ -11,6 +11,7 @@ rates in 1/s.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -34,8 +35,8 @@ from test_decomp import assert_certificate, assert_witness, choi_map
 
 SCALES = st.sampled_from([1.0, 1e3, 1e6, 1e8, 1e9])
 # powers of two up to near the float maximum, where a product of two entries,
-# or at 2^1022 a sum of them, overflows; the exact qubit routes read their
-# forms at a power-of-two scale of their own
+# or at 2^1022 a sum of them, overflows; every decision reads the unit copy of
+# its data (matcore._unit), so nothing it forms overflows
 HUGE_SCALES = st.sampled_from([2.0**512, 2.0**1000, 2.0**1022])
 
 
@@ -179,9 +180,11 @@ class TestRescaledInputs:
             assert verdict.status == STATUS_CP
 
     def test_scaled_product_search(self):
-        # the best starts disagree by 8.3e-8 at this scale, below 1e-8 * max|L|
-        g1 = build_generator(qubit_spec(1e8 * np.eye(3)))
-        g2 = build_generator(qubit_spec(1e8 * np.diag([1.0, -0.5, 1.0])))
+        # the best starts disagree by 1.05e-7 at this scale, above SPREAD_TOL but
+        # below 1e-8 * max|L|; the search decides the unit copy, so the spread
+        # scales with the input, and at 1e8 it is 9.4e-9
+        g1 = build_generator(qubit_spec(1e9 * np.eye(3)))
+        g2 = build_generator(qubit_spec(1e9 * np.diag([1.0, -0.5, 1.0])))
         verdict = kossakowski_positivity_check(gksl.product_generator(g1, g2), budget=16)
         assert verdict.status == STATUS_POSITIVE_NOT_CP
         assert verdict.proof == posmap.PROOF_SEARCH
@@ -244,13 +247,14 @@ class TestScaleInvariance:
         assert got.min_value == pytest.approx(scale * want.min_value, rel=1e-9)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(scale=SCALES, a=st.floats(1.0, 3.0), b=st.floats(0.0, 2.0), c=st.floats(0.0, 2.0))
+    @given(scale=SCALES | HUGE_SCALES, a=st.floats(1.0, 3.0), b=st.floats(0.0, 2.0),
+           c=st.floats(0.0, 2.0))
     def test_choi_map(self, scale, a, b, c):
         j = choi(choi_map(a, b, c))
         assert_same_feasibility(j, scale)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(scale=SCALES, t=st.floats(0.05, 2.0), phases=st.booleans())
+    @given(scale=SCALES | HUGE_SCALES, t=st.floats(0.05, 2.0), phases=st.booleans())
     def test_flagship(self, scale, t, phases):
         j = choi(decomp.witness_product_map(t))
         if phases:
@@ -278,6 +282,27 @@ class TestScaleInvariance:
         assert (got.status, got.proof) == (want.status, want.proof)
         assert got.min_value == pytest.approx(scale * want.min_value,
                                               rel=1e-9, abs=scale * 1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(k=st.sampled_from([1, 30, 512, 1000, 1020]), seed=st.integers(0, 2**32 - 1),
+           d=st.sampled_from([3, 4]), lead=st.sampled_from([-3.0, 3.0]),
+           rates=st.lists(st.floats(-1.0, 2.0), min_size=14, max_size=14))
+    def test_searched_generator(self, k, seed, d, lead, rates):
+        # once N has size at least 1 (C is brought there by a power of two),
+        # 2^k N has the unit copy of N, so the search, thresholds included,
+        # gives 2^k L the status and proof of L and exactly 2^k its minimum
+        n = d * d - 1
+        q = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+        c = q @ np.diag([lead, *rates[: n - 1]]) @ q.T
+        size = np.abs(build_generator(gksl.KossakowskiSpec(
+            d, np.zeros((d, d)), c, gell_mann_basis(d))).noise).max()
+        c *= 2.0 ** max(0, 1 - math.frexp(size)[1])
+        want, got = (kossakowski_positivity_check(build_generator(gksl.KossakowskiSpec(
+            d, np.zeros((d, d)), x * c, gell_mann_basis(d))), budget=16) for x in (1.0, 2.0**k))
+        assert (got.status, got.proof) == (want.status, want.proof)
+        assert got.min_value == 2.0**k * want.min_value
+        if want.start_values is not None:
+            assert np.array_equal(got.start_values, 2.0**k * want.start_values)
 
     @pytest.mark.parametrize("check, make, scale", [
         *((map_positivity_check,
@@ -323,6 +348,96 @@ class TestScaleInvariance:
         assert got.choi_min_eig == pytest.approx(scale * want.choi_min_eig, **tol)
         if want.min_value is not None:
             assert got.min_value == pytest.approx(scale * want.min_value, **tol)
+
+
+class TestNearFloatMaximum:
+    """Inputs near the float maximum, where a modulus, an eigenvalue or a sum
+    formed from the data itself overflowed: an eigenvalue at -inf passed the
+    PSD bound -inf, a false proof, or a solver raised.  Each is decided on
+    the unit copy of its data."""
+
+    def test_psd_with_overflowing_eigenvalue(self):
+        ok, lmin = matcore.is_psd(-1e308 * np.ones((3, 3)))
+        assert not ok
+        assert lmin < 0
+
+    def test_feasibility_with_overflowing_eigenvalue(self):
+        j = -1e308 * np.ones((9, 9))
+        res = decomposability_feasibility(j)
+        assert res.status == INFEASIBLE_WITNESSED
+        assert_witness(j / 2.0**1023, unscaled(res, 2.0**1023))
+
+    def test_cp_with_overflowing_eigenvalue(self):
+        # the qubit map whose Choi matrix is -0.6e308 times the all-ones matrix
+        j = -0.6e308 * np.ones((4, 4))
+        s = 2 * j.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+        assert np.array_equal(choi(s), j)
+        assert posmap.is_completely_positive(s).status == posmap.STATUS_UNDETERMINED
+        verdict = map_positivity_check(s)
+        assert verdict.status == STATUS_NOT_POSITIVE
+        assert verdict.choi_min_eig < 0
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_negative_definite_generator(self, d):
+        want, got = (kossakowski_positivity_check(negative_definite_generator(
+            np.random.default_rng(1), d, x)) for x in (1.0, 2.0**1022))
+        assert (got.status, got.proof) == (want.status, want.proof) == (
+            STATUS_NOT_POSITIVE, posmap.PROOF_KOSSAKOWSKI_ND)
+        assert got.min_value == pytest.approx(2.0**1022 * want.min_value, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_searched_qutrit_generator(self, scale):
+        # the restricted search's shift 1 + 2 ||M||_F overflowed, and eigh raised
+        want, got = (kossakowski_positivity_check(build_generator(gksl.KossakowskiSpec(
+            3, np.zeros((3, 3)), x * np.diag([-1.0] + [0.2] * 7), gell_mann_basis(3))))
+            for x in (1.0, scale))
+        assert (got.status, got.proof) == (want.status, want.proof) == (
+            STATUS_NOT_POSITIVE, posmap.PROOF_SEARCH)
+        assert got.min_value == pytest.approx(scale * want.min_value, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e199, 1e200, 1e300])
+    @pytest.mark.parametrize("j", [
+        choi(choi_map(2.0, 1.0, 1.0)),
+        choi(decomp.witness_product_map(1.0)),
+    ], ids=["phi-2-1-1", "flagship-1.0"])
+    def test_decomposable(self, j, scale):
+        # the loop's pairing <Z, J> overflowed in np.vdot
+        res = decomposability_feasibility(scale * j)
+        assert res.status == FEASIBLE
+        assert_certificate(j, unscaled(res, scale))
+
+    def test_qutrit_transpose(self):
+        # the search overflowed in an add, then raised LinAlgError
+        want = map_positivity_check(gksl.transpose_superop(3))
+        got = map_positivity_check(1e308 * gksl.transpose_superop(3))
+        assert (got.status, got.proof) == (want.status, want.proof) == (
+            STATUS_POSITIVE_NOT_CP, posmap.PROOF_DECOMPOSITION)
+        assert got.choi_min_eig == pytest.approx(1e308 * want.choi_min_eig, rel=1e-12)
+
+    def test_qubit_product_closed_form(self):
+        # the pair sums c_i + c_j overflowed; their halves do not
+        big = build_generator(qubit_spec(1e308 * np.eye(3)))
+        verdict = kossakowski_positivity_check(gksl.product_generator(
+            big, build_generator(qubit_spec(1e308 * np.diag([1.0, -1.5, 1.0])))))
+        assert (verdict.status, verdict.proof) == (STATUS_NOT_POSITIVE, posmap.PROOF_CLOSED_FORM)
+        assert verdict.min_value == -2.5e307
+        verdict = kossakowski_positivity_check(gksl.product_generator(
+            big, build_generator(qubit_spec(1e308 * np.diag([1.0, -0.5, 1.0])))), budget=16)
+        assert (verdict.status, verdict.proof) == (STATUS_POSITIVE_NOT_CP, posmap.PROOF_SEARCH)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(scale=st.sampled_from([2.0**1020, 1e308]), seed=st.integers(0, 2**32 - 1),
+           rates=st.lists(st.floats(-1.0, 2.0), min_size=8, max_size=8))
+    def test_evolved_qutrit_map(self, scale, seed, rates):
+        # rotated rates, H = 0, t = 0.5: NotPositive, PositiveNotCP and CP maps
+        q = np.linalg.qr(np.random.default_rng(seed).normal(size=(8, 8)))[0]
+        spec = gksl.KossakowskiSpec(3, np.zeros((3, 3)), q @ np.diag(rates) @ q.T,
+                                    gell_mann_basis(3))
+        s = evolve(build_generator(spec), 0.5)
+        want, got = map_positivity_check(s), map_positivity_check(scale * s)
+        assert (got.status, got.proof) == (want.status, want.proof)
+        assert got.choi_min_eig == pytest.approx(scale * want.choi_min_eig,
+                                                 rel=1e-9, abs=scale * 1e-12)
 
 
 @pytest.mark.xfail(raises=matcore.HermiticityError, strict=True,
